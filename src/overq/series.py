@@ -6,20 +6,45 @@ nothing ever extends a series, so unknown coefficients cannot leak into a
 result.  Coefficients live either in the exact integers (arbitrary precision)
 or in Z/mZ with canonical representatives 0 <= c < m.
 
+Multiplication picks one of three paths, by ring and truncation order n:
+
+* schoolbook: the double loop :func:`_convolve_schoolbook`, for n up to
+  ``_PACKED_CUTOFF``.  It is the reference every other path must reproduce.
+* binary slots (Kronecker substitution): both operands become one big
+  integer, one coefficient per fixed-width slot, and a single integer
+  product yields the convolution.  The exact ring uses
+  :func:`_convolve_packed`, which handles signs; Z/mZ uses
+  :func:`_convolve_mod`, whose canonical residues need no sign pass and whose
+  packing and unpacking run entirely in C (``array``, ``bytes`` slicing and
+  ``translate``).
+* decimal: for Z/mZ with m <= 256 from order ``_DECIMAL_CUTOFF`` on, the
+  slots are zero-padded decimal digit fields multiplied by libmpdec (the C
+  ``decimal`` module), whose number-theoretic transform beats CPython's
+  Karatsuba on long operands.
+
+Every path is bit-identical to the schoolbook reference, reduced mod m; the
+randomized kernel tests enforce this on every test ring, on both sides of
+each cutoff.
+
 Values are immutable after construction and every operation is a pure
 function, so series can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 __all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "one"]
 
 # Below this order the plain double loop beats the packing overhead of the
-# big-integer kernel.
+# big-integer kernels.
 _PACKED_CUTOFF = 32
+# From this order on, Z/mZ products with m <= 256 are multiplied as decimals.
+_DECIMAL_CUTOFF = 3000
 
 
 @dataclass(frozen=True)
@@ -115,14 +140,111 @@ def _convolve_packed(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     data = (_pack(a, width) * _pack(b, width) + offset).to_bytes(length * width, "little")
     return [
         int.from_bytes(data[k * width : (k + 1) * width], "little") - half
-        for k in range(n)
-    ]
+        for k in range(min(n, length))
+    ] + [0] * (n - length)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     if n <= _PACKED_CUTOFF:
         return _convolve_schoolbook(a, b, n)
     return _convolve_packed(a, b, n)
+
+
+@cache
+def _residue_table(m: int) -> bytes:
+    """Byte -> byte mod m: for m dividing 256 a slot's low byte fixes its residue."""
+    return bytes(v % m for v in range(256))
+
+
+@cache
+def _digit_tables() -> tuple[bytes, bytes, bytes]:
+    """Byte value -> ASCII digit of its units, tens and hundreds."""
+    return tuple(bytes(48 + v // 10**i % 10 for v in range(256)) for i in range(3))
+
+
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+@cache
+def _decimal_context():
+    """An exact-multiply ``decimal`` context, or None without the C module.
+
+    Imported on first use, so runs that never reach the decimal path do not
+    pay for it.  The pure-Python ``decimal`` is slower than the binary path.
+    """
+    try:
+        import _decimal as decimal
+    except ImportError:
+        return None
+    return decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _pack_slots(vals: Sequence[int], width: int) -> int:
+    """sum(vals[i] * 2^(8*width*i)) for 0 <= vals[i] < 2^(8*width), width <= 8."""
+    raw = array("Q", vals).tobytes()
+    buf = bytearray(len(vals) * width)
+    for j in range(width):
+        buf[j::width] = raw[j::8]
+    return int.from_bytes(buf, "little")
+
+
+def _reduce_slots(data: bytes, width: int, n: int, m: int) -> list[int]:
+    """Residues mod m of the first n little-endian ``width``-byte slots of ``data``."""
+    if 256 % m == 0:
+        return list(data[0 : n * width : width].translate(_residue_table(m)))
+    lanes = bytearray(8 * n)
+    for j in range(width):
+        lanes[j::8] = data[j : n * width : width]
+    return list(map(m.__rmod__, array("Q", lanes)))
+
+
+def _decimal_slots(vals: Sequence[int], digits: int, ctx):
+    """sum(vals[i] * 10^(digits*i)) as a Decimal, for 0 <= vals[i] < 256."""
+    rev = bytes(vals)[::-1]  # the decimal string starts at the top coefficient
+    buf = bytearray(b"0" * (len(vals) * digits))
+    for i, table in enumerate(_digit_tables()[: min(digits, 3)]):
+        buf[digits - 1 - i :: digits] = rev.translate(table)
+    return ctx.create_decimal(buf.decode("ascii"))
+
+
+def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[int]:
+    """Truncated Cauchy product of residues in [0, m), reduced into [0, m).
+
+    A product coefficient is a sum of at most min(len(a), len(b), n) terms
+    below m^2, so it fits ``width`` unsigned bytes with no offset.  Slots
+    wider than 8 bytes, small orders and big-endian hosts take the generic
+    kernels instead.
+    """
+    a = a[:n]
+    b = b[:n]
+    cbound = min(len(a), len(b)) * (m - 1) ** 2
+    width = (cbound.bit_length() + 7) // 8
+    if n <= _PACKED_CUTOFF or width > 8 or sys.byteorder != "little":
+        return [c % m for c in _convolve(a, b, n)]
+    ctx = _decimal_context() if m <= 256 and n >= _DECIMAL_CUTOFF else None
+    if ctx is None:
+        product = _pack_slots(a, width) * _pack_slots(b, width)
+        data = product.to_bytes(max(n, len(a) + len(b)) * width, "little")
+        return _reduce_slots(data, width, n, m)
+    digits = len(str(cbound))
+    product = ctx.multiply(_decimal_slots(a, digits, ctx), _decimal_slots(b, digits, ctx))
+    size = n * digits
+    rev = str(product)[-size:].rjust(size, "0").encode("ascii")[::-1]
+    # Gather each digit position into width-byte lanes; every coefficient is
+    # below 2^(8*width), so summing 10^i * lane_i never carries between lanes.
+    lane = bytearray(n * width)
+    total = 0
+    for i in range(digits):
+        lane[0::width] = rev[i::digits].translate(_DIGIT_VALUES)
+        total += int.from_bytes(lane, "little") * 10**i
+    return _reduce_slots(total.to_bytes(n * width, "little"), width, n, m)
+
+
+def _ring_convolve(ring: Ring, a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Truncated product of canonical coefficient sequences, canonical in ``ring``."""
+    if ring.modulus is None:
+        return _convolve(a, b, n)
+    return _convolve_mod(a, b, n, ring.modulus)
 
 
 class Series:
@@ -136,6 +258,14 @@ class Series:
             raise ValueError("a series needs truncation order >= 1")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_coeffs", cs)
+
+    @classmethod
+    def _from_canonical(cls, ring: Ring, coeffs: Sequence[int]) -> "Series":
+        """Trusted constructor: ``coeffs`` is non-empty and already canonical in ``ring``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Series values are immutable")
@@ -197,7 +327,6 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         ring = self._same_ring(other)
-        n = min(self.order, other.order)
         return Series(ring, (x + y for x, y in zip(self._coeffs, other._coeffs)))
 
     def __sub__(self, other: "Series") -> "Series":
@@ -214,14 +343,15 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         ring = self._same_ring(other)
         n = min(self.order, other.order)
-        return Series(ring, _convolve(self._coeffs, other._coeffs, n))
+        return Series._from_canonical(ring, _ring_convolve(ring, self._coeffs, other._coeffs, n))
 
     def invert(self) -> "Series":
         """Multiplicative inverse to the truncation order.
 
-        Requires a unit constant term.  Uses Newton doubling: if a*b = 1 +
-        e*q^k then b' = b*(2 - a*b) satisfies a*b' = 1 - e^2*q^2k, so the
-        correct prefix doubles each step.
+        Requires a unit constant term.  Uses Newton doubling: if b is the
+        inverse to order h, then a*b = 1 + e*q^h and b' = b - b*e*q^h is the
+        inverse to order 2h.  So each step keeps b and appends the low
+        coefficients of -b*e.
         """
         ring = self.ring
         inv0 = ring.unit_inverse(self._coeffs[0])
@@ -230,12 +360,10 @@ class Series:
         b = [ring.canon(inv0)]
         k = 1
         while k < n:
-            k = min(2 * k, n)
-            ab = _convolve(a[:k], b, k)
-            corr = [ring.canon(-x) for x in ab]
-            corr[0] = ring.canon(2 - ab[0])
-            b = [ring.canon(x) for x in _convolve(b, corr, k)]
-        return Series(ring, b)
+            h, k = k, min(2 * k, n)
+            e = _ring_convolve(ring, a, b, k)[h:]
+            b += [ring.canon(-x) for x in _ring_convolve(ring, b, e, k - h)]
+        return Series._from_canonical(ring, b)
 
     def __pow__(self, exponent: int) -> "Series":
         """Integer power by binary exponentiation; negative powers invert first."""
@@ -265,7 +393,7 @@ class Series:
         out = [0] * n
         for j in range(0, (n - 1) // k + 1):
             out[j * k] = self._coeffs[j]
-        return Series(self.ring, out)
+        return Series._from_canonical(self.ring, out)
 
     def dissect(self, m: int, r: int) -> "Series":
         """Extract the coefficients at exponents congruent to r mod m.
@@ -280,7 +408,7 @@ class Series:
         out = self._coeffs[r::m]
         if not out:
             raise ValueError(f"dissection residue {r} is beyond truncation order {self.order}")
-        return Series(self.ring, out)
+        return Series._from_canonical(self.ring, out)
 
     def shift(self, j: int) -> "Series":
         """Multiply by q^j: j zeros are prepended, the tail is truncated."""
@@ -289,7 +417,7 @@ class Series:
         if j == 0:
             return self
         n = self.order
-        return Series(self.ring, (0,) * min(j, n) + self._coeffs[: max(n - j, 0)])
+        return Series._from_canonical(self.ring, (0,) * min(j, n) + self._coeffs[: max(n - j, 0)])
 
     def truncate(self, order: int) -> "Series":
         """Forget coefficients at q^order and beyond."""
@@ -297,7 +425,7 @@ class Series:
             raise ValueError(f"cannot truncate order-{self.order} series to order {order}")
         if order == self.order:
             return self
-        return Series(self.ring, self._coeffs[:order])
+        return Series._from_canonical(self.ring, self._coeffs[:order])
 
     def reduce_ring(self, modulus: int) -> "Series":
         """Map an exact series into Z/mZ coefficientwise."""

@@ -1,12 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RING_POOL
+from conftest import RING_POOL, random_unit_series
+from overq import series as series_module
 from overq.series import (
+    _DECIMAL_CUTOFF,
     EXACT,
     Series,
     Zmod,
+    _convolve_mod,
     _convolve_packed,
     _convolve_schoolbook,
     _invert_recurrence,
@@ -154,6 +158,63 @@ def test_packed_kernel_thousand_randomized_cases():
         b = [rng.randint(-span, span) for _ in range(rng.randint(1, 90))]
         m = min(len(a), len(b))
         assert _convolve_packed(a, b, m) == _convolve_schoolbook(a, b, m), f"case {case}"
+        # past the end of the product the coefficients are zeros
+        m = len(a) + len(b) + 3
+        assert _convolve_packed(a, b, m) == _convolve_schoolbook(a, b, m), f"case {case}"
+
+
+# Every modular test ring, plus the largest modulus on the decimal path, one
+# whose slots are a full 8 bytes at n = 33 and one whose slots are wider than
+# 8 bytes (the generic fallback).
+_KERNEL_MODULI = tuple(r.modulus for r in RING_POOL if r.is_modular) + (256, 2**28 + 3, 2**31 - 1)
+_KERNEL_ORDERS = (1, 33, _DECIMAL_CUTOFF - 1, _DECIMAL_CUTOFF, _DECIMAL_CUTOFF + 1)
+
+
+@pytest.fixture(params=["decimal", "no-decimal"])
+def decimal_available(request, monkeypatch):
+    """Run once as is and once as on an interpreter without the C decimal module."""
+    if request.param == "no-decimal":
+        monkeypatch.setattr(series_module, "_decimal_context", lambda: None)
+
+
+def _sparse(rng, m, length, nonzeros=12):
+    """Mostly-zero residues, so the schoolbook reference stays cheap at large n."""
+    vals = [0] * length
+    for i in rng.sample(range(length), min(nonzeros, length)):
+        vals[i] = rng.choice([m - 1, rng.randrange(m)])
+    return vals
+
+
+@pytest.mark.parametrize("m", _KERNEL_MODULI)
+def test_modular_kernel_matches_schoolbook(m, decimal_available):
+    rng = random.Random(m)
+    for n in _KERNEL_ORDERS:
+        dense = [rng.randrange(m) for _ in range(n + 5)]
+        shapes = (
+            (_sparse(rng, m, n), dense[:n]),
+            (_sparse(rng, m, n // 3 + 1), dense),  # an operand shorter than n
+            (_sparse(rng, m, n + 5), dense[: rng.randint(1, n)]),
+            (_sparse(rng, m, n // 3 + 1), dense[: n // 3 + 1]),  # product shorter than n
+            ([0] * n, dense[:n]),
+        )
+        for a, b in shapes:
+            expected = [c % m for c in _convolve_schoolbook(a, b, n)]
+            assert _convolve_mod(tuple(a), tuple(b), n, m) == expected, (n, len(a), len(b))
+            assert _convolve_mod(tuple(b), tuple(a), n, m) == expected, (n, len(b), len(a))
+
+
+@pytest.mark.parametrize("m", _KERNEL_MODULI)
+def test_modular_kernel_fills_its_slots(m, decimal_available):
+    # With every coefficient m - 1, c_k = (k + 1)(m - 1)^2 reaches the slot bound at k = n - 1.
+    for n in _KERNEL_ORDERS:
+        top = (m - 1,) * n
+        assert _convolve_mod(top, top, n, m) == [(k + 1) * (m - 1) ** 2 % m for k in range(n)]
+
+
+def test_newton_inverse_above_decimal_cutoff(decimal_available):
+    ring = Zmod(4)
+    s = random_unit_series(random.Random(4), ring, _DECIMAL_CUTOFF + 77)
+    assert s * s.invert() == one(ring, s.order)
 
 
 @given(rings, st.lists(small_ints, min_size=0, max_size=10), st.integers(min_value=1, max_value=16))
