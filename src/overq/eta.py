@@ -6,6 +6,11 @@ its generalized pentagonal exponents and densified.  Everything else is built
 from f_k's by truncated ring arithmetic, except the cubic theta series, which
 is counted directly from the lattice so that it can serve as an independent
 cross-check on the eta expressions that involve it.
+
+An eta quotient is expanded by scale substitution: f_k^e(q) = f_1^e(q^k), so
+each factor is f_1^e at order ceil(N/k), memoized per (ring, order, e), and
+spread onto every k-th exponent.  Only the products of the spread factors
+run at the full order N.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import Ring, Series, one
+from .series import Ring, Series, one, spread
 
 __all__ = [
     "EtaQuotient",
@@ -109,16 +114,28 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
     return Series(ring, coeffs)
 
 
-def expand_eta_quotient(quotient: EtaQuotient, ring: Ring, order: int) -> Series:
-    """Expand a quotient as the product of pow(f_scale, exponent) in scale order.
+@lru_cache(maxsize=128)
+def _f1_power(ring: Ring, order: int, exponent: int) -> Series:
+    """f_1^exponent to the order; negative exponents invert f_1 first."""
+    return euler_product(1, ring, order) ** exponent
 
-    Negative exponents invert the (unit constant term) Euler product at the
-    full working order before powering, so no order is lost.
+
+def expand_eta_quotient(quotient: EtaQuotient, ring: Ring, order: int) -> Series:
+    """Expand a quotient as the product of its factors f_scale^exponent, in scale order.
+
+    Each factor is f_1^exponent at order (order - 1) // scale + 1, the only
+    coefficients that can land below the order, spread by ``scale``.  That
+    truncation loses nothing: a negative exponent inverts f_1 at the short
+    order, and the spread series agrees with f_scale^exponent up to the
+    full order.  The empty quotient is 1.
     """
-    result = one(ring, order)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    result = None
     for scale, exponent in quotient.factors:
-        result = result * (euler_product(scale, ring, order) ** exponent)
-    return result
+        factor = spread(_f1_power(ring, (order - 1) // scale + 1, exponent), scale, order)
+        result = factor if result is None else result * factor
+    return one(ring, order) if result is None else result
 
 
 def jacobi_triangular(ring: Ring, order: int) -> Series:

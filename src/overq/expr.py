@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .series import Ring, Series
+from .series import Ring, Series, spread
 from .eta import (
     EtaQuotient,
     expand_eta_quotient,
@@ -196,17 +196,6 @@ def qshift(recipe: Recipe, offset: int) -> Recipe:
     return ShiftRecipe(offset, recipe)
 
 
-def _subst_to_order(inner: Series, step: int, order: int) -> Series:
-    # All wanted exponents step*j < order come from inner coefficients with
-    # j <= (order-1)//step, so inner can be evaluated short and spread here.
-    if step < 1:
-        raise ValueError(f"substitution step must be >= 1, got {step}")
-    coeffs = [0] * order
-    for j in range((order - 1) // step + 1):
-        coeffs[j * step] = inner.coeffs[j]
-    return Series(inner.ring, coeffs)
-
-
 def evaluate(recipe: Recipe, ring: Ring, order: int) -> Series:
     """Evaluate a recipe to a truncated series over the given ring."""
     if order < 1:
@@ -237,8 +226,10 @@ def evaluate(recipe: Recipe, ring: Ring, order: int) -> Series:
     if isinstance(recipe, ShiftRecipe):
         return evaluate(recipe.inner, ring, order).shift(recipe.offset)
     if isinstance(recipe, SubstRecipe):
-        inner_order = (order - 1) // recipe.step + 1
-        return _subst_to_order(evaluate(recipe.inner, ring, inner_order), recipe.step, order)
+        step = recipe.step
+        if step < 1:
+            raise ValueError(f"substitution step must be >= 1, got {step}")
+        return spread(evaluate(recipe.inner, ring, (order - 1) // step + 1), step, order)
     if isinstance(recipe, DissectRecipe):
         inner = evaluate(recipe.inner, ring, recipe.modulus * order + recipe.residue)
         return inner.dissect(recipe.modulus, recipe.residue).truncate(order)

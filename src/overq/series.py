@@ -32,13 +32,15 @@ function, so series can be shared freely across threads.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
-__all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "one"]
+__all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "one", "spread"]
 
 # Below this order the plain double loop beats the packing overhead of the
 # big-integer kernels.
@@ -253,7 +255,8 @@ class Series:
     __slots__ = ("ring", "_coeffs")
 
     def __init__(self, ring: Ring, coeffs: Iterable[int]):
-        cs = tuple(ring.canon(c) for c in coeffs)
+        m = ring.modulus
+        cs = tuple(coeffs) if m is None else tuple(map(operator.mod, coeffs, repeat(m)))
         if not cs:
             raise ValueError("a series needs truncation order >= 1")
         object.__setattr__(self, "ring", ring)
@@ -327,18 +330,18 @@ class Series:
 
     def __add__(self, other: "Series") -> "Series":
         ring = self._same_ring(other)
-        return Series(ring, (x + y for x, y in zip(self._coeffs, other._coeffs)))
+        return Series(ring, map(operator.add, self._coeffs, other._coeffs))
 
     def __sub__(self, other: "Series") -> "Series":
         ring = self._same_ring(other)
-        return Series(ring, (x - y for x, y in zip(self._coeffs, other._coeffs)))
+        return Series(ring, map(operator.sub, self._coeffs, other._coeffs))
 
     def __neg__(self) -> "Series":
-        return Series(self.ring, (-x for x in self._coeffs))
+        return Series(self.ring, map(operator.neg, self._coeffs))
 
     def scale(self, scalar: int) -> "Series":
         """Multiply every coefficient by an integer scalar."""
-        return Series(self.ring, (scalar * x for x in self._coeffs))
+        return Series(self.ring, map(operator.mul, repeat(scalar), self._coeffs))
 
     def __mul__(self, other: "Series") -> "Series":
         ring = self._same_ring(other)
@@ -385,15 +388,7 @@ class Series:
 
     def substitute_power(self, k: int) -> "Series":
         """Substitute q -> q^k; the truncation order is preserved."""
-        if k < 1:
-            raise ValueError(f"substitution step must be >= 1, got {k}")
-        if k == 1:
-            return self
-        n = self.order
-        out = [0] * n
-        for j in range(0, (n - 1) // k + 1):
-            out[j * k] = self._coeffs[j]
-        return Series._from_canonical(self.ring, out)
+        return spread(self, k, self.order)
 
     def dissect(self, m: int, r: int) -> "Series":
         """Extract the coefficients at exponents congruent to r mod m.
@@ -448,6 +443,31 @@ def make_series(ring: Ring, coeffs: Iterable[int], order: int) -> Series:
 def one(ring: Ring, order: int) -> Series:
     """The constant series 1."""
     return make_series(ring, [1], order)
+
+
+def spread(s: Series, step: int, order: int) -> Series:
+    """The series s(q^step) to truncation ``order``.
+
+    Exponents below ``order`` that are multiples of ``step`` take the
+    coefficients of s at 0 .. (order - 1) // step, and the rest are zero.
+    So s needs only order ceil(order / step), not ``order``: a factor such
+    as f_k^e can be built short as f_1^e and spread.
+    """
+    if step < 1:
+        raise ValueError(f"substitution step must be >= 1, got {step}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    needed = (order - 1) // step + 1
+    if needed > s.order:
+        raise ValueError(
+            f"order-{s.order} series cannot be spread by {step} to order {order}; "
+            f"it needs order {needed}"
+        )
+    if step == 1:
+        return s.truncate(order)
+    out = [0] * order
+    out[::step] = s.coeffs[:needed]
+    return Series._from_canonical(s.ring, out)
 
 
 def _invert_recurrence(s: Series) -> Series:

@@ -1,6 +1,6 @@
 import pytest
 
-from overq.expr import PowRecipe, eta_series, evaluate
+from overq.expr import PowRecipe, SubstRecipe, eta_series, evaluate, theta_series
 from overq.identities import (
     IdentityCase,
     builtin_identities,
@@ -112,6 +112,19 @@ def test_evaluation_error_is_reported_not_raised():
     report = verify_identity(bad, order=10)
     assert not report.ok
     assert report.error is not None and "unit" in report.error
+
+
+def test_zero_substitution_step_is_reported_not_raised():
+    bad = IdentityCase(key="step-zero", lhs=theta_series("h", 0), rhs=eta_series("1"))
+    report = verify_identity(bad, order=10)
+    assert not report.ok
+    assert report.error == "substitution step must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_bad_substitution_step_names_the_step(step):
+    with pytest.raises(ValueError, match=f"substitution step must be >= 1, got {step}"):
+        evaluate(SubstRecipe(step, eta_series("f1")), EXACT, 8)
 
 
 def test_verify_rejects_bad_order():

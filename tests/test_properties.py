@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import RING_POOL, random_unit_series
 from overq import series as series_module
+from overq.eta import EtaQuotient, _f1_power, euler_product, expand_eta_quotient
 from overq.series import (
     _DECIMAL_CUTOFF,
     EXACT,
@@ -225,3 +226,110 @@ def test_make_series_pads_and_canonicalizes(ring, coeffs, pad):
     if ring.is_modular:
         assert all(0 <= c < ring.modulus for c in s.coeffs)
     assert all(s.coeff(n) == 0 for n in range(len(coeffs), order))
+
+
+@settings(deadline=None)
+@given(rings, st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=40),
+       st.integers(min_value=-50, max_value=50))
+def test_canonicalisation_matches_ring_canon(ring, values, scalar):
+    canon = lambda vals: tuple(ring.canon(v) for v in vals)
+    s = Series(ring, values)
+    t = Series(ring, values[::-1])
+    assert s.coeffs == canon(values)
+    assert (s + t).coeffs == canon(x + y for x, y in zip(s.coeffs, t.coeffs))
+    assert (s - t).coeffs == canon(x - y for x, y in zip(s.coeffs, t.coeffs))
+    assert (-s).coeffs == canon(-x for x in s.coeffs)
+    assert s.scale(scalar).coeffs == canon(scalar * x for x in s.coeffs)
+
+
+def test_empty_series_is_rejected_in_every_ring():
+    for ring in RING_POOL:
+        with pytest.raises(ValueError, match="order >= 1"):
+            Series(ring, [])
+
+
+# --- eta quotients by scale substitution -------------------------------------
+
+
+def _direct_eta(quotient, ring, order):
+    """Reference expansion: each f_s^e powered at the full order, multiplied from 1."""
+    result = one(ring, order)
+    for scale, exponent in quotient.factors:
+        result = result * (euler_product(scale, ring, order) ** exponent)
+    return result
+
+
+_ETA_SCALES = range(1, 17)
+_ETA_EXPONENTS = range(-12, 13)
+
+
+def _small_orders(scale):
+    return [n for n in (1, scale - 1, scale, scale + 1, 33) if n >= 1]
+
+
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
+def test_eta_factor_matches_direct_power(ring):
+    # Every (scale, exponent) pair once, cycling through the orders around the scale.
+    for scale in _ETA_SCALES:
+        orders = _small_orders(scale)
+        for i, exponent in enumerate(_ETA_EXPONENTS):
+            quotient = EtaQuotient(((scale, exponent),))
+            order = orders[i % len(orders)]
+            assert expand_eta_quotient(quotient, ring, order) == _direct_eta(
+                quotient, ring, order
+            ), (scale, exponent, order)
+
+
+def _random_quotient(rng, factors):
+    return EtaQuotient(
+        tuple((rng.choice(_ETA_SCALES), rng.choice(_ETA_EXPONENTS)) for _ in range(factors))
+    )
+
+
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
+def test_eta_quotient_matches_direct_product(ring):
+    rng = random.Random(f"eta {ring}")
+    for _ in range(40):
+        quotient = _random_quotient(rng, rng.randint(1, 4))
+        scale = rng.choice(_ETA_SCALES)
+        for order in _small_orders(scale):
+            assert expand_eta_quotient(quotient, ring, order) == _direct_eta(
+                quotient, ring, order
+            ), (str(quotient), order)
+
+
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
+def test_eta_quotient_matches_direct_product_above_decimal_cutoff(ring):
+    # 3001 takes the decimal multiply for m <= 256; the scale-1 factor keeps
+    # one full-order power, the others are short and spread.
+    rng = random.Random(f"eta 3001 {ring}")
+    quotient = EtaQuotient(
+        ((1, rng.choice((-12, 12))), (rng.randint(2, 16), rng.choice(_ETA_EXPONENTS)),
+         (rng.randint(2, 16), rng.choice(_ETA_EXPONENTS)))
+    )
+    order = _DECIMAL_CUTOFF + 1
+    assert expand_eta_quotient(quotient, ring, order) == _direct_eta(quotient, ring, order)
+
+
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
+def test_empty_eta_quotient_is_one(ring):
+    for order in (1, 2, 33):
+        assert expand_eta_quotient(EtaQuotient(()), ring, order) == one(ring, order)
+
+
+def test_eta_expansion_does_not_depend_on_the_memo():
+    quotients = [EtaQuotient.parse(text) for text in (
+        "f1^-3 * f2^5", "f2 * f8^5 * f4^-2 * f16^-2", "f3^-12 * f9^4", "f1^12 * f5^-7 * f16",
+    )]
+    ring = Zmod(32)
+    orders = [200, 37, 200, 1, 64, 37, 5, 200, 64]
+    _f1_power.cache_clear()
+    warm = [expand_eta_quotient(q, ring, n) for n in orders for q in quotients]
+    cold = []
+    for n in orders:
+        for q in quotients:
+            _f1_power.cache_clear()
+            euler_product.cache_clear()
+            cold.append(expand_eta_quotient(q, ring, n))
+    assert warm == cold
+    assert warm == [_direct_eta(q, ring, n) for n in orders for q in quotients]

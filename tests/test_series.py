@@ -10,6 +10,7 @@ from overq.series import (
     _invert_recurrence,
     make_series,
     one,
+    spread,
 )
 from overq.eta import euler_product
 
@@ -266,6 +267,23 @@ def test_substitute_power_matches_scaled_euler_product():
 def test_substitute_power_rejects_zero():
     with pytest.raises(ValueError):
         make_series(EXACT, [1], 2).substitute_power(0)
+
+
+def test_spread_builds_long_series_from_short_one():
+    f1 = euler_product(1, EXACT, 60)
+    for step in (1, 2, 3, 7):
+        short = f1.truncate((60 - 1) // step + 1)
+        assert spread(short, step, 60) == f1.substitute_power(step)
+
+
+def test_spread_rejects_bad_arguments():
+    s = make_series(EXACT, [1, 2, 3], 3)
+    with pytest.raises(ValueError, match="step must be >= 1"):
+        spread(s, 0, 3)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        spread(s, 2, 0)
+    with pytest.raises(ValueError, match="needs order 4"):
+        spread(s, 2, 7)  # exponent 6 would need the unknown coefficient 3
 
 
 # --- dissect / shift ---------------------------------------------------------
