@@ -11,11 +11,14 @@ coefficient.  Families carry a status: ``theorem`` families must pass,
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
+from types import CodeType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .series import EXACT, Series, Zmod, one
@@ -112,6 +115,91 @@ class FamilyReport:
         return self.family_status == "theorem" and not self.ok
 
 
+# --- family formulas, evaluated from their report text ----------------------
+#
+# Arithmetic texts use +, * and ^ over integers and the family's parameters,
+# with juxtaposition as multiplication ("2a", "2^(2a+2) n").  A progression is
+# A n + B in the variable n.  A domain is a list of clauses separated by
+# commas outside brackets, optionally ending in a "(wide reading: ...)" note.
+# Each distinct text is parsed, checked and compiled once.
+
+_JUXTAPOSED = re.compile(r"(?<=[\d)])\s*(?=[A-Za-z(])")
+_CLAUSE_SEP = re.compile(r",\s*(?![^(){}]*[)}])")
+_WIDE_NOTE = re.compile(r"\s*\(wide reading: [^()]*\)$")
+_ARITH_NODES = (ast.BinOp, ast.Add, ast.Mult, ast.Pow, ast.Name, ast.Load, ast.Constant)
+_SCOPE = {"__builtins__": {}, "gcd": math.gcd}
+
+
+def _arith(text: str, names: tuple[str, ...]) -> ast.expr:
+    """Parse an arithmetic text; anything but +, *, ^, ints and names is an error."""
+    source = _JUXTAPOSED.sub("*", text).replace("^", "**").strip()
+    try:
+        body = ast.parse(source, mode="eval").body
+    except SyntaxError:
+        raise ValueError(f"cannot parse formula {text!r}") from None
+    for node in ast.walk(body):
+        if not isinstance(node, _ARITH_NODES) or (
+            isinstance(node, ast.Constant) and type(node.value) is not int
+        ):
+            raise ValueError(f"formula {text!r} uses {type(node).__name__}")
+        if isinstance(node, ast.Name) and node.id not in names:
+            raise ValueError(f"formula {text!r} names {node.id!r}, not a parameter")
+    return body
+
+
+def _is_n(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "n"
+
+
+def _progression(text: str, names: tuple[str, ...]) -> ast.expr:
+    """A n + B  ->  the tuple (A, B)."""
+    body = _arith(text, (*names, "n"))
+    step = None
+    if isinstance(body, ast.BinOp) and isinstance(body.op, ast.Add):
+        term, offset = body.left, body.right
+        if _is_n(term):
+            step = ast.Constant(1)
+        elif isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult) and _is_n(term.right):
+            step = term.left
+    if step is None or any(_is_n(node) for part in (step, offset) for node in ast.walk(part)):
+        raise ValueError(f"progression {text!r} is not of the form A n + B")
+    return ast.Tuple([step, offset], ast.Load())
+
+
+def _compare(left: ast.expr, op: ast.cmpop, right: ast.expr) -> ast.expr:
+    return ast.Compare(left, [op], [right])
+
+
+def _clause(text: str, names: tuple[str, ...]) -> ast.expr:
+    def arith(part: str) -> ast.expr:
+        return _arith(part, names)
+
+    if m := re.fullmatch(r"(.+) (>=|!=) (.+)", text):
+        return _compare(arith(m[1]), ast.GtE() if m[2] == ">=" else ast.NotEq(), arith(m[3]))
+    if m := re.fullmatch(r"(.+) odd", text):
+        return _compare(ast.BinOp(arith(m[1]), ast.Mod(), ast.Constant(2)), ast.Eq(), ast.Constant(1))
+    if m := re.fullmatch(r"(.+) does not divide (.+)", text):
+        return _compare(ast.BinOp(arith(m[2]), ast.Mod(), arith(m[1])), ast.NotEq(), ast.Constant(0))
+    if m := re.fullmatch(r"gcd\((.+), (.+)\) = 1", text):
+        gcd = ast.Call(ast.Name("gcd", ast.Load()), [arith(m[1]), arith(m[2])], [])
+        return _compare(gcd, ast.Eq(), ast.Constant(1))
+    if m := re.fullmatch(r"(.+) % (.+) in \{(.+)\}", text):
+        members = ast.Set([arith(member) for member in m[3].split(",")])
+        return _compare(ast.BinOp(arith(m[1]), ast.Mod(), arith(m[2])), ast.In(), members)
+    raise ValueError(f"unknown domain clause {text!r}")
+
+
+def _domain(text: str, names: tuple[str, ...]) -> ast.expr:
+    clauses = [_clause(part, names) for part in _CLAUSE_SEP.split(_WIDE_NOTE.sub("", text))]
+    return clauses[0] if len(clauses) == 1 else ast.BoolOp(ast.And(), clauses)
+
+
+@lru_cache(maxsize=None)
+def _compile(parse: Callable, text: str, names: tuple[str, ...]) -> CodeType:
+    tree = ast.fix_missing_locations(ast.Expression(parse(text, names)))
+    return compile(tree, text, "eval")
+
+
 @dataclass(frozen=True, eq=False)
 class CongruenceFamily:
     """A parameterized claim: coefficient at A*n+B of the family GF is
@@ -125,6 +213,7 @@ class CongruenceFamily:
     progression_text: str
     modulus_text: str
     domain_text: str
+    size_text: str
     gf_param: Callable[[Mapping[str, int]], int]
     progression: Callable[[Mapping[str, int]], tuple[int, int]]
     modulus: Callable[[Mapping[str, int]], int]
@@ -258,6 +347,7 @@ def _pbar_family(
         progression_text=progression_text,
         modulus_text=modulus_text,
         domain_text=domain_text,
+        size_text="t",
         gf_param=lambda p: p["t"],
         progression=progression,
         modulus=modulus,
@@ -274,6 +364,7 @@ def _opt_family(
     progression_text: str,
     modulus_text: str,
     domain_text: str,
+    size_text: str,
     gf_param,
     progression,
     modulus,
@@ -289,6 +380,7 @@ def _opt_family(
         progression_text=progression_text,
         modulus_text=modulus_text,
         domain_text=domain_text,
+        size_text=size_text,
         gf_param=gf_param,
         progression=progression,
         modulus=modulus,
@@ -415,6 +507,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
             "8n+7",
             "2^(i+4)",
             "i >= 1, r odd",
+            size_text="2^i * r",
             gf_param=lambda p: 2 ** p["i"] * p["r"],
             progression=lambda p: (8, 7),
             modulus=lambda p: 2 ** (p["i"] + 4),
@@ -430,6 +523,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
             "3n+2",
             "3^(i+1) * 2^(j+2)",
             "i >= 1, j >= 1, gcd(k, 6) = 1",
+            size_text="3^i * 2^j * k",
             gf_param=lambda p: 3 ** p["i"] * 2 ** p["j"] * p["k"],
             progression=lambda p: (3, 2),
             modulus=lambda p: 3 ** (p["i"] + 1) * 2 ** (p["j"] + 2),
@@ -445,6 +539,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
             "3n+1",
             "3^i * 2^(j+1)",
             "i >= 1, j >= 1, gcd(k, 6) = 1",
+            size_text="3^i * 2^j * k",
             gf_param=lambda p: 3 ** p["i"] * 2 ** p["j"] * p["k"],
             progression=lambda p: (3, 1),
             modulus=lambda p: 3 ** p["i"] * 2 ** (p["j"] + 1),
@@ -471,6 +566,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
                 f"3n+{b_n}",
                 mod_text,
                 domain_text,
+                size_text="3^i * l",
                 gf_param=lambda p: 3 ** p["i"] * p["l"],
                 progression=lambda p, B=b_n: (3, B),
                 modulus=mod_fn,
@@ -502,6 +598,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
                 f"8n+{b_n}",
                 exp_text,
                 "i >= 1, r odd",
+                size_text="2^i * r",
                 gf_param=lambda p: 2 ** p["i"] * p["r"],
                 progression=lambda p, B=b_n: (8, B),
                 modulus=exp_fn,
