@@ -9,9 +9,10 @@ Subcommands:
 * ``replay``     -- recompute the binomial coefficient tables and the
                     registered dissection steps.
 
-Exit codes: 0 all checks passed, 1 mathematical mismatch (witness printed),
-2 usage or configuration error.  Output is deterministic: rows are sorted,
-and JSON reports are byte-identical across runs for identical inputs.
+Each command accepts only the options it reads.  Exit codes: 0 all checks
+passed, 1 mathematical mismatch (witness printed), 2 usage or configuration
+error.  Output is deterministic: rows are sorted, and JSON reports are
+byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .series import EXACT
 from .eta import opt_gf, overpartition_gf
@@ -29,7 +31,6 @@ from .identities import builtin_identities, identity_registry, verify_identity
 from .oracle import count_opt_tuples, count_overpartition_tuples
 from .congruences import (
     RunConfig,
-    SeriesProvider,
     builtin_steps,
     family_registry,
     replay_binomial_tables,
@@ -39,37 +40,17 @@ from .congruences import (
 )
 
 SCHEMA = "overq-report/1"
-
-_DEFAULTS: dict[str, object] = {
-    "order": 500,
-    "n_max": 200,
-    "t_max": 64,
-    "i_max": 3,
-    "j_max": 3,
-    "alpha_max": 2,
-    "format": "table",
-    "include_conjectures": False,
-    "primes_only": False,
-    "jobs": 1,
-    "seed": 0,
-    "upto": 60,
+COMMANDS = {
+    "identities": "run the identity registry",
+    "verify": "scan congruence families",
+    "oracle": "cross-check counts against the series engine",
+    "replay": "recompute coefficient tables and dissection steps",
 }
+FORMATS = {"table": "txt", "json": "json", "csv": "csv"}  # format -> report file extension
 
-# config-file key -> argparse dest
-_CONFIG_KEYS = {
-    "order": "order",
-    "n-max": "n_max",
-    "t-max": "t_max",
-    "i-max": "i_max",
-    "j-max": "j_max",
-    "alpha-max": "alpha_max",
-    "format": "format",
-    "include-conjectures": "include_conjectures",
-    "primes-only": "primes_only",
-    "jobs": "jobs",
-    "seed": "seed",
-    "upto": "upto",
-}
+# Fixed fields of the overq-report/1 config block: runs are serial and
+# deterministic, so there is no worker count or random seed to record.
+FIXED_CONFIG = {"jobs": 1, "seed": 0}
 
 
 class UsageError(Exception):
@@ -90,22 +71,33 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--order", type=_positive_int, default=None)
-    parser.add_argument("--n-max", dest="n_max", type=_nonneg_int, default=None)
-    parser.add_argument("--t-max", dest="t_max", type=_nonneg_int, default=None)
-    parser.add_argument("--i-max", dest="i_max", type=_positive_int, default=None)
-    parser.add_argument("--j-max", dest="j_max", type=_positive_int, default=None)
-    parser.add_argument("--alpha-max", dest="alpha_max", type=_nonneg_int, default=None)
-    parser.add_argument("--format", choices=("table", "json", "csv"), default=None)
-    parser.add_argument(
-        "--include-conjectures", dest="include_conjectures", action="store_true", default=None
-    )
-    parser.add_argument("--primes-only", dest="primes_only", action="store_true", default=None)
-    parser.add_argument("--jobs", type=_positive_int, default=None)
-    parser.add_argument("--seed", type=_nonneg_int, default=None)
-    parser.add_argument("--config", type=str, default=None)
-    parser.add_argument("--out", type=str, default=None, help="directory for report files")
+def _format(text: str) -> str:
+    if text not in FORMATS:
+        raise argparse.ArgumentTypeError(f"expected one of {', '.join(FORMATS)}, got {text}")
+    return text
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false", "1", "0"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text}")
+    return text.lower() in ("true", "1")
+
+
+# Settings: dest -> (value parser, default, commands that read it).  Each is a
+# flag --dest-with-dashes and a config-file key dest-with-dashes, checked by the
+# same parser; a boolean setting is a switch on the command line.
+_OPTIONS = {
+    "order": (_positive_int, 500, ("identities", "verify", "replay")),
+    "n_max": (_nonneg_int, 200, ("verify",)),
+    "t_max": (_nonneg_int, 64, ("verify",)),
+    "i_max": (_positive_int, 3, ("verify",)),
+    "j_max": (_positive_int, 3, ("verify",)),
+    "alpha_max": (_nonneg_int, 2, ("verify",)),
+    "include_conjectures": (_boolean, False, ("verify",)),
+    "primes_only": (_boolean, False, ("verify",)),
+    "upto": (_nonneg_int, 60, ("oracle",)),
+    "format": (_format, "table", COMMANDS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,35 +106,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify q-series identities and overpartition-tuple congruences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {command: sub.add_parser(command, help=text) for command, text in COMMANDS.items()}
+    for command, p in commands.items():
+        for dest, (parse, default, readers) in _OPTIONS.items():
+            if command in readers:
+                flag = "--" + dest.replace("_", "-")
+                if isinstance(default, bool):
+                    p.add_argument(flag, dest=dest, action="store_true", default=None)
+                else:
+                    p.add_argument(flag, dest=dest, type=parse, default=None)
+        p.add_argument("--config", type=str, default=None)
+        p.add_argument("--out", type=str, default=None, help="directory for report files")
 
-    p_id = sub.add_parser("identities", help="run the identity registry")
-    p_id.add_argument("--only", type=str, default=None, help="comma-separated keys")
-    _add_common(p_id)
-
-    p_ver = sub.add_parser("verify", help="scan congruence families")
-    p_ver.add_argument("keys", nargs="*", default=[], help="family keys, or 'all'")
-    _add_common(p_ver)
-
-    p_or = sub.add_parser("oracle", help="cross-check counts against the series engine")
+    commands["identities"].add_argument("--only", type=str, default=None,
+                                        help="comma-separated keys")
+    commands["verify"].add_argument("keys", nargs="*", default=[],
+                                    help="family keys, or 'all'")
+    p_or = commands["oracle"]
     p_or.add_argument("--t", type=_nonneg_int, action="append", default=None,
                       help="overpartition tuple size (repeatable)")
     p_or.add_argument("--opt", type=_nonneg_int, action="append", default=None,
                       help="odd-part tuple size (repeatable)")
-    p_or.add_argument("--upto", type=_nonneg_int, default=None)
-    _add_common(p_or)
-
-    p_rep = sub.add_parser("replay", help="recompute coefficient tables and dissection steps")
+    p_rep = commands["replay"]
     p_rep.add_argument("--width", type=int, choices=(16, 32), default=None)
     p_rep.add_argument("--step", type=str, default=None)
     p_rep.add_argument("--t", type=_nonneg_int, default=None)
     p_rep.add_argument("--i", type=_positive_int, default=None)
     p_rep.add_argument("--r", type=_positive_int, default=None)
-    _add_common(p_rep)
-
     return parser
 
 
-def _load_config_file(path: str) -> dict[str, object]:
+def _load_config_file(path: str, command: str) -> dict[str, object]:
+    keys = {d.replace("_", "-"): d for d, option in _OPTIONS.items() if command in option[2]}
     values: dict[str, object] = {}
     try:
         text = Path(path).read_text()
@@ -156,88 +151,38 @@ def _load_config_file(path: str) -> dict[str, object]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        dest = _CONFIG_KEYS[key]
-        if dest in ("include_conjectures", "primes_only"):
-            if value.lower() not in ("true", "false", "1", "0"):
-                raise UsageError(f"{path}:{lineno}: boolean expected for {key}")
-            values[dest] = value.lower() in ("true", "1")
-        elif dest == "format":
-            if value not in ("table", "json", "csv"):
-                raise UsageError(f"{path}:{lineno}: bad format {value!r}")
-            values[dest] = value
-        else:
-            try:
-                values[dest] = int(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: integer expected for {key}") from None
-            if dest == "order" and values[dest] < 1:
-                raise UsageError(f"{path}:{lineno}: order must be >= 1")
+        if key not in keys:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r} for {command}")
+        try:
+            values[keys[key]] = _OPTIONS[keys[key]][0](value.strip())
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
 def _resolve(args: argparse.Namespace) -> dict[str, object]:
     """Merge flag values over config-file values over hard defaults."""
-    resolved = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        resolved.update(_load_config_file(args.config))
-    for dest in _DEFAULTS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            resolved[dest] = value
-    return resolved
-
-
-def _run_config(settings: dict[str, object]) -> RunConfig:
-    return RunConfig(
-        order=settings["order"],
-        n_max=settings["n_max"],
-        t_max=settings["t_max"],
-        i_max=settings["i_max"],
-        j_max=settings["j_max"],
-        alpha_max=settings["alpha_max"],
-        include_conjectures=settings["include_conjectures"],
-        primes_only=settings["primes_only"],
-        seed=settings["seed"],
-        jobs=settings["jobs"],
-    )
-
-
-def _emit(text: str, settings: dict[str, object], command: str, out) -> None:
-    print(text, file=out)
-    out_dir = settings.get("out_dir")
-    if out_dir:
-        ext = {"table": "txt", "json": "json", "csv": "csv"}[settings["format"]]
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{command}.{ext}").write_text(text + "\n")
+    settings = {dest: default for dest, (_, default, _) in _OPTIONS.items()}
+    if args.config:
+        settings.update(_load_config_file(args.config, args.command))
+    settings.update((d, getattr(args, d)) for d in _OPTIONS if getattr(args, d, None) is not None)
+    return settings
 
 
 def _json_report(command: str, settings: dict[str, object], results) -> str:
     doc = {
         "schema": SCHEMA,
         "command": command,
-        "config": {k: settings[k] for k in sorted(_DEFAULTS)},
+        "config": {**settings, **FIXED_CONFIG},
         "results": results,
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _parallel_map(jobs: int, fn: Callable, items: Sequence):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- identities --------------------------------------------------------------
 
 
-def cmd_identities(args: argparse.Namespace, out) -> int:
-    settings = _resolve(args)
-    settings["out_dir"] = args.out
+def cmd_identities(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
     registry = identity_registry()
     if args.only:
         keys = [k.strip() for k in args.only.split(",") if k.strip()]
@@ -249,8 +194,7 @@ def cmd_identities(args: argparse.Namespace, out) -> int:
         cases = list(builtin_identities())
     cases.sort(key=lambda c: c.key)
     order = settings["order"]
-    reports = _parallel_map(settings["jobs"], lambda c: verify_identity(c, order), cases)
-
+    reports = [verify_identity(case, order) for case in cases]
     fmt = settings["format"]
     if fmt == "json":
         rows = [
@@ -281,16 +225,13 @@ def cmd_identities(args: argparse.Namespace, out) -> int:
         passed = sum(r.ok for r in reports)
         lines.append(f"{passed}/{len(reports)} identities passed at order {order}")
         text = "\n".join(lines)
-    _emit(text, settings, "identities", out)
-    return 0 if all(r.ok for r in reports) else 1
+    return text, 0 if all(r.ok for r in reports) else 1
 
 
 # --- verify ------------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace, out) -> int:
-    settings = _resolve(args)
-    settings["out_dir"] = args.out
+def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
     registry = family_registry()
     if not args.keys:
         raise UsageError("verify needs family keys or 'all'")
@@ -304,11 +245,10 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
             raise UsageError(f"unknown family keys: {', '.join(unknown)}")
         families = [registry[k] for k in args.keys]
     families.sort(key=lambda f: f.key)
-    config = _run_config(settings)
-    provider = SeriesProvider()
-    reports = run_families(
-        families, config, provider=provider, warn=lambda msg: print(msg, file=sys.stderr)
+    config = RunConfig(
+        **{f.name: settings[f.name] for f in fields(RunConfig) if f.name in settings}
     )
+    reports = run_families(families, config, warn=lambda msg: print(msg, file=sys.stderr))
     reports.sort(key=lambda r: r.key)
 
     fmt = settings["format"]
@@ -358,47 +298,35 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
                     f"{w.expected} (mod {w.modulus})"
                 )
         blockers = [r for r in reports if r.blocking]
-        tally: dict[str, int] = {}
-        for r in reports:
-            tally[r.verdict] = tally.get(r.verdict, 0) + 1
+        tally = Counter(r.verdict for r in reports)
         summary = ", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items()))
         lines.append(f"{summary}; {len(blockers)} blocking failure(s)")
         text = "\n".join(lines)
-    _emit(text, settings, "verify", out)
-    return 1 if any(r.blocking for r in reports) else 0
+    return text, 1 if any(r.blocking for r in reports) else 0
 
 
 # --- oracle ------------------------------------------------------------------
 
 
-def cmd_oracle(args: argparse.Namespace, out) -> int:
-    settings = _resolve(args)
-    settings["out_dir"] = args.out
+def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
     upto = settings["upto"]
-    jobs: list[tuple[str, int]] = []
-    if args.t is None and args.opt is None:
-        jobs = [("overpartition-tuples", t) for t in range(7)]
-        jobs += [("opt-tuples", k) for k in range(7)]
-    else:
-        for t in args.t or []:
-            jobs.append(("overpartition-tuples", t))
-        for k in args.opt or []:
-            jobs.append(("opt-tuples", k))
+    default = range(7) if args.t is None and args.opt is None else []
+    sizes = [("overpartition-tuples", t) for t in args.t or default]
+    sizes += [("opt-tuples", k) for k in args.opt or default]
 
     rows = []
     first_mismatch: tuple[str, int, int, int, int] | None = None
-    for family, param in jobs:
+    for family, param in sizes:
         if family == "overpartition-tuples":
             table = count_overpartition_tuples(param, upto)
             series = overpartition_gf(param, EXACT, upto + 1)
         else:
             table = count_opt_tuples(param, upto)
             series = opt_gf(param, EXACT, upto + 1)
-        matches = all(table.counts[n] == series.coeff(n) for n in range(upto + 1))
-        if not matches and first_mismatch is None:
-            n = next(n for n in range(upto + 1) if table.counts[n] != series.coeff(n))
+        n = next((n for n in range(upto + 1) if table.counts[n] != series.coeff(n)), None)
+        if n is not None and first_mismatch is None:
             first_mismatch = (family, param, n, table.counts[n], series.coeff(n))
-        rows.append((family, param, table, matches))
+        rows.append((family, param, table, n is None))
 
     fmt = settings["format"]
     if fmt == "json":
@@ -429,24 +357,45 @@ def cmd_oracle(args: argparse.Namespace, out) -> int:
             else f"MISMATCH at {first_mismatch[:3]}: oracle {first_mismatch[3]} vs series {first_mismatch[4]}"
         )
         text = "\n".join(lines)
-    _emit(text, settings, "oracle", out)
     if first_mismatch is not None:
         print(
             f"oracle mismatch: family={first_mismatch[0]} parameter={first_mismatch[1]} "
             f"n={first_mismatch[2]}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    return text, 0 if first_mismatch is None else 1
 
 
 # --- replay ------------------------------------------------------------------
 
 
-def cmd_replay(args: argparse.Namespace, out) -> int:
-    settings = _resolve(args)
-    settings["out_dir"] = args.out
+def _step_row(report) -> tuple[str, dict]:
+    """The table line and the JSON row of one dissection-step replay."""
+    line = (
+        f"step {report.key:14} {report.params_text():12} mod {report.modulus:<6} "
+        f"order {report.order:>5} {report.status}"
+    )
+    row = {
+        "type": "step",
+        "key": report.key,
+        "params": report.params_text(),
+        "modulus": report.modulus,
+        "order": report.order,
+        "status": report.status,
+    }
+    return line, row
+
+
+def cmd_replay(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
     order = settings["order"]
+    step_flags = [name for name in ("t", "i", "r") if getattr(args, name) is not None]
+    if args.step is None and step_flags:
+        raise UsageError(f"--{step_flags[0]} needs --step")
+    if args.step is not None and args.width:
+        raise UsageError("--width replays a table, --step a dissection step; give one")
+    if args.width and args.order is not None:
+        raise UsageError("--width replays only a table, which takes no --order")
+    reports = []
     lines = []
     rows_json = []
     failed = False
@@ -456,31 +405,17 @@ def cmd_replay(args: argparse.Namespace, out) -> int:
         if args.step not in steps:
             raise UsageError(f"unknown dissection step {args.step!r}")
         step = steps[args.step]
-        params = {}
-        for name in step.param_names:
-            value = getattr(args, name, None)
-            if value is None:
-                raise UsageError(f"step {args.step} needs --{name}")
-            params[name] = value
+        extra = [name for name in step_flags if name not in step.param_names]
+        if extra:
+            raise UsageError(f"step {args.step} takes no --{extra[0]}")
+        missing = [name for name in step.param_names if name not in step_flags]
+        if missing:
+            raise UsageError(f"step {args.step} needs --{missing[0]}")
+        params = {name: getattr(args, name) for name in step.param_names}
         try:
-            report = verify_dissection_step(args.step, params, order)
+            reports.append(verify_dissection_step(args.step, params, order))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        failed = not report.ok
-        lines.append(
-            f"step {report.key:14} {report.params_text():12} mod {report.modulus:<6} "
-            f"order {report.order:>5} {report.status}"
-        )
-        rows_json.append(
-            {
-                "type": "step",
-                "key": report.key,
-                "params": report.params_text(),
-                "modulus": report.modulus,
-                "order": report.order,
-                "status": report.status,
-            }
-        )
     else:
         widths = (args.width,) if args.width else (16, 32)
         for width in widths:
@@ -505,22 +440,12 @@ def cmd_replay(args: argparse.Namespace, out) -> int:
         if not args.width:
             for step in builtin_steps():
                 for point in step.default_params:
-                    report = verify_dissection_step(step.key, dict(point), order)
-                    failed = failed or not report.ok
-                    lines.append(
-                        f"step {report.key:14} {report.params_text():12} mod "
-                        f"{report.modulus:<6} order {report.order:>5} {report.status}"
-                    )
-                    rows_json.append(
-                        {
-                            "type": "step",
-                            "key": report.key,
-                            "params": report.params_text(),
-                            "modulus": report.modulus,
-                            "order": report.order,
-                            "status": report.status,
-                        }
-                    )
+                    reports.append(verify_dissection_step(step.key, dict(point), order))
+    for report in reports:
+        failed = failed or not report.ok
+        line, row = _step_row(report)
+        lines.append(line)
+        rows_json.append(row)
 
     fmt = settings["format"]
     if fmt == "json":
@@ -533,8 +458,7 @@ def cmd_replay(args: argparse.Namespace, out) -> int:
         text = "\n".join(csv_lines)
     else:
         text = "\n".join(lines)
-    _emit(text, settings, "replay", out)
-    return 1 if failed else 0
+    return text, 1 if failed else 0
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -551,10 +475,17 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         "replay": cmd_replay,
     }
     try:
-        return handlers[args.command](args, out)
+        settings = _resolve(args)
+        text, code = handlers[args.command](args, settings)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(text, file=out)
+    if args.out:
+        directory = Path(args.out)
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{args.command}.{FORMATS[settings['format']]}").write_text(text + "\n")
+    return code
 
 
 def entrypoint() -> None:

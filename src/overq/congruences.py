@@ -1,9 +1,10 @@
 """Congruence families for overpartition tuples, and replays of the
 coefficient tables and dissection steps that prove them.
 
-Every divisibility claim is encoded as data: a parameterized arithmetic
-progression A*n + B, a modulus expression, a parameter domain, and an
-expected residue (zero unless stated otherwise).  ``check_family`` scans a
+Every divisibility claim is encoded as data: a tuple size, a parameterized
+arithmetic progression A*n + B, a modulus expression and a parameter domain,
+each written once as the text reports print and evaluated from that text, and
+an expected residue (zero unless stated otherwise).  ``check_family`` scans a
 parameter grid over Z/mZ and reports witnesses for every violated
 coefficient.  Families carry a status: ``theorem`` families must pass,
 ``conjecture`` families are scanned and reported but never fail a run.
@@ -73,8 +74,6 @@ class RunConfig:
     l_values: tuple[int, ...] = (5, 7, 11, 13)
     include_conjectures: bool = False
     primes_only: bool = False
-    seed: int = 0
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -147,45 +146,34 @@ def _arith(text: str, names: tuple[str, ...]) -> ast.expr:
     return body
 
 
-def _is_n(node: ast.AST) -> bool:
-    return isinstance(node, ast.Name) and node.id == "n"
-
-
 def _progression(text: str, names: tuple[str, ...]) -> ast.expr:
     """A n + B  ->  the tuple (A, B)."""
-    body = _arith(text, (*names, "n"))
-    step = None
-    if isinstance(body, ast.BinOp) and isinstance(body.op, ast.Add):
-        term, offset = body.left, body.right
-        if _is_n(term):
-            step = ast.Constant(1)
-        elif isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult) and _is_n(term.right):
-            step = term.left
-    if step is None or any(_is_n(node) for part in (step, offset) for node in ast.walk(part)):
+    m = re.fullmatch(r"(.*?)\s*n\s*\+(.+)", text)
+    if m is None:
         raise ValueError(f"progression {text!r} is not of the form A n + B")
-    return ast.Tuple([step, offset], ast.Load())
-
-
-def _compare(left: ast.expr, op: ast.cmpop, right: ast.expr) -> ast.expr:
-    return ast.Compare(left, [op], [right])
+    return ast.Tuple([_arith(m[1] or "1", names), _arith(m[2], names)], ast.Load())
 
 
 def _clause(text: str, names: tuple[str, ...]) -> ast.expr:
     def arith(part: str) -> ast.expr:
         return _arith(part, names)
 
+    def residue(x: str, c: str) -> ast.expr:
+        return ast.BinOp(arith(x), ast.Mod(), arith(c))
+
     if m := re.fullmatch(r"(.+) (>=|!=) (.+)", text):
-        return _compare(arith(m[1]), ast.GtE() if m[2] == ">=" else ast.NotEq(), arith(m[3]))
+        op = ast.GtE() if m[2] == ">=" else ast.NotEq()
+        return ast.Compare(arith(m[1]), [op], [arith(m[3])])
     if m := re.fullmatch(r"(.+) odd", text):
-        return _compare(ast.BinOp(arith(m[1]), ast.Mod(), ast.Constant(2)), ast.Eq(), ast.Constant(1))
+        return ast.Compare(residue(m[1], "2"), [ast.Eq()], [ast.Constant(1)])
     if m := re.fullmatch(r"(.+) does not divide (.+)", text):
-        return _compare(ast.BinOp(arith(m[2]), ast.Mod(), arith(m[1])), ast.NotEq(), ast.Constant(0))
+        return ast.Compare(residue(m[2], m[1]), [ast.NotEq()], [ast.Constant(0)])
     if m := re.fullmatch(r"gcd\((.+), (.+)\) = 1", text):
         gcd = ast.Call(ast.Name("gcd", ast.Load()), [arith(m[1]), arith(m[2])], [])
-        return _compare(gcd, ast.Eq(), ast.Constant(1))
+        return ast.Compare(gcd, [ast.Eq()], [ast.Constant(1)])
     if m := re.fullmatch(r"(.+) % (.+) in \{(.+)\}", text):
         members = ast.Set([arith(member) for member in m[3].split(",")])
-        return _compare(ast.BinOp(arith(m[1]), ast.Mod(), arith(m[2])), ast.In(), members)
+        return ast.Compare(residue(m[1], m[2]), [ast.In()], [members])
     raise ValueError(f"unknown domain clause {text!r}")
 
 
@@ -203,23 +191,47 @@ def _compile(parse: Callable, text: str, names: tuple[str, ...]) -> CodeType:
 @dataclass(frozen=True, eq=False)
 class CongruenceFamily:
     """A parameterized claim: coefficient at A*n+B of the family GF is
-    congruent to an expected residue mod m, for all parameters in a domain."""
+    congruent to an expected residue mod m, for all parameters in a domain.
+
+    The tuple size, progression, modulus and domain are stated once, as the
+    texts the report prints, and evaluated from them."""
 
     key: str
     kind: str  # "overpartition" | "opt"
     status: str  # "theorem" | "conjecture"
     statement: str
     params: tuple[tuple[str, str], ...]  # (name, grid hint) pairs
+    size_text: str  # tuple size, the parameter of the family GF
     progression_text: str
     modulus_text: str
     domain_text: str
-    size_text: str
-    gf_param: Callable[[Mapping[str, int]], int]
-    progression: Callable[[Mapping[str, int]], tuple[int, int]]
-    modulus: Callable[[Mapping[str, int]], int]
-    domain: Callable[[Mapping[str, int]], bool]
     expected: Callable[[Mapping[str, int], int], int] | None = None
     tags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        self._code  # compile now, so a malformed text fails the registry build
+
+    @cached_property
+    def _code(self) -> tuple[CodeType, ...]:
+        names = self.param_names
+        return (
+            _compile(_arith, self.size_text, names),
+            _compile(_progression, self.progression_text, names),
+            _compile(_arith, self.modulus_text, names),
+            _compile(_domain, self.domain_text, names),
+        )
+
+    def gf_param(self, p: Mapping[str, int]) -> int:
+        return eval(self._code[0], _SCOPE, p)
+
+    def progression(self, p: Mapping[str, int]) -> tuple[int, int]:
+        return eval(self._code[1], _SCOPE, p)
+
+    def modulus(self, p: Mapping[str, int]) -> int:
+        return eval(self._code[2], _SCOPE, p)
+
+    def domain(self, p: Mapping[str, int]) -> bool:
+        return eval(self._code[3], _SCOPE, p)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -324,87 +336,21 @@ class SeriesProvider:
         return expand_eta_quotient(scaled, EXACT, order)
 
 
-def _pbar_family(
-    key: str,
-    statement: str,
-    params: tuple[tuple[str, str], ...],
-    progression_text: str,
-    modulus_text: str,
-    domain_text: str,
-    progression,
-    modulus,
-    domain=lambda p: True,
-    expected=None,
-    status: str = "theorem",
-    tags: tuple[str, ...] = (),
-) -> CongruenceFamily:
-    return CongruenceFamily(
-        key=key,
-        kind="overpartition",
-        status=status,
-        statement=statement,
-        params=params,
-        progression_text=progression_text,
-        modulus_text=modulus_text,
-        domain_text=domain_text,
-        size_text="t",
-        gf_param=lambda p: p["t"],
-        progression=progression,
-        modulus=modulus,
-        domain=domain,
-        expected=expected,
-        tags=tags,
-    )
-
-
-def _opt_family(
-    key: str,
-    statement: str,
-    params: tuple[tuple[str, str], ...],
-    progression_text: str,
-    modulus_text: str,
-    domain_text: str,
-    size_text: str,
-    gf_param,
-    progression,
-    modulus,
-    domain,
-    status: str = "theorem",
-) -> CongruenceFamily:
-    return CongruenceFamily(
-        key=key,
-        kind="opt",
-        status=status,
-        statement=statement,
-        params=params,
-        progression_text=progression_text,
-        modulus_text=modulus_text,
-        domain_text=domain_text,
-        size_text=size_text,
-        gf_param=gf_param,
-        progression=progression,
-        modulus=modulus,
-        domain=domain,
-    )
-
-
 def builtin_families() -> tuple[CongruenceFamily, ...]:
     """The complete keyed registry, in stable key order."""
-    fams: list[CongruenceFamily] = []
+    pbar = partial(CongruenceFamily, kind="overpartition", status="theorem",
+                   params=(("t", "t"),), size_text="t", domain_text="t >= 0")
+    opt = partial(CongruenceFamily, kind="opt")
 
     # --- overpartition tuples: fixed progressions -------------------------
-    fams.append(
-        _pbar_family(
-            "pbar-n-mod2",
-            "pbar_t(n) == 0 (mod 2) for all n >= 1 and t >= 0",
-            (("t", "t"),),
-            "n+1",
-            "2",
-            "t >= 0",
-            progression=lambda p: (1, 1),
-            modulus=lambda p: 2,
+    fams = [
+        pbar(
+            key="pbar-n-mod2",
+            statement="pbar_t(n) == 0 (mod 2) for all n >= 1 and t >= 0",
+            progression_text="n+1",
+            modulus_text="2",
         )
-    )
+    ]
     for a_n, b_n, m, tag in (
         (8, 1, 2, True),
         (8, 2, 4, True),
@@ -418,192 +364,116 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
         (16, 14, 16, False),
     ):
         fams.append(
-            _pbar_family(
-                f"pbar-{a_n}n+{b_n}-mod{m}",
-                f"pbar_t({a_n}n+{b_n}) == 0 (mod {m}) for all t >= 0",
-                (("t", "t"),),
-                f"{a_n}n+{b_n}",
-                str(m),
-                "t >= 0",
-                progression=lambda p, A=a_n, B=b_n: (A, B),
-                modulus=lambda p, M=m: M,
+            pbar(
+                key=f"pbar-{a_n}n+{b_n}-mod{m}",
+                statement=f"pbar_t({a_n}n+{b_n}) == 0 (mod {m}) for all t >= 0",
+                progression_text=f"{a_n}n+{b_n}",
+                modulus_text=str(m),
                 tags=("prime-scan",) if tag else (),
             )
         )
     # Sharper moduli on restricted residues of t.
     for a_n, b_n, m in ((4, 3, 16), (8, 6, 16)):
         fams.append(
-            _pbar_family(
-                f"pbar-{a_n}n+{b_n}-mod{m}",
-                f"pbar_t({a_n}n+{b_n}) == 0 (mod {m}) when t is not 1 mod 4",
-                (("t", "t"),),
-                f"{a_n}n+{b_n}",
-                str(m),
-                "t % 4 in {0, 2, 3}",
-                progression=lambda p, A=a_n, B=b_n: (A, B),
-                modulus=lambda p, M=m: M,
-                domain=lambda p: p["t"] % 4 != 1,
+            pbar(
+                key=f"pbar-{a_n}n+{b_n}-mod{m}",
+                statement=f"pbar_t({a_n}n+{b_n}) == 0 (mod {m}) when t is not 1 mod 4",
+                progression_text=f"{a_n}n+{b_n}",
+                modulus_text=str(m),
+                domain_text="t % 4 in {0, 2, 3}",
             )
         )
 
     # --- overpartition tuples: power-scaled progressions ------------------
-    fams.append(
-        _pbar_family(
-            "pbar-2^{2a+2}n+2^{2a+1}-mod4",
-            "pbar_t(2^(2a+2) n + 2^(2a+1)) == 0 (mod 4) for all t, a >= 0",
-            (("t", "t"), ("a", "alpha")),
-            "2^(2a+2) n + 2^(2a+1)",
-            "4",
-            "t >= 0, a >= 0",
-            progression=lambda p: (2 ** (2 * p["a"] + 2), 2 ** (2 * p["a"] + 1)),
-            modulus=lambda p: 4,
+    for key, progression in (
+        ("2^{2a+2}n+2^{2a+1}-mod4", "2^(2a+2) n + 2^(2a+1)"),
+        ("2^{2a+2}n+3*2^{2a}-mod4", "2^(2a+2) n + 3*2^(2a)"),
+        ("2^{2a+3}n+5*2^{2a}-mod4", "2^(2a+3) n + 5*2^(2a)"),
+    ):
+        fams.append(
+            pbar(
+                key=f"pbar-{key}",
+                statement=f"pbar_t({progression}) == 0 (mod 4) for all t, a >= 0",
+                params=(("t", "t"), ("a", "alpha")),
+                progression_text=progression,
+                modulus_text="4",
+                domain_text="t >= 0, a >= 0",
+            )
         )
-    )
     fams.append(
-        _pbar_family(
-            "pbar-2^{2a+2}n+3*2^{2a}-mod4",
-            "pbar_t(2^(2a+2) n + 3*2^(2a)) == 0 (mod 4) for all t, a >= 0",
-            (("t", "t"), ("a", "alpha")),
-            "2^(2a+2) n + 3*2^(2a)",
-            "4",
-            "t >= 0, a >= 0",
-            progression=lambda p: (2 ** (2 * p["a"] + 2), 3 * 2 ** (2 * p["a"])),
-            modulus=lambda p: 4,
-        )
-    )
-    fams.append(
-        _pbar_family(
-            "pbar-2^{2a+3}n+5*2^{2a}-mod4",
-            "pbar_t(2^(2a+3) n + 5*2^(2a)) == 0 (mod 4) for all t, a >= 0",
-            (("t", "t"), ("a", "alpha")),
-            "2^(2a+3) n + 5*2^(2a)",
-            "4",
-            "t >= 0, a >= 0",
-            progression=lambda p: (2 ** (2 * p["a"] + 3), 5 * 2 ** (2 * p["a"])),
-            modulus=lambda p: 4,
-        )
-    )
-    fams.append(
-        _pbar_family(
-            "pbar-2^{2a+3}n+2^{2a}-mod4-tri",
-            "pbar_t(2^(2a+3) n + 2^(2a)) == 2 (mod 4) when t is odd and n is "
+        pbar(
+            key="pbar-2^{2a+3}n+2^{2a}-mod4-tri",
+            statement="pbar_t(2^(2a+3) n + 2^(2a)) == 2 (mod 4) when t is odd and n is "
             "triangular, else == 0 (mod 4)",
-            (("t", "t"), ("a", "alpha")),
-            "2^(2a+3) n + 2^(2a)",
-            "4",
-            "t >= 0, a >= 0",
-            progression=lambda p: (2 ** (2 * p["a"] + 3), 2 ** (2 * p["a"])),
-            modulus=lambda p: 4,
+            params=(("t", "t"), ("a", "alpha")),
+            progression_text="2^(2a+3) n + 2^(2a)",
+            modulus_text="4",
+            domain_text="t >= 0, a >= 0",
             expected=lambda p, n: 2 if (p["t"] % 2 == 1 and _is_triangular(n)) else 0,
         )
     )
 
-    # --- odd-part tuples: proved families ----------------------------------
-    fams.append(
-        _opt_family(
-            "opt-8n+7-mod-2^{i+4}",
-            "opt_{2^i * r}(8n+7) == 0 (mod 2^(i+4)) for i >= 1 and odd r",
-            (("i", "i"), ("r", "r")),
-            "8n+7",
-            "2^(i+4)",
-            "i >= 1, r odd",
-            size_text="2^i * r",
-            gf_param=lambda p: 2 ** p["i"] * p["r"],
-            progression=lambda p: (8, 7),
-            modulus=lambda p: 2 ** (p["i"] + 4),
-            domain=lambda p: p["i"] >= 1 and p["r"] % 2 == 1,
+    # --- odd-part tuples ----------------------------------------------------
+    for b_n, mod_text, key in (
+        (2, "3^(i+1) * 2^(j+2)", "opt-3n+2-mod-3^{i+1}2^{j+2}"),
+        (1, "3^i * 2^(j+1)", "opt-3n+1-mod-3^i2^{j+1}"),
+    ):
+        fams.append(
+            opt(
+                key=key,
+                status="theorem",
+                statement=f"opt_{{3^i * 2^j * k}}(3n+{b_n}) == 0 (mod {mod_text}) for "
+                "i, j >= 1 and k coprime to 6",
+                params=(("i", "i"), ("j", "j"), ("k", "k6")),
+                size_text="3^i * 2^j * k",
+                progression_text=f"3n+{b_n}",
+                modulus_text=mod_text,
+                domain_text="i >= 1, j >= 1, gcd(k, 6) = 1",
+            )
         )
-    )
-    fams.append(
-        _opt_family(
-            "opt-3n+2-mod-3^{i+1}2^{j+2}",
-            "opt_{3^i * 2^j * k}(3n+2) == 0 (mod 3^(i+1) * 2^(j+2)) for "
-            "i, j >= 1 and k coprime to 6",
-            (("i", "i"), ("j", "j"), ("k", "k6")),
-            "3n+2",
-            "3^(i+1) * 2^(j+2)",
-            "i >= 1, j >= 1, gcd(k, 6) = 1",
-            size_text="3^i * 2^j * k",
-            gf_param=lambda p: 3 ** p["i"] * 2 ** p["j"] * p["k"],
-            progression=lambda p: (3, 2),
-            modulus=lambda p: 3 ** (p["i"] + 1) * 2 ** (p["j"] + 2),
-            domain=lambda p: p["i"] >= 1 and p["j"] >= 1 and math.gcd(p["k"], 6) == 1,
-        )
-    )
-    fams.append(
-        _opt_family(
-            "opt-3n+1-mod-3^i2^{j+1}",
-            "opt_{3^i * 2^j * k}(3n+1) == 0 (mod 3^i * 2^(j+1)) for "
-            "i, j >= 1 and k coprime to 6",
-            (("i", "i"), ("j", "j"), ("k", "k6")),
-            "3n+1",
-            "3^i * 2^(j+1)",
-            "i >= 1, j >= 1, gcd(k, 6) = 1",
-            size_text="3^i * 2^j * k",
-            gf_param=lambda p: 3 ** p["i"] * 2 ** p["j"] * p["k"],
-            progression=lambda p: (3, 1),
-            modulus=lambda p: 3 ** p["i"] * 2 ** (p["j"] + 1),
-            domain=lambda p: p["i"] >= 1 and p["j"] >= 1 and math.gcd(p["k"], 6) == 1,
-        )
-    )
     # The odd multiplier l is read strictly: odd, not divisible by 3, l != 1.
     # A second, wider reading that admits l = 1 is registered separately below
     # as a conjecture so both interpretations stay scannable.
-    for b_n, mod_text, mod_fn, key, wide in (
-        (2, "3^(i+1) * 2", lambda p: 3 ** (p["i"] + 1) * 2, "opt-3n+2-mod-3^{i+1}2", False),
-        (1, "3^i * 2", lambda p: 3 ** p["i"] * 2, "opt-3n+1-mod-3^i2", False),
-        (2, "3^(i+1) * 2", lambda p: 3 ** (p["i"] + 1) * 2, "opt-3n+2-mod-3^{i+1}2-l1", True),
-        (1, "3^i * 2", lambda p: 3 ** p["i"] * 2, "opt-3n+1-mod-3^i2-l1", True),
+    for b_n, mod_text, key, wide in (
+        (2, "3^(i+1) * 2", "opt-3n+2-mod-3^{i+1}2", False),
+        (1, "3^i * 2", "opt-3n+1-mod-3^i2", False),
+        (2, "3^(i+1) * 2", "opt-3n+2-mod-3^{i+1}2-l1", True),
+        (1, "3^i * 2", "opt-3n+1-mod-3^i2-l1", True),
     ):
         domain_text = "i >= 1, l odd, 3 does not divide l" + (
             " (wide reading: l = 1 allowed)" if wide else ", l != 1"
         )
         fams.append(
-            _opt_family(
-                key,
-                f"opt_{{3^i * l}}(3n+{b_n}) == 0 (mod {mod_text}) for i >= 1, {domain_text}",
-                (("i", "i"), ("l", "lodd1" if wide else "lodd")),
-                f"3n+{b_n}",
-                mod_text,
-                domain_text,
-                size_text="3^i * l",
-                gf_param=lambda p: 3 ** p["i"] * p["l"],
-                progression=lambda p, B=b_n: (3, B),
-                modulus=mod_fn,
-                domain=(
-                    (lambda p: p["i"] >= 1 and p["l"] % 2 == 1 and p["l"] % 3 != 0)
-                    if wide
-                    else (
-                        lambda p: p["i"] >= 1
-                        and p["l"] % 2 == 1
-                        and p["l"] % 3 != 0
-                        and p["l"] != 1
-                    )
-                ),
+            opt(
+                key=key,
                 status="conjecture" if wide else "theorem",
+                statement=f"opt_{{3^i * l}}(3n+{b_n}) == 0 (mod {mod_text}) for i >= 1, "
+                f"{domain_text}",
+                params=(("i", "i"), ("l", "lodd1" if wide else "lodd")),
+                size_text="3^i * l",
+                progression_text=f"3n+{b_n}",
+                modulus_text=mod_text,
+                domain_text=domain_text,
             )
         )
 
-    # --- odd-part tuples: open conjectured progressions -------------------
-    for b_n, key_mod, exp_text, exp_fn in (
-        (2, "2^{2i+1}", "2^(2i+1)", lambda p: 2 ** (2 * p["i"] + 1)),
-        (4, "2^{2i+4}", "2^(2i+4)", lambda p: 2 ** (2 * p["i"] + 4)),
-        (6, "2^{2i+3}", "2^(2i+3)", lambda p: 2 ** (2 * p["i"] + 3)),
+    # On 8n+7 the family is proved; the other progressions are open conjectures.
+    for b_n, key_mod, mod_text in (
+        (7, "2^{i+4}", "2^(i+4)"),
+        (2, "2^{2i+1}", "2^(2i+1)"),
+        (4, "2^{2i+4}", "2^(2i+4)"),
+        (6, "2^{2i+3}", "2^(2i+3)"),
     ):
         fams.append(
-            _opt_family(
-                f"opt-8n+{b_n}-mod-{key_mod}",
-                f"opt_{{2^i * r}}(8n+{b_n}) == 0 (mod {exp_text}) for i >= 1 and odd r",
-                (("i", "i"), ("r", "r")),
-                f"8n+{b_n}",
-                exp_text,
-                "i >= 1, r odd",
+            opt(
+                key=f"opt-8n+{b_n}-mod-{key_mod}",
+                status="theorem" if b_n == 7 else "conjecture",
+                statement=f"opt_{{2^i * r}}(8n+{b_n}) == 0 (mod {mod_text}) for i >= 1 and odd r",
+                params=(("i", "i"), ("r", "r")),
                 size_text="2^i * r",
-                gf_param=lambda p: 2 ** p["i"] * p["r"],
-                progression=lambda p, B=b_n: (8, B),
-                modulus=exp_fn,
-                domain=lambda p: p["i"] >= 1 and p["r"] % 2 == 1,
-                status="conjecture",
+                progression_text=f"8n+{b_n}",
+                modulus_text=mod_text,
+                domain_text="i >= 1, r odd",
             )
         )
 
@@ -615,23 +485,19 @@ def family_registry() -> dict[str, CongruenceFamily]:
 
 
 def _grid_values(hint: str, config: RunConfig) -> Sequence[int]:
-    if hint == "t":
-        return range(0, config.t_max + 1)
-    if hint == "alpha":
-        return range(0, config.alpha_max + 1)
-    if hint == "i":
-        return range(1, config.i_max + 1)
-    if hint == "j":
-        return range(1, config.j_max + 1)
-    if hint == "r":
-        return config.r_values
-    if hint == "k6":
-        return config.k_values
-    if hint == "lodd":
-        return config.l_values
-    if hint == "lodd1":
-        return (1,) + tuple(v for v in config.l_values if v != 1)
-    raise ValueError(f"unknown grid hint {hint!r}")
+    values = {
+        "t": range(0, config.t_max + 1),
+        "alpha": range(0, config.alpha_max + 1),
+        "i": range(1, config.i_max + 1),
+        "j": range(1, config.j_max + 1),
+        "r": config.r_values,
+        "k6": config.k_values,
+        "lodd": config.l_values,
+        "lodd1": (1,) + tuple(v for v in config.l_values if v != 1),
+    }
+    if hint not in values:
+        raise ValueError(f"unknown grid hint {hint!r}")
+    return values[hint]
 
 
 def default_grid(family: CongruenceFamily, config: RunConfig) -> list[dict[str, int]]:

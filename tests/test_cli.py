@@ -242,8 +242,92 @@ def test_out_dir_writes_report_file(tmp_path):
     assert json.loads(written)["schema"] == "overq-report/1"
 
 
-def test_jobs_flag_keeps_output_deterministic():
-    argv = ["identities", "--order", "40", "--format", "csv"]
-    _, serial = run_cli(argv)
-    _, parallel = run_cli(argv + ["--jobs", "4"])
-    assert serial == parallel
+@pytest.mark.parametrize("flag", ["--jobs", "--seed"])
+def test_removed_jobs_and_seed_flags_are_usage_errors(flag):
+    code, _ = run_cli(["identities", "--order", "40", flag, "1"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("line", ["jobs=1", "seed=0"])
+def test_removed_jobs_and_seed_config_keys_are_usage_errors(tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, _ = run_cli(["identities", "--order", "40", "--config", str(cfg)])
+    assert code == 2
+
+
+def test_report_config_block_keeps_fixed_jobs_and_seed():
+    code, text = run_cli(["identities", "--only", "D1", "--order", "20", "--format", "json"])
+    assert code == 0
+    config = json.loads(text)["config"]
+    assert config["jobs"] == 1 and config["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["verify", "opt-8n+7-mod-2^{i+4}"], "i-max=0"),
+        (["verify", "pbar-8n+7-mod32"], "t-max=-5"),
+        (["verify", "pbar-8n+7-mod32"], "include-conjectures=maybe"),
+        (["verify", "pbar-8n+7-mod32"], "format=xml"),
+        (["oracle", "--t", "1"], "upto=-3"),
+        (["identities", "--only", "D1"], "order=0"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_config_values_are_checked_like_flags(tmp_path, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code, text = run_cli([*argv, "--config", str(cfg)])
+    assert code == 2 and text == ""
+
+
+def test_config_switch_is_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("include-conjectures=true\nformat=json\n")
+    code, text = run_cli(
+        ["verify", "all", "--t-max", "1", "--n-max", "2", "--alpha-max", "0",
+         "--i-max", "1", "--j-max", "1", "--config", str(cfg)]
+    )
+    assert code == 0
+    keys = {row["key"] for row in json.loads(text)["results"]}
+    assert "opt-8n+4-mod-2^{2i+4}" in keys
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--t-max", "3"],
+        ["identities", "--primes-only"],
+        ["identities", "--n-max", "9"],
+        ["identities", "--upto", "9"],
+        ["verify", "all", "--upto", "9"],
+        ["oracle", "--order", "40"],
+        ["oracle", "--n-max", "9"],
+        ["replay", "--t-max", "3"],
+        ["replay", "--t", "5", "--r", "3", "--width", "16"],
+        ["replay", "--t", "5"],
+        ["replay", "--width", "16", "--step", "G4-odd", "--t", "3"],
+        ["replay", "--width", "16", "--order", "80"],
+        ["replay", "--step", "G4-odd", "--t", "3", "--r", "9", "--i", "4"],
+        ["replay", "--step", "G4-odd", "--t", "3", "--r", "9"],
+        ["replay", "--step", "opt-4n+3-i1", "--r", "1", "--t", "3"],
+    ],
+    ids=" ".join,
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+
+
+def test_config_key_a_command_does_not_read_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t-max=3\n")
+    code, _ = run_cli(["identities", "--only", "D1", "--config", str(cfg)])
+    assert code == 2
+
+
+def test_replay_step_with_all_its_parameters():
+    code, text = run_cli(["replay", "--step", "opt-2n+1", "--i", "2", "--r", "1", "--order", "60"])
+    assert code == 0
+    assert text.startswith("step opt-2n+1") and "PASS" in text

@@ -127,7 +127,7 @@ def test_failing_family_produces_witnesses():
     base = registry["pbar-8n+7-mod32"]
     from dataclasses import replace
 
-    wrong = replace(base, key="pbar-wrong", modulus=lambda p: 128)
+    wrong = replace(base, key="pbar-wrong", modulus_text="128")
     report = check_family(wrong, [{"t": 1}], 10)
     assert not report.ok
     assert report.failures > 0
