@@ -25,7 +25,7 @@ print("f1 support:", [(n, c) for n, c in enumerate(f1.coeffs) if c])
 quotient = eta("f2^3 * f1^-2 * f4^-1")
 print("parsed:", quotient, "->", EtaQuotient.parse(str(quotient)) == quotient)
 
-# f2/f1^2 generates overpartition counts; the independent dynamic program
+# f2/f1^2 generates overpartition counts; the independent counting recurrence
 # (which never touches series arithmetic) must agree.
 series = expand_eta_quotient(eta("f2 * f1^-2"), EXACT, 10)
 counts = count_overpartition_tuples(1, 9)

@@ -244,6 +244,10 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> tuple[s
         if unknown:
             raise UsageError(f"unknown family keys: {', '.join(unknown)}")
         families = [registry[k] for k in args.keys]
+    if settings["primes_only"] and not any("prime-scan" in f.tags for f in families):
+        raise UsageError(
+            "--primes-only filters only families tagged prime-scan, and none is selected"
+        )
     families.sort(key=lambda f: f.key)
     config = RunConfig(
         **{f.name: settings[f.name] for f in fields(RunConfig) if f.name in settings}
@@ -476,15 +480,23 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     }
     try:
         settings = _resolve(args)
+        if args.out:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot create report directory {args.out}: {exc}") from None
         text, code = handlers[args.command](args, settings)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text, file=out)
     if args.out:
-        directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{args.command}.{FORMATS[settings['format']]}").write_text(text + "\n")
+        path = Path(args.out) / f"{args.command}.{FORMATS[settings['format']]}"
+        try:
+            path.write_text(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report {path}: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

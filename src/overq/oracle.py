@@ -5,23 +5,38 @@ engine, so its numbers can serve as ground truth for the generating
 functions built there.
 
 An overpartition is a non-increasing sequence of positive parts in which the
-first occurrence of each part value may be overlined.  A t-tuple assigns each
-part to one of t colors (coordinates); the tuple's weight is the sum of all
+first occurrence of each part value may be overlined.  A k-tuple assigns each
+part to one of k colors (coordinates); the tuple's weight is the sum of all
 parts.  For a single color and a single part size i, the choices are: take j
 copies of i (j >= 0) and, when j >= 1, either overline the first copy or not.
 That contributes the weight series
 
     1 + 2*q^i + 2*q^(2i) + ...
 
-which is the expansion of (1 + q^i) / (1 - q^i).  The dynamic program below
-multiplies the count array by exactly this sparse factor, once per color and
-part size; restricting part sizes to odd i counts the odd-part tuples.
+which is the expansion of (1 + q^i) / (1 - q^i).  The k-tuples with parts in
+a set P therefore have the generating function
+
+    F(q) = prod_{i in P} ((1 + q^i) / (1 - q^i))^k,
+
+and restricting P to odd i counts the odd-part tuples.
+
+The counts a(n) of F come from its logarithmic derivative.  Since
+q d/dq log((1 + q^i) / (1 - q^i)) = i q^i/(1 + q^i) + i q^i/(1 - q^i)
+= sum_{j odd} 2i q^(ij), comparing coefficients in q F' = F * (q F'/F) gives
+
+    n a(n) = k * sum_{m=1..n} w(m) a(n - m),
+    w(m) = sum of 2i over the i in P with i | m and m/i odd,
+
+with a(0) = 1; the division by n is exact.  The weights and the recurrence
+are built here from P and k alone, with plain integer lists, so the counts
+stay independent of the series engine they check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 __all__ = [
     "CountTable",
@@ -51,18 +66,14 @@ class CountTable:
 
 
 def _tuple_counts(colors: int, upto: int, parts: range) -> list[int]:
-    counts = [0] * (upto + 1)
-    counts[0] = 1
-    for _ in range(colors):
-        for i in parts:
-            # Multiply by 1 + 2q^i + 2q^{2i} + ...  The strided prefix sums
-            # give sum_{j>=0} old[n - j*i], so 2*prefix - old adds twice
-            # every shifted copy while keeping old[n] itself single.
-            prefix = counts[:]
-            for n in range(i, upto + 1):
-                prefix[n] += prefix[n - i]
-            for n in range(i, upto + 1):
-                counts[n] = 2 * prefix[n] - counts[n]
+    # w[m] = sum of 2i over the parts i with m an odd multiple of i.
+    weights = [0] * (upto + 1)
+    for i in parts:
+        for m in range(i, upto + 1, 2 * i):
+            weights[m] += 2 * i
+    counts = [1]
+    for n in range(1, upto + 1):
+        counts.append(sum(map(mul, weights[1 : n + 1], reversed(counts))) * colors // n)
     return counts
 
 

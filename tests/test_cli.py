@@ -242,6 +242,27 @@ def test_out_dir_writes_report_file(tmp_path):
     assert json.loads(written)["schema"] == "overq-report/1"
 
 
+def test_out_dir_that_cannot_be_made_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, text = run_cli(
+        ["identities", "--only", "D1", "--order", "20", "--out", str(blocker / "x")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: cannot create report directory") and "Traceback" not in err
+
+
+def test_out_file_that_cannot_be_written_is_usage_error(tmp_path, capsys):
+    (tmp_path / "identities.txt").mkdir()
+    code, text = run_cli(
+        ["identities", "--only", "D1", "--order", "20", "--out", str(tmp_path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and "1/1 identities passed" in text
+    assert err.startswith("error: cannot write report") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--jobs", "--seed"])
 def test_removed_jobs_and_seed_flags_are_usage_errors(flag):
     code, _ = run_cli(["identities", "--order", "40", flag, "1"])
@@ -318,6 +339,28 @@ def test_config_switch_is_read(tmp_path):
 def test_flags_a_command_does_not_read_are_usage_errors(argv):
     code, text = run_cli(argv)
     assert code == 2 and text == ""
+
+
+def test_primes_only_without_a_prime_scan_family_is_usage_error(tmp_path, capsys):
+    code, text = run_cli(
+        ["verify", "opt-8n+7-mod-2^{i+4}", "--primes-only", "--i-max", "1", "--n-max", "5"]
+    )
+    assert code == 2 and text == ""
+    assert "--primes-only" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("primes-only=true\n")
+    code, text = run_cli(["verify", "pbar-n-mod2", "--n-max", "5", "--config", str(cfg)])
+    assert code == 2 and text == ""
+
+
+def test_primes_only_scans_prime_sizes_of_a_prime_scan_family():
+    code, text = run_cli(
+        ["verify", "pbar-8n+7-mod32", "pbar-n-mod2", "--t-max", "10", "--n-max", "5",
+         "--primes-only", "--format", "json"]
+    )
+    assert code == 0
+    tried = {row["key"]: row["params_tried"] for row in json.loads(text)["results"]}
+    assert tried == {"pbar-8n+7-mod32": 4, "pbar-n-mod2": 11}  # t in {2, 3, 5, 7}; t in 0..10
 
 
 def test_config_key_a_command_does_not_read_is_usage_error(tmp_path):

@@ -1,14 +1,45 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from overq import oracle
 from overq.series import EXACT
 from overq.eta import opt_gf, overpartition_gf
 from overq.oracle import (
     ENUMERATE_MAX_N,
     ENUMERATE_MAX_T,
+    _overpartitions,
+    _tuple_counts,
     count_opt_tuples,
     count_overpartition_tuples,
     enumerate_tiny,
 )
+
+
+def _dp_reference(colors, upto, parts):
+    """The per-color, per-part dynamic program the oracle used to run.
+
+    Multiplies the count array by 1 + 2q^i + 2q^(2i) + ... once for every
+    color and part size i, by strided prefix sums.
+    """
+    counts = [0] * (upto + 1)
+    counts[0] = 1
+    for _ in range(colors):
+        for i in parts:
+            # The strided prefix sums give sum_{j>=0} old[n - j*i], so
+            # 2*prefix - old adds twice every shifted copy while keeping
+            # old[n] itself single.
+            prefix = counts[:]
+            for n in range(i, upto + 1):
+                prefix[n] += prefix[n - i]
+            for n in range(i, upto + 1):
+                counts[n] = 2 * prefix[n] - counts[n]
+    return counts
+
+
+def _part_ranges(upto):
+    return {"all": range(1, upto + 1), "odd": range(1, upto + 1, 2)}
 
 
 def test_single_color_low_counts():
@@ -50,6 +81,36 @@ def test_rejects_negative_arguments():
         count_opt_tuples(1, -5)
 
 
+# --- the recurrence against the dynamic program ---------------------------------
+
+
+@pytest.mark.parametrize("upto", [0, 1, 2, 3, 31, 200])
+@pytest.mark.parametrize("parts", ["all", "odd"])
+def test_recurrence_matches_dp_reference(upto, parts):
+    part_range = _part_ranges(upto)[parts]
+    for colors in range(17):
+        assert _tuple_counts(colors, upto, part_range) == _dp_reference(
+            colors, upto, part_range
+        ), (colors, upto, parts)
+
+
+@pytest.mark.parametrize("parts", ["all", "odd"])
+def test_recurrence_matches_dp_reference_at_bench_size(parts):
+    part_range = _part_ranges(600)[parts]
+    assert _tuple_counts(16, 600, part_range) == _dp_reference(16, 600, part_range)
+
+
+def test_oracle_imports_no_other_overq_module():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert not {name for name in imported if name.startswith((".", "overq"))}, imported
+
+
 # --- exhaustive enumeration ----------------------------------------------------
 
 
@@ -74,6 +135,32 @@ def test_enumeration_agrees_with_dp_everywhere():
         table = count_overpartition_tuples(t, ENUMERATE_MAX_N)
         for n in range(ENUMERATE_MAX_N + 1):
             assert enumerate_tiny(t, n) == table.count(n), (t, n)
+
+
+def _enumerate_odd_part_tuples(t, n):
+    """Count overpartition t-tuples of n with all parts odd, by generating them."""
+
+    def odd(weight):
+        return [op for op in _overpartitions(weight) if all(part % 2 for part, _ in op)]
+
+    def tuples(colors, remaining):
+        if colors == 0:
+            if remaining == 0:
+                yield ()
+            return
+        for weight in range(remaining + 1):
+            for op in odd(weight):
+                for rest in tuples(colors - 1, remaining - weight):
+                    yield (op,) + rest
+
+    return sum(1 for _ in tuples(t, n))
+
+
+def test_odd_part_enumeration_agrees_with_counts_everywhere():
+    for t in range(ENUMERATE_MAX_T + 1):
+        table = count_opt_tuples(t, ENUMERATE_MAX_N)
+        for n in range(ENUMERATE_MAX_N + 1):
+            assert _enumerate_odd_part_tuples(t, n) == table.count(n), (t, n)
 
 
 # --- structural invariants -------------------------------------------------------
