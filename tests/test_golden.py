@@ -5,17 +5,26 @@ format: ``<command>.json``, ``<command>.txt`` (``--format table``) and
 ``<command>.csv``.  ``identities`` and ``replay`` run at their default
 orders; ``verify`` scans every family, conjectures included, on a small grid
 (so the known ``opt-8n+4`` witnesses appear); ``oracle`` runs its default
-tuple sizes up to n = 12.  A change that alters any report, even by
-whitespace or key order, fails here; regenerate the files only when a report
-change is intended.
+tuple sizes up to n = 12.  The ``*-fail`` files pin failing runs, with their
+exit code and stderr: a false identity next to a passing one and one that
+cannot be evaluated, one corrupted oracle count, a corrupted mod-16 table row
+(which also fails the ``G16`` steps that read it) and a blocking theorem
+family.  A change that alters any report, even by whitespace or key order,
+fails here; regenerate the files only when a report change is intended.
 """
 
+import contextlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import overq.cli as cli
+import overq.congruences as congruences
 from overq.cli import main
+from overq.expr import eta_series, theta_series
+from overq.identities import IdentityCase, identity_registry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,10 +40,12 @@ ARGV = {
 EXTENSION = {"json": "json", "table": "txt", "csv": "csv"}
 
 
-def run_golden(command, fmt):
-    out = io.StringIO()
-    code = main([*ARGV[command], "--format", fmt], out=out)
-    assert code == 0
+def run_golden(command, fmt, argv=None, code=0, stderr=""):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got = main([*(argv or ARGV[command]), "--format", fmt], out=out)
+    assert got == code
+    assert err.getvalue() == stderr
     assert out.getvalue() == (GOLDEN / f"{command}.{EXTENSION[fmt]}").read_text(encoding="utf-8")
 
 
@@ -54,3 +65,60 @@ def test_json_report_matches_golden(command):
 )
 def test_report_matches_golden(command, fmt):
     run_golden(command, fmt)
+
+
+def _false_identities(monkeypatch):
+    cases = (
+        IdentityCase(key="bogus", lhs=eta_series("f1"), rhs=eta_series("f2")),
+        identity_registry()["D1"],
+        IdentityCase(key="unevaluable", lhs=theta_series("h", 0), rhs=eta_series("f1")),
+    )
+    monkeypatch.setattr(cli, "builtin_identities", lambda: cases)
+
+
+def _corrupted_oracle_count(monkeypatch):
+    count = cli.count_overpartition_tuples
+
+    def corrupted(t, upto):
+        table = count(t, upto)
+        if t != 2:
+            return table
+        return replace(table, counts=table.counts[:5] + (table.counts[5] + 1,) + table.counts[6:])
+
+    monkeypatch.setattr(cli, "count_overpartition_tuples", corrupted)
+
+
+def _corrupted_mod16_row(monkeypatch):
+    rows = list(congruences._MOD16_ROWS)
+    rows[3] = (3, 6, 8, 8)  # C(21, 3) * (-2)^3 is 0 mod 16, not 8
+    monkeypatch.setattr(congruences, "_MOD16_ROWS", tuple(rows))
+
+
+def _blocking_family(monkeypatch):
+    registry = congruences.family_registry()
+    wrong = replace(registry["pbar-8n+7-mod32"], key="pbar-wrong", modulus_text="128")
+    monkeypatch.setattr(cli, "family_registry", lambda: {**registry, wrong.key: wrong})
+
+
+# name -> (argv, patch, stderr); every failing run exits 1.
+FAILING = {
+    "identities-fail": (["identities", "--order", "10"], _false_identities, ""),
+    "oracle-fail": (
+        ["oracle", "--upto", "12"],
+        _corrupted_oracle_count,
+        "oracle mismatch: family=overpartition-tuples parameter=2 n=5\n",
+    ),
+    "replay-fail": (["replay"], _corrupted_mod16_row, ""),
+    "verify-fail": (
+        ["verify", "pbar-wrong", "pbar-8n+7-mod32", "--t-max", "3", "--n-max", "5"],
+        _blocking_family,
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, fmt", [(name, fmt) for name in FAILING for fmt in EXTENSION])
+def test_failing_report_matches_golden(monkeypatch, name, fmt):
+    argv, patch, stderr = FAILING[name]
+    patch(monkeypatch)
+    run_golden(name, fmt, argv=argv, code=1, stderr=stderr)
