@@ -22,10 +22,11 @@ import json
 import sys
 from collections import Counter
 from dataclasses import fields
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .series import EXACT
+from .series import EXACT, mismatches
 from .eta import opt_gf, overpartition_gf
 from .identities import builtin_identities, identity_registry, verify_identity
 from .oracle import count_opt_tuples, count_overpartition_tuples
@@ -161,31 +162,52 @@ def _load_config_file(path: str, command: str) -> dict[str, object]:
 
 
 def _resolve(args: argparse.Namespace) -> dict[str, object]:
-    """Merge flag values over config-file values over hard defaults."""
-    settings = {dest: default for dest, (_, default, _) in _OPTIONS.items()}
+    """Merge flag values over config-file values over hard defaults.
+
+    A config-file value is also set on ``args`` where no flag gave one, so a
+    command's checks on ``args`` see a setting from either source.
+    """
     if args.config:
-        settings.update(_load_config_file(args.config, args.command))
+        for dest, value in _load_config_file(args.config, args.command).items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+    settings = {dest: default for dest, (_, default, _) in _OPTIONS.items()}
     settings.update((d, getattr(args, d)) for d in _OPTIONS if getattr(args, d, None) is not None)
     return settings
 
 
-def _json_report(command: str, settings: dict[str, object], results) -> str:
-    doc = {
-        "schema": SCHEMA,
-        "command": command,
-        "config": {**settings, **FIXED_CONFIG},
-        "results": results,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+# Each command makes one pass over its reports and returns three views of them
+# with its exit code: the JSON result rows (the record every other field is
+# taken from), the table lines, and the CSV rows, header first.  ``_render``
+# picks one.
+_Views = tuple[list[dict], list[str], Iterable[tuple], int]
+
+
+def _render(
+    fmt: str, command: str, settings: dict, results: list, lines: list, rows: Iterable[tuple]
+) -> str:
+    if fmt == "json":
+        doc = {
+            "schema": SCHEMA,
+            "command": command,
+            "config": {**settings, **FIXED_CONFIG},
+            "results": results,
+        }
+        return json.dumps(doc, sort_keys=True, indent=2)
+    if fmt == "csv":
+        lines = [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines)
 
 
 # --- identities --------------------------------------------------------------
 
 
-def cmd_identities(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
+def cmd_identities(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     registry = identity_registry()
-    if args.only:
+    if args.only is not None:
         keys = [k.strip() for k in args.only.split(",") if k.strip()]
+        if not keys:
+            raise UsageError("--only names no identity key")
         unknown = [k for k in keys if k not in registry]
         if unknown:
             raise UsageError(f"unknown identity keys: {', '.join(unknown)}")
@@ -194,10 +216,12 @@ def cmd_identities(args: argparse.Namespace, settings: dict[str, object]) -> tup
         cases = list(builtin_identities())
     cases.sort(key=lambda c: c.key)
     order = settings["order"]
-    reports = [verify_identity(case, order) for case in cases]
-    fmt = settings["format"]
-    if fmt == "json":
-        rows = [
+    results = []
+    lines = [f"{'KEY':12} {'MODE':8} {'ORDER':>6} {'STATUS':6} FIRST-MISMATCH"]
+    rows = [("key", "mode", "order", "status", "first_mismatch")]
+    for case in cases:
+        r = verify_identity(case, order)
+        results.append(
             {
                 "key": r.key,
                 "mode": r.mode,
@@ -210,28 +234,19 @@ def cmd_identities(args: argparse.Namespace, settings: dict[str, object]) -> tup
                 ),
                 "error": r.error,
             }
-            for r in reports
-        ]
-        text = _json_report("identities", settings, rows)
-    elif fmt == "csv":
-        lines = ["key,mode,order,status,first_mismatch"]
-        for r in reports:
-            lines.append(f"{r.key},{r.mode},{r.order},{r.status},{r.describe()}")
-        text = "\n".join(lines)
-    else:
-        lines = [f"{'KEY':12} {'MODE':8} {'ORDER':>6} {'STATUS':6} FIRST-MISMATCH"]
-        for r in reports:
-            lines.append(f"{r.key:12} {r.mode:8} {r.order:>6} {r.status:6} {r.describe()}")
-        passed = sum(r.ok for r in reports)
-        lines.append(f"{passed}/{len(reports)} identities passed at order {order}")
-        text = "\n".join(lines)
-    return text, 0 if all(r.ok for r in reports) else 1
+        )
+        cells = (r.key, r.mode, r.order, r.status, r.describe())
+        lines.append("{:12} {:8} {:>6} {:6} {}".format(*cells))
+        rows.append(cells)
+    passed = sum(row["status"] == "PASS" for row in results)
+    lines.append(f"{passed}/{len(results)} identities passed at order {order}")
+    return results, lines, rows, 0 if passed == len(results) else 1
 
 
 # --- verify ------------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
+def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     registry = family_registry()
     if not args.keys:
         raise UsageError("verify needs family keys or 'all'")
@@ -253,72 +268,60 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> tuple[s
         **{f.name: settings[f.name] for f in fields(RunConfig) if f.name in settings}
     )
     reports = run_families(families, config, warn=lambda msg: print(msg, file=sys.stderr))
-    reports.sort(key=lambda r: r.key)
 
-    fmt = settings["format"]
-    if fmt == "json":
-        rows = []
-        for family, report in zip(families, reports):
-            rows.append(
+    results = []
+    lines = [f"{'KEY':42} {'STATUS':10} {'VERDICT':16} {'PARAMS':>7} {'COEFFS':>8} {'FAILS':>6}"]
+    rows = [("key", "params", "n", "value", "modulus", "expected")]
+    for family, report in zip(families, reports):
+        row = {
+            **family.describe(),
+            "params_tried": report.params_tried,
+            "coeffs_checked": report.coeffs_checked,
+            "failures": report.failures,
+            "verdict": report.verdict,
+            "witnesses": [
                 {
-                    **family.describe(),
-                    "params_tried": report.params_tried,
-                    "coeffs_checked": report.coeffs_checked,
-                    "failures": report.failures,
-                    "verdict": report.verdict,
-                    "witnesses": [
-                        {
-                            "params": w.params_text(),
-                            "n": w.n,
-                            "value": w.value,
-                            "modulus": w.modulus,
-                            "expected": w.expected,
-                        }
-                        for w in report.witnesses
-                    ],
+                    "params": w.params_text(),
+                    "n": w.n,
+                    "value": w.value,
+                    "modulus": w.modulus,
+                    "expected": w.expected,
                 }
-            )
-        text = _json_report("verify", settings, rows)
-    elif fmt == "csv":
-        lines = ["key,params,n,value,modulus,expected"]
-        for report in reports:
-            for w in report.witnesses:
-                lines.append(
-                    f"{report.key},{w.params_text()},{w.n},{w.value},{w.modulus},{w.expected}"
-                )
-        text = "\n".join(lines)
-    else:
-        lines = [
-            f"{'KEY':42} {'STATUS':10} {'VERDICT':16} {'PARAMS':>7} {'COEFFS':>8} {'FAILS':>6}"
+                for w in report.witnesses
+            ],
+        }
+        results.append(row)
+        lines.append(
+            f"{row['key']:42} {row['status']:10} {row['verdict']:16} "
+            f"{row['params_tried']:>7} {row['coeffs_checked']:>8} {row['failures']:>6}"
+        )
+        for w in row["witnesses"]:
+            rows.append((row["key"], w["params"], w["n"], w["value"], w["modulus"], w["expected"]))
+        lines += [
+            f"    witness {w['params']} n={w['n']}: value {w['value']} != "
+            f"{w['expected']} (mod {w['modulus']})"
+            for w in row["witnesses"][:3]
         ]
-        for report in reports:
-            lines.append(
-                f"{report.key:42} {report.family_status:10} {report.verdict:16} "
-                f"{report.params_tried:>7} {report.coeffs_checked:>8} {report.failures:>6}"
-            )
-            for w in report.witnesses[:3]:
-                lines.append(
-                    f"    witness {w.params_text()} n={w.n}: value {w.value} != "
-                    f"{w.expected} (mod {w.modulus})"
-                )
-        blockers = [r for r in reports if r.blocking]
-        tally = Counter(r.verdict for r in reports)
-        summary = ", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items()))
-        lines.append(f"{summary}; {len(blockers)} blocking failure(s)")
-        text = "\n".join(lines)
-    return text, 1 if any(r.blocking for r in reports) else 0
+    blockers = sum(r.blocking for r in reports)
+    tally = Counter(row["verdict"] for row in results)
+    summary = ", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items()))
+    lines.append(f"{summary}; {blockers} blocking failure(s)")
+    return results, lines, rows, 1 if blockers else 0
 
 
 # --- oracle ------------------------------------------------------------------
 
 
-def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
+def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     upto = settings["upto"]
     default = range(7) if args.t is None and args.opt is None else []
     sizes = [("overpartition-tuples", t) for t in args.t or default]
     sizes += [("opt-tuples", k) for k in args.opt or default]
 
-    rows = []
+    results = []
+    lines = [f"{'FAMILY':24} {'PARAM':>5} {'UPTO':>5} STATUS"]
+    # One lazy CSV row per count, made only when CSV is rendered.
+    rows = [[("family", "parameter", "n", "count")]]
     first_mismatch: tuple[str, int, int, int, int] | None = None
     for family, param in sizes:
         if family == "overpartition-tuples":
@@ -327,70 +330,40 @@ def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> tuple[s
         else:
             table = count_opt_tuples(param, upto)
             series = opt_gf(param, EXACT, upto + 1)
-        n = next((n for n in range(upto + 1) if table.counts[n] != series.coeff(n)), None)
+        n = next(mismatches(table.counts, series.coeffs), None)
         if n is not None and first_mismatch is None:
-            first_mismatch = (family, param, n, table.counts[n], series.coeff(n))
-        rows.append((family, param, table, n is None))
-
-    fmt = settings["format"]
-    if fmt == "json":
-        results = [
-            {
-                "family": family,
-                "parameter": param,
-                "upto": table.upto,
-                "counts": list(table.counts),
-                "matches_gf": matches,
-            }
-            for family, param, table, matches in rows
-        ]
-        text = _json_report("oracle", settings, results)
-    elif fmt == "csv":
-        lines = ["family,parameter,n,count"]
-        for family, param, table, _ in rows:
-            for n, count in enumerate(table.counts):
-                lines.append(f"{family},{param},{n},{count}")
-        text = "\n".join(lines)
-    else:
-        lines = [f"{'FAMILY':24} {'PARAM':>5} {'UPTO':>5} STATUS"]
-        for family, param, table, matches in rows:
-            lines.append(f"{family:24} {param:>5} {table.upto:>5} {'PASS' if matches else 'FAIL'}")
+            first_mismatch = (family, param, n, table.counts[n], series.coeffs[n])
+        row = {
+            "family": family,
+            "parameter": param,
+            "upto": table.upto,
+            "counts": list(table.counts),
+            "matches_gf": n is None,
+        }
+        results.append(row)
         lines.append(
-            "all counts match the generating functions"
-            if first_mismatch is None
-            else f"MISMATCH at {first_mismatch[:3]}: oracle {first_mismatch[3]} vs series {first_mismatch[4]}"
+            f"{family:24} {param:>5} {row['upto']:>5} {'PASS' if row['matches_gf'] else 'FAIL'}"
         )
-        text = "\n".join(lines)
-    if first_mismatch is not None:
+        rows.append(zip(repeat(family), repeat(param), range(upto + 1), row["counts"]))
+    if first_mismatch is None:
+        lines.append("all counts match the generating functions")
+    else:
+        lines.append(
+            f"MISMATCH at {first_mismatch[:3]}: "
+            f"oracle {first_mismatch[3]} vs series {first_mismatch[4]}"
+        )
         print(
             f"oracle mismatch: family={first_mismatch[0]} parameter={first_mismatch[1]} "
             f"n={first_mismatch[2]}",
             file=sys.stderr,
         )
-    return text, 0 if first_mismatch is None else 1
+    return results, lines, chain.from_iterable(rows), 0 if first_mismatch is None else 1
 
 
 # --- replay ------------------------------------------------------------------
 
 
-def _step_row(report) -> tuple[str, dict]:
-    """The table line and the JSON row of one dissection-step replay."""
-    line = (
-        f"step {report.key:14} {report.params_text():12} mod {report.modulus:<6} "
-        f"order {report.order:>5} {report.status}"
-    )
-    row = {
-        "type": "step",
-        "key": report.key,
-        "params": report.params_text(),
-        "modulus": report.modulus,
-        "order": report.order,
-        "status": report.status,
-    }
-    return line, row
-
-
-def cmd_replay(args: argparse.Namespace, settings: dict[str, object]) -> tuple[str, int]:
+def cmd_replay(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     order = settings["order"]
     step_flags = [name for name in ("t", "i", "r") if getattr(args, name) is not None]
     if args.step is None and step_flags:
@@ -399,10 +372,10 @@ def cmd_replay(args: argparse.Namespace, settings: dict[str, object]) -> tuple[s
         raise UsageError("--width replays a table, --step a dissection step; give one")
     if args.width and args.order is not None:
         raise UsageError("--width replays only a table, which takes no --order")
-    reports = []
+    results = []
     lines = []
-    rows_json = []
-    failed = False
+    rows = [("type", "key", "params", "status")]
+    reports = []
 
     if args.step is not None:
         steps = step_registry()
@@ -421,48 +394,45 @@ def cmd_replay(args: argparse.Namespace, settings: dict[str, object]) -> tuple[s
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     else:
-        widths = (args.width,) if args.width else (16, 32)
-        for width in widths:
-            table_report = replay_binomial_tables(width)
-            failed = failed or not table_report.ok
+        for width in (args.width,) if args.width else (16, 32):
+            table = replay_binomial_tables(width)
+            row = {
+                "type": "table",
+                "width": width,
+                "rows": table.rows_checked,
+                "entries": table.entries_checked,
+                "status": "PASS" if table.ok else "FAIL",
+            }
+            results.append(row)
             lines.append(
-                f"table mod {width:<3} rows {table_report.rows_checked:>3} "
-                f"entries {table_report.entries_checked:>4} "
-                f"{'PASS' if table_report.ok else 'FAIL'}"
+                f"table mod {width:<3} rows {row['rows']:>3} "
+                f"entries {row['entries']:>4} {row['status']}"
             )
-            rows_json.append(
-                {
-                    "type": "table",
-                    "width": width,
-                    "rows": table_report.rows_checked,
-                    "entries": table_report.entries_checked,
-                    "status": "PASS" if table_report.ok else "FAIL",
-                }
-            )
-            for residue, t, r, got, want in table_report.mismatches:
-                lines.append(f"    residue {residue} t={t} r={r}: got {got}, expected {want}")
+            lines += [
+                f"    residue {residue} t={t} r={r}: got {got}, expected {want}"
+                for residue, t, r, got, want in table.mismatches
+            ]
+            rows.append(("table", f"mod{width}", "", row["status"]))
         if not args.width:
             for step in builtin_steps():
                 for point in step.default_params:
                     reports.append(verify_dissection_step(step.key, dict(point), order))
     for report in reports:
-        failed = failed or not report.ok
-        line, row = _step_row(report)
-        lines.append(line)
-        rows_json.append(row)
-
-    fmt = settings["format"]
-    if fmt == "json":
-        text = _json_report("replay", settings, rows_json)
-    elif fmt == "csv":
-        csv_lines = ["type,key,params,status"]
-        for row in rows_json:
-            key = row.get("key", f"mod{row.get('width')}")
-            csv_lines.append(f"{row['type']},{key},{row.get('params', '')},{row['status']}")
-        text = "\n".join(csv_lines)
-    else:
-        text = "\n".join(lines)
-    return text, 1 if failed else 0
+        row = {
+            "type": "step",
+            "key": report.key,
+            "params": report.params_text(),
+            "modulus": report.modulus,
+            "order": report.order,
+            "status": report.status,
+        }
+        results.append(row)
+        lines.append(
+            f"step {row['key']:14} {row['params']:12} mod {row['modulus']:<6} "
+            f"order {row['order']:>5} {row['status']}"
+        )
+        rows.append(("step", row["key"], row["params"], row["status"]))
+    return results, lines, rows, 1 if any(row["status"] == "FAIL" for row in results) else 0
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
@@ -485,13 +455,15 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
                 Path(args.out).mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise UsageError(f"cannot create report directory {args.out}: {exc}") from None
-        text, code = handlers[args.command](args, settings)
+        results, lines, rows, code = handlers[args.command](args, settings)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    fmt = settings["format"]
+    text = _render(fmt, args.command, settings, results, lines, rows)
     print(text, file=out)
     if args.out:
-        path = Path(args.out) / f"{args.command}.{FORMATS[settings['format']]}"
+        path = Path(args.out) / f"{args.command}.{FORMATS[fmt]}"
         try:
             path.write_text(text + "\n")
         except OSError as exc:

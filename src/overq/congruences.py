@@ -22,16 +22,16 @@ from itertools import product
 from types import CodeType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .series import EXACT, Series, Zmod, one
+from .series import EXACT, Series, Zmod, mismatches, one
 from .eta import EtaQuotient, expand_eta_quotient
 from .expr import (
     DissectRecipe,
     GfRecipe,
     Recipe,
     eta_series,
-    evaluate,
     qshift,
 )
+from .identities import IdentityCase, verify_identity
 
 __all__ = [
     "RunConfig",
@@ -76,8 +76,15 @@ class RunConfig:
     primes_only: bool = False
 
 
+class _Params:
+    """A record whose ``params`` are (name, value) pairs, as reports print them."""
+
+    def params_text(self) -> str:
+        return ";".join(f"{name}={value}" for name, value in self.params)
+
+
 @dataclass(frozen=True)
-class Witness:
+class Witness(_Params):
     """A violated coefficient: value != expected (mod modulus)."""
 
     params: tuple[tuple[str, int], ...]
@@ -85,9 +92,6 @@ class Witness:
     value: int
     modulus: int
     expected: int
-
-    def params_text(self) -> str:
-        return ";".join(f"{name}={value}" for name, value in self.params)
 
 
 @dataclass(frozen=True)
@@ -550,31 +554,38 @@ def check_family(
         modulus = family.modulus(params)
         gf_param = family.gf_param(params)
         order = step * n_max + offset + 1
-        series = provider.gf(family.kind, gf_param, modulus, order)
-        piece = series.dissect(step, offset % step)
+        piece = provider.gf(family.kind, gf_param, modulus, order).dissect(step, offset % step)
         index0 = offset // step
-        exact = provider.gf_exact(family.kind, gf_param, order) if exact_check else None
-        for n in range(n_max + 1):
-            value = piece.coeff(n + index0)
-            expected = 0 if family.expected is None else family.expected(params, n) % modulus
-            coeffs_checked += 1
-            if exact is not None and exact.coeff(step * n + offset) % modulus != value:
+        values = piece.coeffs[index0 : index0 + n_max + 1]
+        if len(values) <= n_max:
+            raise IndexError(
+                f"coefficient q^{index0 + len(values)} is beyond truncation order {piece.order}"
+            )
+        coeffs_checked += len(values)
+        if exact_check:
+            exact = provider.gf_exact(family.kind, gf_param, order).coeffs[offset::step]
+            n = next(mismatches(map(modulus.__rmod__, exact), values), None)
+            if n is not None:
                 raise RuntimeError(
                     f"modular/exact disagreement in {family.key} at "
                     f"params={params}, n={n}"
                 )
-            if value != expected:
-                failures += 1
-                if len(witnesses) < witness_cap:
-                    witnesses.append(
-                        Witness(
-                            params=tuple(sorted(params.items())),
-                            n=n,
-                            value=value,
-                            modulus=modulus,
-                            expected=expected,
-                        )
-                    )
+        if family.expected is None:
+            expected = (0,) * len(values)
+        else:
+            expected = tuple(family.expected(params, n) % modulus for n in range(n_max + 1))
+        failed = list(mismatches(values, expected))
+        failures += len(failed)
+        for n in failed[: witness_cap - len(witnesses)]:
+            witnesses.append(
+                Witness(
+                    params=tuple(sorted(params.items())),
+                    n=n,
+                    value=values[n],
+                    modulus=modulus,
+                    expected=expected[n],
+                )
+            )
     return FamilyReport(
         key=family.key,
         family_status=family.status,
@@ -727,7 +738,7 @@ class DissectionStep:
 
 
 @dataclass(frozen=True)
-class StepReport:
+class StepReport(_Params):
     key: str
     params: tuple[tuple[str, int], ...]
     modulus: int
@@ -739,9 +750,6 @@ class StepReport:
     @property
     def status(self) -> str:
         return "PASS" if self.ok else "FAIL"
-
-    def params_text(self) -> str:
-        return ";".join(f"{k}={v}" for k, v in self.params)
 
 
 def _gf_reduced(t: int) -> Recipe:
@@ -918,22 +926,13 @@ def verify_dissection_step(
         # dissection sides evaluate their inner series at a multiple of `order`
         raise ValueError(f"order {order} exceeds the step working budget")
     modulus = step.modulus(params)
-    ring = Zmod(modulus)
     key_params = tuple((name, params[name]) for name in step.param_names)
     try:
-        lhs = evaluate(step.lhs(params), ring, order)
-        rhs = evaluate(step.rhs(params), ring, order)
+        case = IdentityCase(step_key, step.lhs(params), step.rhs(params), modulus)
     except ValueError as exc:
         return StepReport(step_key, key_params, modulus, order, ok=False, error=str(exc))
-    limit = min(lhs.order, rhs.order)
-    for n in range(limit):
-        if lhs.coeffs[n] != rhs.coeffs[n]:
-            return StepReport(
-                step_key,
-                key_params,
-                modulus,
-                order,
-                ok=False,
-                mismatch=(n, lhs.coeffs[n], rhs.coeffs[n]),
-            )
-    return StepReport(step_key, key_params, modulus, order, ok=True)
+    report = verify_identity(case, order)
+    return StepReport(
+        step_key, key_params, modulus, order,
+        ok=report.ok, mismatch=report.mismatch, error=report.error,
+    )

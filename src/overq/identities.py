@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import EXACT, Zmod
+from .series import EXACT, Zmod, mismatches
 from .expr import Recipe, eta_series, jacobi_series, qshift, theta_series, evaluate
 
 __all__ = [
@@ -71,9 +71,10 @@ def verify_identity(case: IdentityCase, order: int | None = None) -> IdentityRep
         rhs = evaluate(case.rhs, ring, order)
     except ValueError as exc:
         return IdentityReport(case.key, case.mode, order, ok=False, error=str(exc))
-    for n, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if x != y:
-            return IdentityReport(case.key, case.mode, order, ok=False, mismatch=(n, x, y))
+    n = next(mismatches(lhs.coeffs, rhs.coeffs), None)
+    if n is not None:
+        mismatch = (n, lhs.coeffs[n], rhs.coeffs[n])
+        return IdentityReport(case.key, case.mode, order, ok=False, mismatch=mismatch)
     return IdentityReport(case.key, case.mode, order, ok=True)
 
 

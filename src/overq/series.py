@@ -26,6 +26,10 @@ Every path is bit-identical to the schoolbook reference, reduced mod m; the
 randomized kernel tests enforce this on every test ring, on both sides of
 each cutoff.
 
+Every check in overq that compares two coefficient sequences (identity sides,
+replayed steps, family progressions, oracle counts) finds where they differ
+with :func:`mismatches`.
+
 Values are immutable after construction and every operation is a pure
 function, so series can be shared freely across threads.
 """
@@ -37,10 +41,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import compress, count, repeat
+from typing import Iterable, Iterator, Sequence
 
-__all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "one", "spread"]
+__all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "mismatches", "one", "spread"]
 
 # Below this order the plain double loop beats the packing overhead of the
 # big-integer kernels.
@@ -468,6 +472,16 @@ def spread(s: Series, step: int, order: int) -> Series:
     out = [0] * order
     out[::step] = s.coeffs[:needed]
     return Series._from_canonical(s.ring, out)
+
+
+def mismatches(a: Iterable[int], b: Iterable[int]) -> Iterator[int]:
+    """The indices where ``a`` and ``b`` differ, up to the shorter of the two.
+
+    Elements are compared one by one, so a tuple and a list of equal values
+    have no mismatches.  The iterator is lazy: ``next(mismatches(a, b), None)``
+    stops at the first difference.
+    """
+    return compress(count(), map(operator.ne, a, b))
 
 
 def _invert_recurrence(s: Series) -> Series:

@@ -374,3 +374,21 @@ def test_replay_step_with_all_its_parameters():
     code, text = run_cli(["replay", "--step", "opt-2n+1", "--i", "2", "--r", "1", "--order", "60"])
     assert code == 0
     assert text.startswith("step opt-2n+1") and "PASS" in text
+
+
+@pytest.mark.parametrize("only", [",", "", " , ,"])
+def test_only_naming_no_identity_key_is_usage_error(capsys, only):
+    code, text = run_cli(["identities", "--only", only, "--order", "10"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: --only names no identity key\n"
+
+
+def test_config_order_with_width_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("order=100\n")
+    code, text = run_cli(["replay", "--width", "16", "--config", str(cfg)])
+    assert code == 2 and text == ""
+    assert "takes no --order" in capsys.readouterr().err
+    cfg.write_text("format=csv\n")  # a key --width does read is still taken
+    code, text = run_cli(["replay", "--width", "16", "--config", str(cfg)])
+    assert code == 0 and text == "type,key,params,status\ntable,mod16,,PASS\n"

@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+import overq.congruences as congruences
 from overq.congruences import (
     RunConfig,
     SeriesProvider,
@@ -19,7 +20,7 @@ from overq.congruences import (
     verify_dissection_step,
 )
 from overq.oracle import count_overpartition_tuples
-from overq.series import EXACT, Zmod
+from overq.series import EXACT, Series, Zmod
 
 EXPECTED_FAMILY_KEYS = [
     "opt-3n+1-mod-3^i2",
@@ -346,3 +347,88 @@ def test_step_rejects_excessive_order():
 def test_witness_params_text():
     w = Witness(params=(("i", 1), ("r", 3)), n=2, value=8, modulus=16, expected=0)
     assert w.params_text() == "i=1;r=3"
+
+
+# --- the scan against a per-coefficient walk ------------------------------------
+
+
+def _walk_family(family, grid, n_max, provider, witness_cap):
+    """The scan as a plain loop over n: the reference check_family must match."""
+    failures, coeffs, witnesses = 0, 0, []
+    for params in grid:
+        step, offset = family.progression(params)
+        modulus = family.modulus(params)
+        order = step * n_max + offset + 1
+        series = provider.gf(family.kind, family.gf_param(params), modulus, order)
+        for n in range(n_max + 1):
+            value = series.coeff(step * n + offset)
+            expected = 0 if family.expected is None else family.expected(params, n) % modulus
+            coeffs += 1
+            if value != expected:
+                failures += 1
+                if len(witnesses) < witness_cap:
+                    witnesses.append(
+                        Witness(tuple(sorted(params.items())), n, value, modulus, expected)
+                    )
+    return len(grid), coeffs, failures, tuple(witnesses)
+
+
+def _wrong_families():
+    from dataclasses import replace
+
+    registry = family_registry()
+    tri = registry["pbar-2^{2a+3}n+2^{2a}-mod4-tri"]
+    return {
+        # Zero residue, modulus too large: most coefficients fail.
+        "zero": (replace(registry["pbar-8n+7-mod32"], modulus_text="128"),
+                 [{"t": t} for t in range(6)]),
+        # The -tri rule without its "t odd" condition: even t fail at triangular n.
+        "tri": (replace(tri, expected=lambda p, n: 2 if congruences._is_triangular(n) else 0),
+                [{"t": t, "a": a} for t in range(4) for a in range(2)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["zero", "tri"])
+@pytest.mark.parametrize("witness_cap", [0, 3, 10, 1000])
+def test_check_family_matches_per_coefficient_walk(name, witness_cap):
+    family, grid = _wrong_families()[name]
+    provider = SeriesProvider()
+    report = check_family(family, grid, 30, provider=provider, witness_cap=witness_cap)
+    expected = _walk_family(family, grid, 30, provider, witness_cap)
+    got = (report.params_tried, report.coeffs_checked, report.failures, report.witnesses)
+    assert got == expected
+    assert report.failures > 10  # past the default cap, every failure is still counted
+    if name == "tri":  # the failures are even t at triangular n: 0 where 2 is expected
+        assert all((w.value, w.expected) == (0, 2) for w in report.witnesses)
+
+
+class _CorruptProvider(SeriesProvider):
+    """Serves each modular GF with one coefficient changed, or cut short."""
+
+    def __init__(self, index, shorten=False):
+        super().__init__()
+        self.index, self.shorten = index, shorten
+
+    def gf(self, kind, param, modulus, order):
+        series = super().gf(kind, param, modulus, order)
+        if self.shorten:
+            return series.truncate(self.index)
+        coeffs = list(series.coeffs)
+        coeffs[self.index] += 1
+        return Series(series.ring, coeffs)
+
+
+def test_exact_check_refuses_a_wrong_modular_coefficient():
+    family = family_registry()["pbar-8n+7-mod32"]
+    disagreement = r"modular/exact disagreement in pbar-8n\+7-mod32 at params=\{'t': 3\}, n=2$"
+    with pytest.raises(RuntimeError, match=disagreement):
+        check_family(family, [{"t": 3}], 5, provider=_CorruptProvider(8 * 2 + 7), exact_check=True)
+    # Without the gate the same corruption is only a failed coefficient.
+    report = check_family(family, [{"t": 3}], 5, provider=_CorruptProvider(8 * 2 + 7))
+    assert [w.n for w in report.witnesses] == [2]
+
+
+def test_scan_of_a_short_series_is_an_error():
+    family = family_registry()["pbar-8n+7-mod32"]
+    with pytest.raises(IndexError, match=r"q\^3 is beyond truncation order 3"):
+        check_family(family, [{"t": 3}], 5, provider=_CorruptProvider(8 * 3, shorten=True))

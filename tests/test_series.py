@@ -9,6 +9,7 @@ from overq.series import (
     _convolve_schoolbook,
     _invert_recurrence,
     make_series,
+    mismatches,
     one,
     spread,
 )
@@ -390,3 +391,46 @@ def test_order_one_series_behave_as_scalars():
     assert (a * b).coeffs == (-6,)
     assert (a + b).coeffs == (1,)
     assert (a**3).coeffs == (27,)
+
+
+# --- mismatches ----------------------------------------------------------------
+
+
+def _walk_mismatches(a, b):
+    return [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+
+
+def test_mismatches_matches_an_enumerated_walk(rng):
+    for _ in range(500):
+        a = [rng.randint(0, 3) for _ in range(rng.randint(0, 30))]
+        b = [x if rng.random() < 0.8 else rng.randint(0, 3) for x in a]
+        if rng.random() < 0.3:
+            b = b[: rng.randint(0, len(b))]
+        else:
+            b += [rng.randint(0, 3)] * rng.randint(0, 3)
+        assert list(mismatches(a, b)) == _walk_mismatches(a, b)
+        assert list(mismatches(tuple(a), b)) == _walk_mismatches(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        ((1, 2, 3), [1, 2, 3], []),  # a tuple against an equal list
+        ((), [], []),
+        ((5, 2, 3), (1, 2, 3), [0]),
+        ((1, 2, 3), (1, 2, 4), [2]),
+        ((1, 2), (1, 9, 3, 4), [1]),  # up to the shorter
+        ((1, 2, 3, 4), (0,), [0]),
+        ((1, 2, 3), range(1, 4), []),
+        ((-1, 0, 2**80), (1, 0, 2**80 + 1), [0, 2]),
+    ],
+)
+def test_mismatches_fixed_cases(a, b, expected):
+    assert list(mismatches(a, b)) == expected == _walk_mismatches(a, b)
+
+
+def test_mismatches_is_lazy():
+    from itertools import count, repeat
+
+    differing = mismatches(count(), repeat(0))  # endless inputs: only laziness ends this
+    assert (next(differing), next(differing)) == (1, 2)

@@ -1,0 +1,83 @@
+"""Structure guards, checked on the source by ``ast``.
+
+* Only ``main`` and ``_render`` in ``cli.py`` read the ``format`` setting or
+  branch on a format name: every command builds all its views in one pass.
+* No function in ``identities.py``, ``congruences.py`` or ``cli.py`` compares
+  coefficients in a Python loop: a ``for`` over ``range(...)``, or over a
+  ``zip(...)`` of coefficient sequences, whose body tests ``!=``.  Such
+  comparisons go through ``series.mismatches``.
+"""
+
+import ast
+from pathlib import Path
+
+import overq
+
+SOURCE = Path(overq.__file__).parent
+FORMAT_NAMES = {"json", "csv", "table"}
+
+
+def _functions(path):
+    tree = ast.parse(path.read_text())
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def _reads_format(function):
+    for node in ast.walk(function):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            if node.slice.value == "format":  # settings["format"]
+                return True
+        if isinstance(node, ast.Attribute) and node.attr == "format":
+            if not isinstance(node.value, ast.Constant):  # args.format, not "...".format
+                return True
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            if any(isinstance(a, ast.Constant) and a.value == "format" for a in node.args):
+                return True
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Constant) and o.value in FORMAT_NAMES for o in operands):
+                return True
+    return False
+
+
+def _coefficient_loop(loop_iter):
+    """A range(...) or zip(...coeffs...) loop iterator, possibly under enumerate."""
+    if isinstance(loop_iter, ast.Call) and getattr(loop_iter.func, "id", None) == "enumerate":
+        loop_iter = loop_iter.args[0]
+    if not isinstance(loop_iter, ast.Call):
+        return False
+    name = getattr(loop_iter.func, "id", None)
+    return name == "range" or (name == "zip" and "coeffs" in ast.unparse(loop_iter))
+
+
+def _tests_inequality(nodes):
+    return any(
+        isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops)
+        for root in nodes
+        for node in ast.walk(root)
+    )
+
+
+def coefficient_loops(path):
+    """Names of the functions in ``path`` that compare coefficients in a Python loop."""
+    found = set()
+    for function in _functions(path):
+        for node in ast.walk(function):
+            if isinstance(node, ast.For) and _coefficient_loop(node.iter):
+                if _tests_inequality(node.body):
+                    found.add(function.name)
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+                if any(_coefficient_loop(g.iter) for g in node.generators):
+                    if _tests_inequality([node]):
+                        found.add(function.name)
+    return found
+
+
+def test_only_main_and_render_read_the_format_setting():
+    readers = {f.name for f in _functions(SOURCE / "cli.py") if _reads_format(f)}
+    assert readers == {"main", "_render"}
+
+
+def test_no_coefficient_comparison_loops():
+    for module in ("identities.py", "congruences.py", "cli.py"):
+        assert coefficient_loops(SOURCE / module) == set(), module
