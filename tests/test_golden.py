@@ -5,8 +5,10 @@ format: ``<command>.json``, ``<command>.txt`` (``--format table``) and
 ``<command>.csv``.  ``identities`` and ``replay`` run at their default
 orders; ``verify`` scans every family, conjectures included, on a small grid
 (so the known ``opt-8n+4`` witnesses appear); ``oracle`` runs its default
-tuple sizes up to n = 12.  The ``*-fail`` files pin failing runs, with their
-exit code and stderr: a false identity next to a passing one and one that
+tuple sizes up to n = 12.  ``verify-all.json`` pins ``verify all
+--include-conjectures`` at the default grid, where every 2-power bucket from
+mod 8 up wraps its period in t.  The ``*-fail`` files pin failing runs, with
+their exit code and stderr: a false identity next to a passing one and one that
 cannot be evaluated, one corrupted oracle count, a corrupted mod-16 table row
 (which also fails the ``G16`` steps that read it) and a blocking theorem
 family.  A change that alters any report, even by whitespace or key order,
@@ -65,6 +67,16 @@ def test_json_report_matches_golden(command):
 )
 def test_report_matches_golden(command, fmt):
     run_golden(command, fmt)
+
+
+def test_default_grid_report_matches_golden():
+    run_golden(
+        "verify-all",
+        "json",
+        argv=["verify", "all", "--include-conjectures"],
+        stderr="opt-3n+1-mod-3^i2: raising working order to 602 "
+        "(configured order 500 cannot reach 3*200+1)\n",
+    )
 
 
 def _false_identities(monkeypatch):
