@@ -199,6 +199,16 @@ def _render(
     return "\n".join(lines)
 
 
+def _check_keys(keys: list[str], registry: dict, what: str) -> None:
+    """Each named key must be registered, and named once."""
+    unknown = [k for k in keys if k not in registry]
+    if unknown:
+        raise UsageError(f"unknown {what} keys: {', '.join(unknown)}")
+    repeated = [k for k, count in Counter(keys).items() if count > 1]
+    if repeated:
+        raise UsageError(f"repeated {what} keys: {', '.join(repeated)}")
+
+
 # --- identities --------------------------------------------------------------
 
 
@@ -208,9 +218,7 @@ def cmd_identities(args: argparse.Namespace, settings: dict[str, object]) -> _Vi
         keys = [k.strip() for k in args.only.split(",") if k.strip()]
         if not keys:
             raise UsageError("--only names no identity key")
-        unknown = [k for k in keys if k not in registry]
-        if unknown:
-            raise UsageError(f"unknown identity keys: {', '.join(unknown)}")
+        _check_keys(keys, registry, "identity")
         cases = [registry[k] for k in keys]
     else:
         cases = list(builtin_identities())
@@ -255,9 +263,7 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
         if not settings["include_conjectures"]:
             families = [f for f in families if f.status == "theorem"]
     else:
-        unknown = [k for k in args.keys if k not in registry]
-        if unknown:
-            raise UsageError(f"unknown family keys: {', '.join(unknown)}")
+        _check_keys(args.keys, registry, "family")
         families = [registry[k] for k in args.keys]
     if settings["primes_only"] and not any("prime-scan" in f.tags for f in families):
         raise UsageError(

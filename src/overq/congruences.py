@@ -286,9 +286,19 @@ class SeriesProvider:
     """Cache of counting generating functions over modular rings.
 
     Within a bucket (kind, modulus) the GF at parameter p is the p-th power
-    of a fixed base quotient, so a new parameter is reached from the nearest
-    cached one by a single pow of the base -- ascending grids cost one
-    multiplication per step.  All methods are thread-safe.
+    of a fixed base quotient; a parameter not yet cached is reached from the
+    nearest cached one below it by a single pow of the base.
+
+    When the modulus is a power of 2, building the bucket squares the base
+    up to log2(modulus) times and compares base^1, base^2, base^4, ... with
+    the series 1 at the bucket's order.  The first 2^e that matches is the
+    bucket's period P, and ``gf`` serves parameter p as base^(p mod P): equal
+    to base^p at that order, and so at every lower one.  Each square below P
+    is kept as a cached power.  Both bases are 1 + 2X, so P divides
+    modulus/2; but the period is taken only from the comparison.  A modulus
+    that is not a power of 2, or a base whose squares never reach 1, gets no
+    period (``None``) and every parameter is stepped to as above.  All
+    methods are thread-safe.
     """
 
     def __init__(self) -> None:
@@ -309,11 +319,18 @@ class SeriesProvider:
         bucket = self._buckets.get(key)
         if bucket is None or bucket["order"] < order:
             ring = Zmod(modulus)
-            bucket = {
-                "order": order,
-                "base": expand_eta_quotient(_GF_BASE[kind], ring, order),
-                "powers": {0: one(ring, order)},
-            }
+            base = expand_eta_quotient(_GF_BASE[kind], ring, order)
+            unit = one(ring, order)
+            powers = {0: unit}
+            period = None
+            if modulus & (modulus - 1) == 0:
+                p, power = 1, base
+                while power != unit and p < modulus:
+                    powers[p] = power
+                    p, power = 2 * p, power * power
+                if power == unit:
+                    period = p
+            bucket = {"order": order, "base": base, "powers": powers, "period": period}
             self._buckets[key] = bucket
         return bucket
 
@@ -323,6 +340,8 @@ class SeriesProvider:
             raise ValueError(f"tuple parameter must be >= 0, got {param}")
         with self._lock:
             bucket = self._bucket(kind, modulus, order)
+            if bucket["period"] is not None:
+                param %= bucket["period"]
             powers = bucket["powers"]
             series = powers.get(param)
             if series is None:

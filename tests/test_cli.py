@@ -383,6 +383,20 @@ def test_only_naming_no_identity_key_is_usage_error(capsys, only):
     assert capsys.readouterr().err == "error: --only names no identity key\n"
 
 
+def test_repeated_identity_key_is_usage_error(capsys):
+    code, text = run_cli(["identities", "--only", "D1,D4,D1", "--order", "20"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: repeated identity keys: D1\n"
+
+
+def test_repeated_family_key_is_usage_error(capsys):
+    code, text = run_cli(
+        ["verify", "pbar-n-mod2", "pbar-8n+1-mod2", "pbar-n-mod2", "--t-max", "2", "--n-max", "3"]
+    )
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: repeated family keys: pbar-n-mod2\n"
+
+
 def test_config_order_with_width_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("order=100\n")

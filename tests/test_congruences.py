@@ -19,6 +19,7 @@ from overq.congruences import (
     step_registry,
     verify_dissection_step,
 )
+from overq.eta import EtaQuotient, expand_eta_quotient
 from overq.oracle import count_overpartition_tuples
 from overq.series import EXACT, Series, Zmod
 
@@ -224,6 +225,68 @@ def test_provider_steps_powers_incrementally():
     # shrinking the requested order truncates a cached series
     short = provider.gf("overpartition", 5, 8, 10)
     assert short.order == 10
+
+
+def _reference_gf(kind, t, modulus, order):
+    """base^t expanded directly as one eta quotient, bypassing the provider."""
+    base = congruences._GF_BASE[kind]
+    scaled = EtaQuotient(tuple((s, e * t) for s, e in base.factors))
+    return expand_eta_quotient(scaled, Zmod(modulus), order)
+
+
+def _period(provider, kind, modulus):
+    return provider._buckets[(kind, modulus)]["period"]
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+@pytest.mark.parametrize("modulus", [2**k for k in range(1, 11)])
+def test_provider_period_matches_direct_expansion(kind, modulus):
+    # Both bases are 1 + 2q + ..., so base^P has q-coefficient 2P and the
+    # period is modulus/2 at every order >= 2.  Sweep t past two periods.
+    provider = SeriesProvider()
+    for t in range(min(modulus + 3, 130) + 1):
+        assert provider.gf(kind, t, modulus, 60) == _reference_gf(kind, t, modulus, 60), t
+    assert _period(provider, kind, modulus) == modulus // 2
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+def test_provider_period_holds_on_the_decimal_path(kind):
+    provider = SeriesProvider()
+    for t in range(8):
+        assert provider.gf(kind, t, 4, 3001) == _reference_gf(kind, t, 4, 3001), t
+    assert _period(provider, kind, 4) == 2
+
+
+def test_provider_period_serves_lower_orders_and_is_found_again_on_rebuild():
+    provider = SeriesProvider()
+    provider.reserve("overpartition", 16, 80)
+    for t in (3, 8, 11, 19, 24):
+        got = provider.gf("overpartition", t, 16, 25)
+        assert got.order == 25
+        assert got == _reference_gf("overpartition", t, 16, 25), t
+    provider.gf("opt", 5, 32, 20)
+    assert provider._buckets[("opt", 32)]["order"] == 20
+    for t in (5, 21, 37):
+        assert provider.gf("opt", t, 32, 90) == _reference_gf("opt", t, 32, 90), t
+    assert provider._buckets[("opt", 32)]["order"] == 90
+    assert _period(provider, "opt", 32) == 16
+
+
+def test_provider_gives_no_period_to_a_base_that_is_not_one_plus_2x(monkeypatch):
+    monkeypatch.setitem(congruences._GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
+    provider = SeriesProvider()
+    for t in range(11):
+        assert provider.gf("overpartition", t, 8, 40) == _reference_gf("overpartition", t, 8, 40)
+    assert _period(provider, "overpartition", 8) is None
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+@pytest.mark.parametrize("modulus", [6, 2592])
+def test_provider_gives_no_period_to_other_moduli(kind, modulus):
+    provider = SeriesProvider()
+    for t in (0, 1, 2, 5, 4, 9):
+        assert provider.gf(kind, t, modulus, 40) == _reference_gf(kind, t, modulus, 40), t
+    assert _period(provider, kind, modulus) is None
 
 
 def test_provider_exact_matches_modular():
