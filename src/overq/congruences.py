@@ -470,8 +470,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
             opt(
                 key=key,
                 status="conjecture" if wide else "theorem",
-                statement=f"opt_{{3^i * l}}(3n+{b_n}) == 0 (mod {mod_text}) for i >= 1, "
-                f"{domain_text}",
+                statement=f"opt_{{3^i * l}}(3n+{b_n}) == 0 (mod {mod_text}) for {domain_text}",
                 params=(("i", "i"), ("l", "lodd1" if wide else "lodd")),
                 size_text="3^i * l",
                 progression_text=f"3n+{b_n}",
