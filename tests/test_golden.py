@@ -6,13 +6,14 @@ format: ``<command>.json``, ``<command>.txt`` (``--format table``) and
 orders; ``verify`` scans every family, conjectures included, on a small grid
 (so the known ``opt-8n+4`` witnesses appear); ``oracle`` runs its default
 tuple sizes up to n = 12.  ``verify-all.json`` pins ``verify all
---include-conjectures`` at the default grid, where every 2-power bucket from
-mod 8 up wraps its period in t.  The ``*-fail`` files pin failing runs, with
-their exit code and stderr: a false identity next to a passing one and one that
-cannot be evaluated, one corrupted oracle count, a corrupted mod-16 table row
-(which also fails the ``G16`` steps that read it) and a blocking theorem
-family.  A change that alters any report, even by whitespace or key order,
-fails here; regenerate the files only when a report change is intended.
+--include-conjectures`` at the default grid, where every ``pbar`` bucket
+wraps its period in t, as none from mod 8 up does on the small grid.  The
+``*-fail`` files pin failing runs, with their exit code and stderr: a false
+identity next to a passing one and one that cannot be evaluated, one
+corrupted oracle count, a corrupted mod-16 table row (which also fails the
+``G16`` steps that read it) and a blocking theorem family.  A change that
+alters any report, even by whitespace or key order, fails here; regenerate
+the files only when a report change is intended.
 """
 
 import contextlib
