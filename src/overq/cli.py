@@ -86,16 +86,17 @@ def _boolean(text: str) -> bool:
 
 # Settings: dest -> (value parser, default, commands that read it).  Each is a
 # flag --dest-with-dashes and a config-file key dest-with-dashes, checked by the
-# same parser; a boolean setting is a switch on the command line.
+# same parser; a boolean setting is a switch on the command line.  A setting
+# that RunConfig holds takes its default from RunConfig.
 _OPTIONS = {
-    "order": (_positive_int, 500, ("identities", "verify", "replay")),
-    "n_max": (_nonneg_int, 200, ("verify",)),
-    "t_max": (_nonneg_int, 64, ("verify",)),
-    "i_max": (_positive_int, 3, ("verify",)),
-    "j_max": (_positive_int, 3, ("verify",)),
-    "alpha_max": (_nonneg_int, 2, ("verify",)),
-    "include_conjectures": (_boolean, False, ("verify",)),
-    "primes_only": (_boolean, False, ("verify",)),
+    "order": (_positive_int, RunConfig.order, ("identities", "verify", "replay")),
+    "n_max": (_nonneg_int, RunConfig.n_max, ("verify",)),
+    "t_max": (_nonneg_int, RunConfig.t_max, ("verify",)),
+    "i_max": (_positive_int, RunConfig.i_max, ("verify",)),
+    "j_max": (_positive_int, RunConfig.j_max, ("verify",)),
+    "alpha_max": (_nonneg_int, RunConfig.alpha_max, ("verify",)),
+    "include_conjectures": (_boolean, RunConfig.include_conjectures, ("verify",)),
+    "primes_only": (_boolean, RunConfig.primes_only, ("verify",)),
     "upto": (_nonneg_int, 60, ("oracle",)),
     "format": (_format, "table", COMMANDS),
 }

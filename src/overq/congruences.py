@@ -23,7 +23,7 @@ from types import CodeType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .series import EXACT, Series, Zmod, mismatches, one
-from .eta import EtaQuotient, expand_eta_quotient
+from .eta import family_gf
 from .expr import (
     DissectRecipe,
     GfRecipe,
@@ -31,7 +31,7 @@ from .expr import (
     eta_series,
     qshift,
 )
-from .identities import IdentityCase, verify_identity
+from .identities import DEFAULT_ORDER, IdentityCase, verify_identity
 
 __all__ = [
     "RunConfig",
@@ -63,7 +63,7 @@ MAX_WORKING_ORDER = 2_000_000
 class RunConfig:
     """Grid and output configuration for batch verification runs."""
 
-    order: int = 500
+    order: int = DEFAULT_ORDER
     n_max: int = 200
     t_max: int = 64
     i_max: int = 3
@@ -276,18 +276,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_GF_BASE = {
-    "overpartition": EtaQuotient(((2, 1), (1, -2))),
-    "opt": EtaQuotient(((2, 3), (1, -2), (4, -1))),
-}
-
-
 class SeriesProvider:
     """Cache of counting generating functions over modular rings.
 
     Within a bucket (kind, modulus) the GF at parameter p is the p-th power
-    of a fixed base quotient; a parameter not yet cached is reached from the
-    nearest cached one below it by a single pow of the base.
+    of its base, ``family_gf(kind, 1, ...)``; a parameter not yet cached is
+    reached from the nearest cached one below it by a single pow of the base.
 
     When the modulus is a power of 2, building the bucket squares the base
     up to log2(modulus) times and compares base^1, base^2, base^4, ... with
@@ -311,15 +305,13 @@ class SeriesProvider:
             self._bucket(kind, modulus, order)
 
     def _bucket(self, kind: str, modulus: int, order: int) -> dict:
-        if kind not in _GF_BASE:
-            raise ValueError(f"unknown generating function kind {kind!r}")
         if order > MAX_WORKING_ORDER:
             raise ValueError(f"working order {order} exceeds budget {MAX_WORKING_ORDER}")
         key = (kind, modulus)
         bucket = self._buckets.get(key)
         if bucket is None or bucket["order"] < order:
             ring = Zmod(modulus)
-            base = expand_eta_quotient(_GF_BASE[kind], ring, order)
+            base = family_gf(kind, 1, ring, order)
             unit = one(ring, order)
             powers = {0: unit}
             period = None
@@ -354,9 +346,7 @@ class SeriesProvider:
     @lru_cache(maxsize=64)
     def gf_exact(kind: str, param: int, order: int) -> Series:
         """Exact-ring GF, for homomorphism cross-checks."""
-        base = _GF_BASE[kind]
-        scaled = EtaQuotient(tuple((s, e * param) for s, e in base.factors))
-        return expand_eta_quotient(scaled, EXACT, order)
+        return family_gf(kind, param, EXACT, order)
 
 
 def builtin_families() -> tuple[CongruenceFamily, ...]:

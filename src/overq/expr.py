@@ -1,9 +1,9 @@
 """Series recipes: small expression trees over the named q-series builders.
 
 Identity cases and dissection-step replays store their two sides as data, not
-code, so reports and the command line can list exactly what was evaluated.
-A recipe node evaluates to a :class:`~overq.series.Series` over any ring at
-any order via :func:`evaluate`.
+code, so one tree serves every ring and order.  A recipe node evaluates to a
+:class:`~overq.series.Series` via :func:`evaluate`, and ``str`` prints it in
+its mathematical form (no report prints recipes; ``demos/03`` does).
 
 Recipes support ``+``, ``-``, ``*`` (by recipe or integer), and ``**`` with an
 integer exponent, so registry entries read close to their mathematical form.
@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .series import Ring, Series, spread
-from .eta import (
-    EtaQuotient,
-    expand_eta_quotient,
-    jacobi_triangular,
-    opt_gf,
-    overpartition_gf,
-    theta_component,
-)
+from .eta import EtaQuotient, expand_eta_quotient, family_gf, jacobi_triangular, theta_component
 
 __all__ = [
     "Recipe",
@@ -67,14 +60,6 @@ class Recipe:
     def __pow__(self, exponent: int) -> "Recipe":
         return PowRecipe(self, exponent)
 
-    def subst(self, step: int) -> "Recipe":
-        """The recipe with q replaced by q^step."""
-        return SubstRecipe(step, self)
-
-    def dissect(self, modulus: int, residue: int) -> "Recipe":
-        """The recipe's coefficients along exponents == residue (mod modulus)."""
-        return DissectRecipe(modulus, residue, self)
-
 
 @dataclass(frozen=True)
 class EtaRecipe(Recipe):
@@ -106,7 +91,7 @@ class GfRecipe(Recipe):
     parameter: int
 
     def __str__(self) -> str:
-        name = "pbar" if self.kind == "overpartition" else "opt"
+        name = "pbar" if self.kind == "overpartition" else self.kind
         return f"{name}_gf({self.parameter})"
 
 
@@ -207,8 +192,7 @@ def evaluate(recipe: Recipe, ring: Ring, order: int) -> Series:
     if isinstance(recipe, JacobiRecipe):
         return jacobi_triangular(ring, order)
     if isinstance(recipe, GfRecipe):
-        build = overpartition_gf if recipe.kind == "overpartition" else opt_gf
-        return build(recipe.parameter, ring, order)
+        return family_gf(recipe.kind, recipe.parameter, ring, order)
     if isinstance(recipe, SumRecipe):
         total = evaluate(recipe.terms[0], ring, order)
         for term in recipe.terms[1:]:

@@ -62,6 +62,9 @@ class CountTable:
         return len(self.counts) - 1
 
     def count(self, n: int) -> int:
+        """The count at n; raises IndexError outside 0..upto."""
+        if not 0 <= n <= self.upto:
+            raise IndexError(f"count at n={n} is outside 0..{self.upto}")
         return self.counts[n]
 
 

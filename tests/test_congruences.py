@@ -19,7 +19,8 @@ from overq.congruences import (
     step_registry,
     verify_dissection_step,
 )
-from overq.eta import EtaQuotient, expand_eta_quotient
+from overq.eta import GF_BASE, EtaQuotient, expand_eta_quotient, overpartition_gf
+from overq.expr import GfRecipe, evaluate
 from overq.oracle import count_overpartition_tuples
 from overq.series import EXACT, Series, Zmod
 
@@ -229,7 +230,7 @@ def test_provider_steps_powers_incrementally():
 
 def _reference_gf(kind, t, modulus, order):
     """base^t expanded directly as one eta quotient, bypassing the provider."""
-    base = congruences._GF_BASE[kind]
+    base = GF_BASE[kind]
     scaled = EtaQuotient(tuple((s, e * t) for s, e in base.factors))
     return expand_eta_quotient(scaled, Zmod(modulus), order)
 
@@ -273,7 +274,7 @@ def test_provider_period_serves_lower_orders_and_is_found_again_on_rebuild():
 
 
 def test_provider_gives_no_period_to_a_base_that_is_not_one_plus_2x(monkeypatch):
-    monkeypatch.setitem(congruences._GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
+    monkeypatch.setitem(GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
     provider = SeriesProvider()
     for t in range(11):
         assert provider.gf("overpartition", t, 8, 40) == _reference_gf("overpartition", t, 8, 40)
@@ -317,6 +318,30 @@ def test_provider_is_thread_safe():
 def test_provider_rejects_bad_kind():
     with pytest.raises(ValueError):
         SeriesProvider().gf("nope", 1, 4, 10)
+
+
+def test_provider_exact_rejects_bad_kind_and_negative_parameter():
+    with pytest.raises(ValueError, match="unknown generating function kind"):
+        SeriesProvider.gf_exact("bogus", 1, 6)
+    with pytest.raises(ValueError, match="tuple size"):
+        SeriesProvider.gf_exact("overpartition", -1, 6)
+
+
+def test_every_gf_consumer_reads_the_one_base(monkeypatch):
+    # Swap the overpartition base for f1^-1: the provider, the exact-ring GF,
+    # recipes and the public builder must all follow, as they read GF_BASE.
+    monkeypatch.setitem(GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
+    SeriesProvider.gf_exact.cache_clear()
+    try:
+        provider = SeriesProvider()
+        for t in (0, 1, 3):
+            want = expand_eta_quotient(EtaQuotient(((1, -t),)), EXACT, 30)
+            assert provider.gf("overpartition", t, 8, 30) == want.reduce_ring(8), t
+            assert SeriesProvider.gf_exact("overpartition", t, 30) == want, t
+            assert evaluate(GfRecipe("overpartition", t), EXACT, 30) == want, t
+            assert overpartition_gf(t, EXACT, 30) == want, t
+    finally:
+        SeriesProvider.gf_exact.cache_clear()
 
 
 # --- binomial tables -----------------------------------------------------------

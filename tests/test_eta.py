@@ -8,6 +8,7 @@ from overq.eta import (
     eta,
     euler_product,
     expand_eta_quotient,
+    family_gf,
     jacobi_triangular,
     opt_gf,
     overpartition_gf,
@@ -207,6 +208,19 @@ def test_gf_rejects_negative_parameter():
         overpartition_gf(-1, EXACT, 5)
     with pytest.raises(ValueError):
         opt_gf(-2, EXACT, 5)
+
+
+def test_family_gf_scales_each_base_and_rejects_bad_input():
+    assert family_gf("overpartition", 3, EXACT, 40) == expand_eta_quotient(
+        eta("f2^3 * f1^-6"), EXACT, 40
+    )
+    assert family_gf("opt", 2, Zmod(8), 40) == expand_eta_quotient(
+        eta("f2^6 * f1^-4 * f4^-2"), Zmod(8), 40
+    )
+    with pytest.raises(ValueError, match="unknown generating function kind"):
+        family_gf("bogus", 1, EXACT, 5)
+    with pytest.raises(ValueError, match="tuple size"):
+        family_gf("opt", -1, EXACT, 5)
 
 
 def test_prime_power_reduction_instances():

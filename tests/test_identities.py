@@ -1,13 +1,13 @@
 import pytest
 
-from overq.expr import PowRecipe, SubstRecipe, eta_series, evaluate, theta_series
+from overq.expr import GfRecipe, PowRecipe, SubstRecipe, eta_series, evaluate, theta_series
 from overq.identities import (
     IdentityCase,
     builtin_identities,
     identity_registry,
     verify_identity,
 )
-from overq.series import EXACT
+from overq.series import EXACT, Zmod
 
 EXPECTED_KEYS = [
     "B1-p2-k1",
@@ -134,3 +134,11 @@ def test_verify_rejects_bad_order():
 
 def test_default_order_is_five_hundred():
     assert all(case.default_order == 500 for case in builtin_identities())
+
+
+def test_gf_recipe_of_unknown_kind_is_an_error():
+    with pytest.raises(ValueError, match="unknown generating function kind"):
+        evaluate(GfRecipe("bogus", 2), Zmod(8), 6)
+    case = IdentityCase("BOGUS", GfRecipe("bogus", 2), GfRecipe("opt", 2), modulus=8)
+    report = verify_identity(case, 6)
+    assert not report.ok and "bogus" in report.error

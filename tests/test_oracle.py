@@ -74,6 +74,14 @@ def test_opt_six_colors_weight_two():
     assert count_opt_tuples(6, 2).count(2) == 6 * 2 + 15 * 4
 
 
+def test_count_outside_the_table_raises():
+    table = count_overpartition_tuples(1, 5)
+    assert table.count(5) == table.counts[5]
+    for n in (-1, -6, 6):
+        with pytest.raises(IndexError):
+            table.count(n)
+
+
 def test_rejects_negative_arguments():
     with pytest.raises(ValueError):
         count_overpartition_tuples(-1, 5)

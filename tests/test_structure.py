@@ -6,6 +6,9 @@
   coefficients in a Python loop: a ``for`` over ``range(...)``, or over a
   ``zip(...)`` of coefficient sequences, whose body tests ``!=``.  Such
   comparisons go through ``series.mismatches``.
+* The two counting generating functions are stated once, in ``eta.GF_BASE``:
+  ``congruences.py`` takes nothing from ``eta`` but ``family_gf``, and
+  ``expr.evaluate`` names no family kind.
 """
 
 import ast
@@ -81,3 +84,17 @@ def test_only_main_and_render_read_the_format_setting():
 def test_no_coefficient_comparison_loops():
     for module in ("identities.py", "congruences.py", "cli.py"):
         assert coefficient_loops(SOURCE / module) == set(), module
+
+
+def test_gf_bases_are_read_only_through_family_gf():
+    tree = ast.parse((SOURCE / "congruences.py").read_text())
+    from_eta = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "eta"
+        for alias in node.names
+    }
+    assert from_eta == {"family_gf"}
+    evaluate = next(f for f in _functions(SOURCE / "expr.py") if f.name == "evaluate")
+    kinds = {"overpartition", "opt"}
+    assert not any(isinstance(n, ast.Constant) and n.value in kinds for n in ast.walk(evaluate))
