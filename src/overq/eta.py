@@ -9,8 +9,12 @@ cross-check on the eta expressions that involve it.
 
 An eta quotient is expanded by scale substitution: f_k^e(q) = f_1^e(q^k), so
 each factor is f_1^e at order ceil(N/k), memoized per (ring, order, e), and
-spread onto every k-th exponent.  Only the products of the spread factors
-run at the full order N.
+spread onto every k-th exponent.  A quotient whose scales share a gcd g > 1
+is expanded with its scales divided by g at order ceil(N/g) and spread by g,
+so each product runs at the order its factors need: f4^-4 f8^10 f16^-4 to
+order 2000 multiplies at order 500.  Over the exact integers a negative power
+of f_1 comes from the power recurrence, which reads only the pentagonal terms
+of f_1; every other power is a binary power of f_1.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub
+from typing import Iterator
 
-from .series import Ring, Series, one, spread
+from .series import EXACT, Ring, Series, one, spread
 
 __all__ = [
     "EtaQuotient",
@@ -90,6 +97,25 @@ def eta(text: str) -> EtaQuotient:
     return EtaQuotient.parse(text)
 
 
+def _pentagonal(order: int) -> Iterator[tuple[int, int]]:
+    """The nonzero terms (exponent, sign) of f_1 below the order, in increasing exponent.
+
+    Euler's pentagonal theorem puts them at j(3j -+ 1)/2 with sign (-1)^j.
+    """
+    yield 0, 1
+    j = 1
+    while True:
+        lo = j * (3 * j - 1) // 2
+        if lo >= order:
+            return
+        sign = -1 if j & 1 else 1
+        yield lo, sign
+        hi = j * (3 * j + 1) // 2
+        if hi < order:
+            yield hi, sign
+        j += 1
+
+
 @lru_cache(maxsize=256)
 def euler_product(scale: int, ring: Ring, order: int) -> Series:
     """Truncated f_scale = prod_{n>=1} (1 - q^{scale*n}).
@@ -101,48 +127,87 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     coeffs = [0] * order
-    coeffs[0] = 1
-    j = 1
-    while True:
-        lo = scale * (j * (3 * j - 1) // 2)
-        if lo >= order:
-            break
-        sign = -1 if j & 1 else 1
-        coeffs[lo] = sign
-        hi = scale * (j * (3 * j + 1) // 2)
-        if hi < order:
-            coeffs[hi] = sign
-        j += 1
+    for exponent, sign in _pentagonal((order - 1) // scale + 1):
+        coeffs[scale * exponent] = sign
     return Series(ring, coeffs)
+
+
+def _f1_power_exact(order: int, alpha: int) -> Series:
+    """f_1^alpha over the exact integers by J.C.P. Miller's power recurrence.
+
+    For g = f^alpha with f_0 = 1, n g_n = sum_{k=1..n} ((alpha+1) k - n) f_k g_{n-k}
+    (Knuth, TAOCP vol. 2, 4.7).  f_1 has only the pentagonal terms, about
+    2 sqrt(2n/3) of them up to n, so each coefficient costs that many
+    small-by-big products, against a full product per squaring for a binary
+    power of the inverse.  The division by n is exact.
+    """
+    terms = list(_pentagonal(order))[1:]
+    ks = [k for k, _ in terms]
+    signs = [s for _, s in terms]
+    weighted = list(map(mul, ks, signs))
+    g = [1]
+    m = 0
+    for n in range(1, order):
+        if m < len(ks) and ks[m] == n:
+            m += 1
+        back = list(map(g.__getitem__, map(sub, repeat(n), ks[:m])))
+        total = (alpha + 1) * sum(map(mul, weighted[:m], back))
+        value, rest = divmod(total - n * sum(map(mul, signs[:m], back)), n)
+        if rest:
+            raise RuntimeError(f"power recurrence for f1^{alpha} left remainder {rest} at q^{n}")
+        g.append(value)
+    return Series._from_canonical(EXACT, g)
 
 
 @lru_cache(maxsize=128)
 def _f1_power(ring: Ring, order: int, exponent: int) -> Series:
-    """f_1^exponent to the order; negative exponents invert f_1 first.
+    """f_1^exponent to the order.
 
-    Kept memoized though most lookups miss: oracle runs that repeat tuple sizes
-    hit it, and without it the bench's ``crosscheck`` oracle commands took
-    0.85-0.94 s instead of 0.63-0.77 s (``identities`` and ``replay`` did not move).
+    On the exact ring a negative exponent runs the power recurrence of
+    ``_f1_power_exact``; every other case is a binary power of f_1, which
+    inverts f_1 first for a negative exponent.  The recurrence divides by n,
+    which Z/mZ cannot, and for positive exponents the few squarings of the
+    sparse f_1 cost less.  Kept memoized: quotients that share a factor at
+    one order, such as the ``--t`` and ``--opt`` GFs of one oracle size, hit it.
     """
+    if ring.modulus is None and exponent < 0:
+        return _f1_power_exact(order, exponent)
     return euler_product(1, ring, order) ** exponent
 
 
 def expand_eta_quotient(quotient: EtaQuotient, ring: Ring, order: int) -> Series:
-    """Expand a quotient as the product of its factors f_scale^exponent, in scale order.
+    """Expand a quotient to the order by scale substitution: f_k^e(q) = f_1^e(q^k).
 
-    Each factor is f_1^exponent at order (order - 1) // scale + 1, the only
-    coefficients that can land below the order, spread by ``scale``.  That
-    truncation loses nothing: a negative exponent inverts f_1 at the short
-    order, and the spread series agrees with f_scale^exponent up to the
-    full order.  The empty quotient is 1.
+    A quotient whose scales share a gcd g > 1 is the quotient with every
+    scale divided by g, expanded at order (order - 1) // g + 1 (the only
+    coefficients that land below the order) and spread by g.  A quotient
+    with gcd 1 is its smallest-scale factor times the expansion of the rest.
+    So a lone factor f_k^e is f_1^e at order (order - 1) // k + 1, spread by
+    k, wherever it sits in the quotient, since floor divisions compose.  No
+    truncation loses anything: f_1^e is exact to the short order, negative
+    e included, and the spread series agrees with f_k^e up to the full
+    order.  The empty quotient is 1.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    result = None
-    for scale, exponent in quotient.factors:
-        factor = spread(_f1_power(ring, (order - 1) // scale + 1, exponent), scale, order)
-        result = factor if result is None else result * factor
-    return one(ring, order) if result is None else result
+    return _expand(quotient.factors, ring, order)
+
+
+def _expand(factors: tuple[tuple[int, int], ...], ring: Ring, order: int) -> Series:
+    """``expand_eta_quotient`` on canonical factors.
+
+    The recursion stays here so that traced runs count one
+    ``expand_eta_quotient`` call per quotient.
+    """
+    if not factors:
+        return one(ring, order)
+    g = math.gcd(*(scale for scale, _ in factors))
+    if g > 1:
+        reduced = tuple((scale // g, exponent) for scale, exponent in factors)
+        return spread(_expand(reduced, ring, (order - 1) // g + 1), g, order)
+    if len(factors) == 1:  # a lone factor with scale gcd 1 has scale 1
+        return _f1_power(ring, order, factors[0][1])
+    return _expand(factors[:1], ring, order) * _expand(factors[1:], ring, order)
 
 
 def jacobi_triangular(ring: Ring, order: int) -> Series:

@@ -361,6 +361,7 @@ class Series:
         coefficients of -b*e.
         """
         ring = self.ring
+        m = ring.modulus
         inv0 = ring.unit_inverse(self._coeffs[0])
         n = self.order
         a = self._coeffs
@@ -369,7 +370,8 @@ class Series:
         while k < n:
             h, k = k, min(2 * k, n)
             e = _ring_convolve(ring, a, b, k)[h:]
-            b += [ring.canon(-x) for x in _ring_convolve(ring, b, e, k - h)]
+            step = map(operator.neg, _ring_convolve(ring, b, e, k - h))
+            b += step if m is None else map(operator.mod, step, repeat(m))
         return Series._from_canonical(ring, b)
 
     def __pow__(self, exponent: int) -> "Series":

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from overq.series import (
     make_series,
     one,
 )
+
+ETA = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
 
 rings = st.sampled_from(RING_POOL)
 small_ints = st.integers(min_value=-20, max_value=20)
@@ -321,15 +325,105 @@ def test_eta_expansion_does_not_depend_on_the_memo():
     quotients = [EtaQuotient.parse(text) for text in (
         "f1^-3 * f2^5", "f2 * f8^5 * f4^-2 * f16^-2", "f3^-12 * f9^4", "f1^12 * f5^-7 * f16",
     )]
-    ring = Zmod(32)
     orders = [200, 37, 200, 1, 64, 37, 5, 200, 64]
-    _f1_power.cache_clear()
-    warm = [expand_eta_quotient(q, ring, n) for n in orders for q in quotients]
-    cold = []
-    for n in orders:
-        for q in quotients:
-            _f1_power.cache_clear()
-            euler_product.cache_clear()
-            cold.append(expand_eta_quotient(q, ring, n))
-    assert warm == cold
-    assert warm == [_direct_eta(q, ring, n) for n in orders for q in quotients]
+    for ring in (Zmod(32), EXACT):
+        _f1_power.cache_clear()
+        warm = [expand_eta_quotient(q, ring, n) for n in orders for q in quotients]
+        cold = []
+        for n in orders:
+            for q in quotients:
+                _f1_power.cache_clear()
+                euler_product.cache_clear()
+                cold.append(expand_eta_quotient(q, ring, n))
+        assert warm == cold, ring
+        assert warm == [_direct_eta(q, ring, n) for n in orders for q in quotients], ring
+
+
+# --- exact negative powers of f1 by the power recurrence ---------------------
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 6, 7, 8, 601])
+def test_exact_f1_power_recurrence_matches_binary_power(order):
+    f1 = euler_product(1, EXACT, order)
+    for exponent in range(-1, -25, -1):
+        assert _f1_power.__wrapped__(EXACT, order, exponent) == f1**exponent, exponent
+
+
+def test_exact_f1_power_recurrence_matches_binary_power_at_order_2000():
+    assert _f1_power.__wrapped__(EXACT, 2000, -3) == euler_product(1, EXACT, 2000) ** -3
+
+
+def test_f1_power_recurrence_runs_only_on_exact_negative_powers(monkeypatch):
+    calls = []
+    recurrence = ETA._f1_power_exact
+
+    def recorded(order, exponent):
+        calls.append((order, exponent))
+        return recurrence(order, exponent)
+
+    monkeypatch.setattr(ETA, "_f1_power_exact", recorded)
+    for ring in RING_POOL:
+        for exponent in (-5, -1, 0, 1, 4):
+            assert _f1_power.__wrapped__(ring, 40, exponent) == (
+                euler_product(1, ring, 40) ** exponent
+            ), (ring, exponent)
+    assert calls == [(40, -5), (40, -1)]
+
+
+# --- eta quotients expanded at the order of their scale gcd -------------------
+
+
+def _gcd_quotients(rng, g):
+    """Quotients whose scales have gcd exactly g; the last two reduce to gcd-1
+    quotients whose smallest scale is 2, not 1."""
+
+    def pick():
+        return rng.choice([e for e in _ETA_EXPONENTS if e])
+
+    return [
+        EtaQuotient(((g, pick()), (2 * g, pick()))),
+        EtaQuotient(((g, pick()), (2 * g, pick()), (3 * g, pick()))),
+        EtaQuotient(((2 * g, pick()), (3 * g, pick()))),
+        EtaQuotient(((2 * g, pick()), (4 * g, pick()), (3 * g, pick()))),
+    ]
+
+
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
+def test_eta_quotient_with_common_scale_gcd_matches_direct_product(ring):
+    rng = random.Random(f"eta gcd {ring}")
+    k = 5
+    for g in (2, 3, 4, 8):
+        for quotient in _gcd_quotients(rng, g):
+            assert math.gcd(*(s for s, _ in quotient.factors)) == g
+            for order in (1, g * k - 1, g * k, g * k + 1):
+                assert expand_eta_quotient(quotient, ring, order) == _direct_eta(
+                    quotient, ring, order
+                ), (str(quotient), order)
+
+
+@pytest.mark.parametrize("text", [
+    "f2 * f8^5 * f4^-2 * f16^-2",  # D1
+    "f2 * f16^2 * f8^-1",  # D1
+    "f8^10 * f4^-4 * f16^-4",  # D1SQ
+    "f8^4 * f4^-2",  # D1SQ
+    "f16^4 * f8^-2",  # D1SQ
+    "f3^4 * f2 * f12 * f4^-1 * f6^-1",  # R13: no f1, scale gcd 1
+])
+def test_identity_quotients_match_direct_product_at_order_2000(text):
+    quotient = EtaQuotient.parse(text)
+    assert expand_eta_quotient(quotient, EXACT, 2000) == _direct_eta(quotient, EXACT, 2000)
+
+
+def test_expand_eta_quotient_runs_once_per_quotient(monkeypatch):
+    calls = []
+    expand = ETA.expand_eta_quotient
+
+    def counted(quotient, ring, order):
+        calls.append(str(quotient))
+        return expand(quotient, ring, order)
+
+    monkeypatch.setattr(ETA, "expand_eta_quotient", counted)
+    # f2^6 f1^-4 f4^-2: the gcd-1 split leaves f2^6 f4^-2, whose gcd is 2.
+    ETA.family_gf("opt", 2, EXACT, 50)
+    ETA.theta_component("g", Zmod(8), 50)
+    assert calls == ["f1^-4 * f2^6 * f4^-2", "f1 * f2^-1 * f3^-1 * f6^2"]
