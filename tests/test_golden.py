@@ -7,7 +7,10 @@ orders; ``verify`` scans every family, conjectures included, on a small grid
 (so the known ``opt-8n+4`` witnesses appear); ``oracle`` runs its default
 tuple sizes up to n = 12.  ``verify-all.json`` pins ``verify all
 --include-conjectures`` at the default grid, where every ``pbar`` bucket
-wraps its period in t, as none from mod 8 up does on the small grid.  The
+wraps its period in t, as none from mod 8 up does on the small grid.
+``verify-wide.json`` pins a grid off the default on every axis, where the
+odd-part families reach the moduli 3^5 * 2^4 and 2^12 and tuple sizes up
+to 3^4 * 2^2 * 13.  The
 ``*-fail`` files pin failing runs, with their exit code and stderr: a false
 identity next to a passing one and one that cannot be evaluated, one
 corrupted oracle count, a corrupted mod-16 table row (which also fails the
@@ -77,6 +80,19 @@ def test_default_grid_report_matches_golden():
         argv=["verify", "all", "--include-conjectures"],
         stderr="opt-3n+1-mod-3^i2: raising working order to 602 "
         "(configured order 500 cannot reach 3*200+1)\n",
+    )
+
+
+def test_wide_grid_report_matches_golden():
+    run_golden(
+        "verify-wide",
+        "json",
+        argv=[
+            "verify", "all", "--include-conjectures", "--n-max", "60", "--t-max", "20",
+            "--alpha-max", "1", "--i-max", "4", "--j-max", "2",
+        ],
+        stderr="pbar-16n+10-mod8: raising working order to 971 "
+        "(configured order 500 cannot reach 16*60+10)\n",
     )
 
 
