@@ -31,6 +31,7 @@ from .eta import opt_gf, overpartition_gf
 from .identities import builtin_identities, identity_registry, verify_identity
 from .oracle import count_opt_tuples, count_overpartition_tuples
 from .congruences import (
+    BudgetError,
     RunConfig,
     builtin_steps,
     family_registry,
@@ -274,7 +275,10 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     config = RunConfig(
         **{f.name: settings[f.name] for f in fields(RunConfig) if f.name in settings}
     )
-    reports = run_families(families, config, warn=lambda msg: print(msg, file=sys.stderr))
+    try:
+        reports = run_families(families, config, warn=lambda msg: print(msg, file=sys.stderr))
+    except BudgetError as exc:
+        raise UsageError(str(exc)) from None
 
     results = []
     lines = [f"{'KEY':42} {'STATUS':10} {'VERDICT':16} {'PARAMS':>7} {'COEFFS':>8} {'FAILS':>6}"]

@@ -35,6 +35,7 @@ from .identities import DEFAULT_ORDER, IdentityCase, verify_identity
 
 __all__ = [
     "RunConfig",
+    "BudgetError",
     "CongruenceFamily",
     "Witness",
     "FamilyReport",
@@ -57,6 +58,10 @@ __all__ = [
 
 # Hard cap on series length; progressions needing more are configuration errors.
 MAX_WORKING_ORDER = 2_000_000
+
+
+class BudgetError(ValueError):
+    """A working order over ``MAX_WORKING_ORDER``, refused before it is built."""
 
 
 @dataclass(frozen=True)
@@ -280,19 +285,34 @@ class SeriesProvider:
     """Cache of counting generating functions over modular rings.
 
     Within a bucket (kind, modulus) the GF at parameter p is the p-th power
-    of its base, ``family_gf(kind, 1, ...)``; a parameter not yet cached is
-    reached from the nearest cached one below it by a single pow of the base.
+    of its base, ``family_gf(kind, 1, ...)``, and the bucket's memo
+    ``powers`` holds every base^d computed so far.  A parameter not yet
+    cached is the nearest cached power below it times base^d for the
+    difference d, and base^d comes from a ladder over the same memo:
+    base^d = (base^(d//2))^2, times the base when d is odd, each rung read
+    from the memo when it is there.  So the tuple sizes c*k, k = 1, 5, 7, 11,
+    13, of one odd-part grid step from c to 5c by base^(4c) = ((base^c)^2)^2,
+    and on to 7c, 11c and 13c by one multiply each.
+
+    A bucket is derived from a multiple when it can: if a bucket (kind, M)
+    is already built with m dividing M and order at least the one requested,
+    the base of (kind, m) is M's base reduced mod m and truncated, and so is
+    each square the period probe below needs that M's memo holds.  Reduction
+    and truncation are ring homomorphisms, so these series are identical to
+    expanded ones.  Otherwise the base is expanded by ``family_gf``.
+    ``run_families`` reserves buckets in descending modulus, so each bucket's
+    multiples are built before it.
 
     When the modulus is a power of 2, building the bucket squares the base
     up to log2(modulus) times and compares base^1, base^2, base^4, ... with
     the series 1 at the bucket's order.  The first 2^e that matches is the
     bucket's period P, and ``gf`` serves parameter p as base^(p mod P): equal
     to base^p at that order, and so at every lower one.  Each square below P
-    is kept as a cached power.  Both bases are 1 + 2X, so P divides
-    modulus/2; but the period is taken only from the comparison.  A modulus
-    that is not a power of 2, or a base whose squares never reach 1, gets no
-    period (``None``) and every parameter is stepped to as above.  All
-    methods are thread-safe.
+    is kept in the memo.  Both bases are 1 + 2X, so P divides modulus/2;
+    but the period is taken only from the comparison, also in a bucket
+    derived from a multiple.  A modulus that is not a power of 2, or a base
+    whose squares never reach 1, gets no period (``None``).  All methods
+    are thread-safe.
     """
 
     def __init__(self) -> None:
@@ -306,25 +326,55 @@ class SeriesProvider:
 
     def _bucket(self, kind: str, modulus: int, order: int) -> dict:
         if order > MAX_WORKING_ORDER:
-            raise ValueError(f"working order {order} exceeds budget {MAX_WORKING_ORDER}")
+            raise BudgetError(f"working order {order} exceeds budget {MAX_WORKING_ORDER}")
         key = (kind, modulus)
         bucket = self._buckets.get(key)
         if bucket is None or bucket["order"] < order:
             ring = Zmod(modulus)
-            base = family_gf(kind, 1, ring, order)
+            # A bucket being rebuilt is below the order, so it is not its own multiple.
+            multiple = next(
+                (
+                    built["powers"]
+                    for (k, m), built in self._buckets.items()
+                    if k == kind and m % modulus == 0 and built["order"] >= order
+                ),
+                {},
+            )
+
+            def derived(d: int) -> Series | None:
+                power = multiple.get(d)
+                return None if power is None else Series(ring, power.coeffs[:order])
+
+            base = derived(1)
+            if base is None:
+                base = family_gf(kind, 1, ring, order)
             unit = one(ring, order)
-            powers = {0: unit}
+            powers = {0: unit, 1: base}
             period = None
             if modulus & (modulus - 1) == 0:
                 p, power = 1, base
                 while power != unit and p < modulus:
                     powers[p] = power
-                    p, power = 2 * p, power * power
+                    p *= 2
+                    square = derived(p)
+                    power = power * power if square is None else square
                 if power == unit:
                     period = p
-            bucket = {"order": order, "base": base, "powers": powers, "period": period}
+            bucket = {"order": order, "powers": powers, "period": period}
             self._buckets[key] = bucket
         return bucket
+
+    @staticmethod
+    def _power(powers: dict[int, Series], d: int) -> Series:
+        """base^d by the ladder over the memo ``powers``, which holds base^0 and base^1."""
+        series = powers.get(d)
+        if series is None:
+            half = SeriesProvider._power(powers, d // 2)
+            series = half * half
+            if d & 1:
+                series = series * powers[1]
+            powers[d] = series
+        return series
 
     def gf(self, kind: str, param: int, modulus: int, order: int) -> Series:
         """The family GF for a tuple parameter, over Z/modulus, to the order."""
@@ -338,7 +388,9 @@ class SeriesProvider:
             series = powers.get(param)
             if series is None:
                 nearest = max(p for p in powers if p <= param)
-                series = powers[nearest] * bucket["base"] ** (param - nearest)
+                series = self._power(powers, param - nearest)
+                if nearest:
+                    series = powers[nearest] * series
                 powers[param] = series
         return series if series.order == order else series.truncate(order)
 
@@ -613,26 +665,38 @@ def run_families(
 ) -> list[FamilyReport]:
     """Check many families against their default grids, sharing one provider.
 
-    Buckets are pre-sized to the largest order any selected family needs, so
-    interleaved families reuse cached powers instead of rebuilding.
+    Every order the grids need is planned first, and a run whose order would
+    exceed ``MAX_WORKING_ORDER`` is refused with ``BudgetError`` before any
+    series is built.  Buckets are pre-sized to the largest order any selected
+    family needs, so interleaved families reuse cached powers instead of
+    rebuilding, and are reserved in descending modulus, so each can be
+    derived from a multiple built before it.
     """
     provider = provider or SeriesProvider()
     needed: dict[tuple[str, int], int] = {}
+    raised = None
     for family in families:
         for params in default_grid(family, config):
             step, offset = family.progression(params)
             modulus = family.modulus(params)
             order = step * config.n_max + offset + 1
+            reach = f"{step}*{config.n_max}+{offset}"
+            if order > MAX_WORKING_ORDER:
+                raise BudgetError(
+                    f"{family.key}: working order {order} (to reach {reach}) "
+                    f"exceeds budget {MAX_WORKING_ORDER}"
+                )
             bucket = (family.kind, modulus)
             needed[bucket] = max(needed.get(bucket, 0), order)
-            if order > config.order and warn is not None:
-                warn(
+            if order > config.order and raised is None:
+                # one warning per run is enough
+                raised = (
                     f"{family.key}: raising working order to {order} "
-                    f"(configured order {config.order} cannot reach "
-                    f"{step}*{config.n_max}+{offset})"
+                    f"(configured order {config.order} cannot reach {reach})"
                 )
-                warn = None  # one warning per run is enough
-    for (kind, modulus), order in sorted(needed.items()):
+    if raised is not None and warn is not None:
+        warn(raised)
+    for (kind, modulus), order in sorted(needed.items(), reverse=True):
         provider.reserve(kind, modulus, order)
     return [
         check_family(family, default_grid(family, config), config.n_max, provider=provider)

@@ -406,3 +406,17 @@ def test_config_order_with_width_is_usage_error(tmp_path, capsys):
     cfg.write_text("format=csv\n")  # a key --width does read is still taken
     code, text = run_cli(["replay", "--width", "16", "--config", str(cfg)])
     assert code == 0 and text == "type,key,params,status\ntable,mod16,,PASS\n"
+
+
+def test_verify_over_the_order_budget_is_usage_error(capsys):
+    # a = 2 asks for order 128*20000+81, over the 2,000,000 budget: refused
+    # before any series is built, with no traceback and no order warning.
+    code, text = run_cli(
+        ["verify", "pbar-2^{2a+3}n+5*2^{2a}-mod4", "--n-max", "20000", "--alpha-max", "4",
+         "--t-max", "1"]
+    )
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: pbar-2^{2a+3}n+5*2^{2a}-mod4: working order 2560081 "
+        "(to reach 128*20000+80) exceeds budget 2000000\n"
+    )

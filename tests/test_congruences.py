@@ -5,6 +5,7 @@ import pytest
 
 import overq.congruences as congruences
 from overq.congruences import (
+    BudgetError,
     RunConfig,
     SeriesProvider,
     Witness,
@@ -19,7 +20,7 @@ from overq.congruences import (
     step_registry,
     verify_dissection_step,
 )
-from overq.eta import GF_BASE, EtaQuotient, expand_eta_quotient, overpartition_gf
+from overq.eta import GF_BASE, EtaQuotient, expand_eta_quotient, family_gf, overpartition_gf
 from overq.expr import GfRecipe, evaluate
 from overq.oracle import count_overpartition_tuples
 from overq.series import EXACT, Series, Zmod
@@ -216,16 +217,27 @@ def test_run_families_warns_when_order_is_raised(capsys):
     assert messages and "raising working order" in messages[0]
 
 
-def test_provider_steps_powers_incrementally():
+@pytest.mark.parametrize(
+    "kind, modulus, sizes",
+    [
+        # no period in t: every size is stepped to by the ladder
+        ("opt", 72, (0, 1, 2, 3, 6, 9, 30, 36, 42, 66, 78, 180, 252, 468)),
+        ("opt", 2592, (0, 1, 3, 216, 1080, 1512, 2376, 2808)),
+        ("overpartition", 2592, (0, 1, 2, 5, 4, 9, 17, 64)),
+        # a power of 2 with every size below its period, 512
+        ("opt", 1024, (0, 1, 2, 4, 8, 24, 40, 56, 72, 88, 104, 120, 255, 511)),
+    ],
+)
+def test_provider_steps_powers_incrementally(kind, modulus, sizes):
+    rng = random.Random(modulus)
+    requests = [*sizes, *rng.choices(sizes, k=len(sizes))]
+    rng.shuffle(requests)
     provider = SeriesProvider()
-    direct = SeriesProvider()
-    for t in (0, 1, 2, 5, 4, 9):
-        a = provider.gf("overpartition", t, 8, 40)
-        b = direct.gf("overpartition", t, 8, 40)
-        assert a == b
+    for t in requests:
+        assert provider.gf(kind, t, modulus, 40) == _reference_gf(kind, t, modulus, 40), t
     # shrinking the requested order truncates a cached series
-    short = provider.gf("overpartition", 5, 8, 10)
-    assert short.order == 10
+    short = provider.gf(kind, requests[0], modulus, 10)
+    assert short == _reference_gf(kind, requests[0], modulus, 10)
 
 
 def _reference_gf(kind, t, modulus, order):
@@ -288,6 +300,86 @@ def test_provider_gives_no_period_to_other_moduli(kind, modulus):
     for t in (0, 1, 2, 5, 4, 9):
         assert provider.gf(kind, t, modulus, 40) == _reference_gf(kind, t, modulus, 40), t
     assert _period(provider, kind, modulus) is None
+
+
+def _expansions(monkeypatch):
+    """Record the (kind, modulus, order) of every base the provider expands."""
+    calls = []
+
+    def recorder(kind, t, ring, order):
+        calls.append((kind, ring.modulus, order))
+        return family_gf(kind, t, ring, order)
+
+    monkeypatch.setattr(congruences, "family_gf", recorder)
+    return calls
+
+
+def _direct_period(kind, modulus, order):
+    provider = SeriesProvider()
+    provider.reserve(kind, modulus, order)
+    return _period(provider, kind, modulus)
+
+
+@pytest.mark.parametrize(
+    "kind, multiple, modulus",
+    [("opt", 1024, 256), ("opt", 1024, 8), ("overpartition", 32, 16), ("opt", 2592, 72),
+     ("opt", 2592, 32), ("overpartition", 2592, 6)],
+)
+def test_bucket_derived_from_a_multiple_matches_expansion(monkeypatch, kind, multiple, modulus):
+    calls = _expansions(monkeypatch)
+    provider = SeriesProvider()
+    provider.reserve(kind, multiple, 70)
+    for t in (0, 1, 2, 3, 5, 6, 12, 35, 36, 100):
+        assert provider.gf(kind, t, modulus, 60) == _reference_gf(kind, t, modulus, 60), t
+    assert calls == [(kind, multiple, 70)]  # the divisor's bucket expanded nothing
+    assert _period(provider, kind, modulus) == _direct_period(kind, modulus, 60)
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+def test_reserving_ascending_or_descending_gives_the_same_buckets(kind):
+    moduli = (6, 8, 32, 72, 128, 1024, 2592)
+    providers = {"ascending": SeriesProvider(), "descending": SeriesProvider()}
+    for modulus in moduli:
+        providers["ascending"].reserve(kind, modulus, 50)
+    for modulus in reversed(moduli):
+        providers["descending"].reserve(kind, modulus, 50)
+    for modulus in moduli:
+        periods = {_period(p, kind, modulus) for p in providers.values()}
+        assert periods == {_direct_period(kind, modulus, 50)}, modulus
+        for t in (0, 1, 7, 30, 65, 216):
+            want = _reference_gf(kind, t, modulus, 50)
+            for name, provider in providers.items():
+                assert provider.gf(kind, t, modulus, 50) == want, (name, modulus, t)
+
+
+def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
+    periods = {modulus: _direct_period("opt", modulus, 80) for modulus in (256, 64)}
+    calls = _expansions(monkeypatch)
+    provider = SeriesProvider()
+    provider.reserve("opt", 1024, 40)  # a multiple of 256, but of too low an order
+    provider.reserve("opt", 96, 100)  # a high order, but 64 does not divide 96
+    provider.reserve("overpartition", 64, 100)  # another kind
+    for modulus in (64, 256):  # 64 first: it divides 256
+        for t in (1, 3, 20, 45):
+            got = provider.gf("opt", t, modulus, 80)
+            assert got == _reference_gf("opt", t, modulus, 80), (modulus, t)
+        assert _period(provider, "opt", modulus) == periods[modulus]
+    assert calls == [
+        ("opt", 1024, 40), ("opt", 96, 100), ("overpartition", 64, 100),
+        ("opt", 64, 80), ("opt", 256, 80),
+    ]
+
+
+def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch):
+    calls = _expansions(monkeypatch)
+    registry = family_registry()
+    families = [registry["pbar-n-mod2"], registry["pbar-2^{2a+3}n+5*2^{2a}-mod4"]]
+    config = RunConfig(t_max=1, alpha_max=4, n_max=20000)
+    provider = SeriesProvider()
+    messages = []
+    with pytest.raises(BudgetError, match=r"5\*2\^\{2a\}-mod4: working order 2560081 "):
+        run_families(families, config, provider=provider, warn=messages.append)
+    assert calls == [] and provider._buckets == {} and messages == []
 
 
 def test_provider_exact_matches_modular():

@@ -9,6 +9,11 @@
 * The two counting generating functions are stated once, in ``eta.GF_BASE``:
   ``congruences.py`` takes nothing from ``eta`` but ``family_gf``, and
   ``expr.evaluate`` names no family kind.
+* ``SeriesProvider`` raises no series to a power (no ``**``, ``pow`` or
+  ``__pow__``), so its ladder is the one path that steps between powers,
+  and it calls ``family_gf`` once for its modular buckets, in ``_bucket``,
+  so every bucket not derived from a multiple is expanded there
+  (``gf_exact`` makes the other call, over the exact ring).
 """
 
 import ast
@@ -98,3 +103,27 @@ def test_gf_bases_are_read_only_through_family_gf():
     evaluate = next(f for f in _functions(SOURCE / "expr.py") if f.name == "evaluate")
     kinds = {"overpartition", "opt"}
     assert not any(isinstance(n, ast.Constant) and n.value in kinds for n in ast.walk(evaluate))
+
+
+def test_provider_steps_by_its_ladder_and_expands_in_one_place():
+    tree = ast.parse((SOURCE / "congruences.py").read_text())
+    provider = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "SeriesProvider"
+    )
+    nodes = list(ast.walk(provider))
+    powers = [
+        node for node in nodes
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+        or isinstance(node, ast.Name) and node.id == "pow"
+        or isinstance(node, ast.Attribute) and node.attr == "__pow__"
+    ]
+    assert powers == []
+    callers = [
+        method.name
+        for method in provider.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "family_gf"
+    ]
+    assert sorted(callers) == ["_bucket", "gf_exact"]  # gf_exact is the exact ring's
