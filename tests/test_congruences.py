@@ -217,27 +217,28 @@ def test_run_families_warns_when_order_is_raised(capsys):
     assert messages and "raising working order" in messages[0]
 
 
-@pytest.mark.parametrize(
-    "kind, modulus, sizes",
-    [
-        # no period in t: every size is stepped to by the ladder
-        ("opt", 72, (0, 1, 2, 3, 6, 9, 30, 36, 42, 66, 78, 180, 252, 468)),
-        ("opt", 2592, (0, 1, 3, 216, 1080, 1512, 2376, 2808)),
-        ("overpartition", 2592, (0, 1, 2, 5, 4, 9, 17, 64)),
-        # a power of 2 with every size below its period, 512
-        ("opt", 1024, (0, 1, 2, 4, 8, 24, 40, 56, 72, 88, 104, 120, 255, 511)),
-    ],
-)
-def test_provider_steps_powers_incrementally(kind, modulus, sizes):
-    rng = random.Random(modulus)
-    requests = [*sizes, *rng.choices(sizes, k=len(sizes))]
-    rng.shuffle(requests)
-    provider = SeriesProvider()
-    for t in requests:
-        assert provider.gf(kind, t, modulus, 40) == _reference_gf(kind, t, modulus, 40), t
-    # shrinking the requested order truncates a cached series
-    short = provider.gf(kind, requests[0], modulus, 10)
-    assert short == _reference_gf(kind, requests[0], modulus, 10)
+STEPPED_SIZES = {
+    # no period in t: every size is stepped to by the ladder
+    ("opt", 72): (0, 1, 2, 3, 6, 9, 30, 36, 42, 66, 78, 180, 252, 468),
+    ("opt", 2592): (0, 1, 3, 216, 1080, 1512, 2376, 2808),
+    ("overpartition", 2592): (0, 1, 2, 5, 4, 9, 17, 64),
+    # a power of 2 with every size below its period, 512
+    ("opt", 1024): (0, 1, 2, 4, 8, 24, 40, 56, 72, 88, 104, 120, 255, 511),
+}
+
+
+def test_provider_steps_powers_incrementally():
+    for (kind, modulus), sizes in STEPPED_SIZES.items():
+        rng = random.Random(modulus)
+        requests = [*sizes, *rng.choices(sizes, k=len(sizes))]
+        rng.shuffle(requests)
+        provider = SeriesProvider()
+        for t in requests:
+            want = _reference_gf(kind, t, modulus, 40)
+            assert provider.gf(kind, t, modulus, 40) == want, (kind, modulus, t)
+        # shrinking the requested order truncates a cached series
+        short = provider.gf(kind, requests[0], modulus, 10)
+        assert short == _reference_gf(kind, requests[0], modulus, 10), (kind, modulus)
 
 
 def _reference_gf(kind, t, modulus, order):
