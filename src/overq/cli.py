@@ -55,8 +55,22 @@ FORMATS = {"table": "txt", "json": "json", "csv": "csv"}  # format -> report fil
 FIXED_CONFIG = {"jobs": 1, "seed": 0}
 
 
+# Largest `identities --order` and `oracle --upto`.  Both are exact-ring work
+# that grows about quadratically: on a 2-vCPU host `identities --order 16000`
+# took 19 s and `oracle --upto 2400` 7.5 s, so runs at the budget end within
+# minutes, while `identities --only D1 --order 5000000` ran out of memory.
+MAX_EXACT_ORDER = 10_000
+
+
 class UsageError(Exception):
     pass
+
+
+def _within_budget(name: str, value: int) -> int:
+    """``value`` itself, or a usage error if it is over ``MAX_EXACT_ORDER``."""
+    if value > MAX_EXACT_ORDER:
+        raise UsageError(f"{name} {value} exceeds budget {MAX_EXACT_ORDER}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -225,7 +239,7 @@ def cmd_identities(args: argparse.Namespace, settings: dict[str, object]) -> _Vi
     else:
         cases = list(builtin_identities())
     cases.sort(key=lambda c: c.key)
-    order = settings["order"]
+    order = _within_budget("order", settings["order"])
     results = []
     lines = [f"{'KEY':12} {'MODE':8} {'ORDER':>6} {'STATUS':6} FIRST-MISMATCH"]
     rows = [("key", "mode", "order", "status", "first_mismatch")]
@@ -324,7 +338,7 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
 
 
 def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
-    upto = settings["upto"]
+    upto = _within_budget("upto", settings["upto"])
     default = range(7) if args.t is None and args.opt is None else []
     sizes = [("overpartition-tuples", t) for t in args.t or default]
     sizes += [("opt-tuples", k) for k in args.opt or default]

@@ -14,7 +14,9 @@ is expanded with its scales divided by g at order ceil(N/g) and spread by g,
 so each product runs at the order its factors need: f4^-4 f8^10 f16^-4 to
 order 2000 multiplies at order 500.  Over the exact integers a negative power
 of f_1 comes from the power recurrence, which reads only the pentagonal terms
-of f_1; every other power is a binary power of f_1.
+of f_1; every other power is a product of shared rungs g^(2^k), g = f_1 or
+1/f_1, memoized per (ring, order), so scattered exponents pay the inverse and
+the squarings once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import mul, sub
 from typing import Iterator
@@ -159,20 +161,41 @@ def _f1_power_exact(order: int, alpha: int) -> Series:
     return Series._from_canonical(EXACT, g)
 
 
+@lru_cache(maxsize=256)
+def _rung(ring: Ring, order: int, negative: bool, k: int) -> Series:
+    """Rung k of the f_1 power ladder: g^(2^k) to the order, g = 1/f_1 if negative else f_1.
+
+    Plain squaring of the rung below, so no congruence between Euler
+    products (such as the ``B1`` identities the registry checks) is built in.
+    """
+    if k:
+        below = _rung(ring, order, negative, k - 1)
+        return below * below
+    f1 = euler_product(1, ring, order)
+    return f1.invert() if negative else f1
+
+
 @lru_cache(maxsize=128)
 def _f1_power(ring: Ring, order: int, exponent: int) -> Series:
     """f_1^exponent to the order.
 
     On the exact ring a negative exponent runs the power recurrence of
-    ``_f1_power_exact``; every other case is a binary power of f_1, which
-    inverts f_1 first for a negative exponent.  The recurrence divides by n,
-    which Z/mZ cannot, and for positive exponents the few squarings of the
-    sparse f_1 cost less.  Kept memoized: quotients that share a factor at
-    one order, such as the ``--t`` and ``--opt`` GFs of one oracle size, hit it.
+    ``_f1_power_exact``, since the recurrence divides by n, which Z/mZ
+    cannot.  Every other power is the product of the ``_rung`` series at
+    the set bits of |exponent|, lowest first: the same multiplies as a
+    binary power, but the inverse and the squarings are shared by every
+    exponent asked for at one ring and order, which pays off for the
+    scattered exponents of the replay recipes.  Kept memoized too:
+    quotients that share a factor at one order, such as the ``--t`` and
+    ``--opt`` GFs of one oracle size, hit it.
     """
     if ring.modulus is None and exponent < 0:
         return _f1_power_exact(order, exponent)
-    return euler_product(1, ring, order) ** exponent
+    if exponent == 0:
+        return one(ring, order)
+    e = abs(exponent)
+    rungs = [_rung(ring, order, exponent < 0, k) for k in range(e.bit_length()) if e >> k & 1]
+    return reduce(mul, rungs)
 
 
 def expand_eta_quotient(quotient: EtaQuotient, ring: Ring, order: int) -> Series:

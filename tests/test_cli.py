@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from overq import cli
 from overq.cli import main
 from overq.identities import IdentityCase
 from overq.expr import eta_series
@@ -420,3 +421,32 @@ def test_verify_over_the_order_budget_is_usage_error(capsys):
         "error: pbar-2^{2a+3}n+5*2^{2a}-mod4: working order 2560081 "
         "(to reach 128*20000+80) exceeds budget 2000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv,setting",
+    [
+        (["identities", "--only", "D1,B1-p2-k3"], "order"),
+        (["oracle", "--t", "2", "--opt", "1"], "upto"),
+    ],
+)
+def test_exact_orders_over_the_budget_are_usage_errors(
+    monkeypatch, tmp_path, capsys, argv, setting
+):
+    flag = "--" + setting
+    code, _ = run_cli(argv + [flag, str(cli.MAX_EXACT_ORDER + 1)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {setting} {cli.MAX_EXACT_ORDER + 1} exceeds budget {cli.MAX_EXACT_ORDER}\n"
+    )
+    monkeypatch.setattr(cli, "MAX_EXACT_ORDER", 30)
+    code, text = run_cli(argv + [flag, "30"])
+    assert code == 0 and text
+    code, text = run_cli(argv + [flag, "31"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {setting} 31 exceeds budget 30\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{setting}=31\n")  # a config-file value is held to the same budget
+    code, text = run_cli(argv + ["--config", str(cfg)])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {setting} 31 exceeds budget 30\n"

@@ -1,7 +1,11 @@
+import io
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from overq.series import EXACT, Zmod, one
+from overq.cli import main
+from overq.series import EXACT, Series, Zmod, one
 from overq.eta import (
     EtaQuotient,
     borwein_a,
@@ -15,6 +19,8 @@ from overq.eta import (
     theta_component,
 )
 from overq.oracle import count_opt_tuples, count_overpartition_tuples
+
+ETA = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
 
 
 def direct_product_coeffs(scale, order):
@@ -231,3 +237,21 @@ def test_prime_power_reduction_instances():
             lhs = (f1_exact ** (p**k)).reduce_ring(modulus)
             rhs = (f1_exact.substitute_power(p) ** (p ** (k - 1))).reduce_ring(modulus)
             assert lhs == rhs, (p, k)
+
+
+def test_replay_multiply_count_stays_under_the_rung_ladder_ceiling(monkeypatch):
+    # A cold in-process `replay --order 500` made 1,163 multiplies with f1
+    # powers served from shared rungs, against 2,998 with each power built
+    # from f1 afresh; the ceiling is about 10% above the former.
+    for memo in (euler_product, ETA._f1_power, ETA._rung):
+        memo.cache_clear()
+    calls = []
+    product = Series.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    assert main(["replay", "--order", "500", "--format", "json"], out=io.StringIO()) == 0
+    assert len(calls) <= 1280

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from overq.expr import GfRecipe, PowRecipe, SubstRecipe, eta_series, evaluate, theta_series
@@ -90,6 +92,20 @@ def test_binomial_cases_pass():
     for p in (2, 3):
         for k in range(1, 6):
             assert verify_identity(registry[f"B1-p{p}-k{k}"], order=200).ok
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_binomial_mutants_fail(p, k):
+    # f1^(p^k) is a plain power of f1, so a B1 case one step off the
+    # congruence fails at its first differing coefficient.
+    case = identity_registry()[f"B1-p{p}-k{k}"]
+    wrong_exponent = replace(case, rhs=eta_series(((p, p ** (k - 1) + 1),)))
+    report = verify_identity(wrong_exponent, order=200)
+    assert not report.ok and report.mismatch[0] == p  # f_p^(p^(k-1)) * f_p gains -q^p
+    wrong_modulus = replace(case, modulus=p ** (k + 1))
+    report = verify_identity(wrong_modulus, order=200)
+    assert not report.ok and report.mismatch == (1, p ** (k + 1) - p**k, 0)
 
 
 def test_pass_is_monotone_in_order():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import RING_POOL, random_unit_series
 from overq import series as series_module
-from overq.eta import EtaQuotient, _f1_power, euler_product, expand_eta_quotient
+from overq.eta import EtaQuotient, _f1_power, _rung, euler_product, expand_eta_quotient
 from overq.series import (
     _DECIMAL_CUTOFF,
     EXACT,
@@ -328,15 +328,38 @@ def test_eta_expansion_does_not_depend_on_the_memo():
     orders = [200, 37, 200, 1, 64, 37, 5, 200, 64]
     for ring in (Zmod(32), EXACT):
         _f1_power.cache_clear()
+        _rung.cache_clear()
         warm = [expand_eta_quotient(q, ring, n) for n in orders for q in quotients]
         cold = []
         for n in orders:
             for q in quotients:
                 _f1_power.cache_clear()
+                _rung.cache_clear()
                 euler_product.cache_clear()
                 cold.append(expand_eta_quotient(q, ring, n))
         assert warm == cold, ring
         assert warm == [_direct_eta(q, ring, n) for n in orders for q in quotients], ring
+
+
+def test_f1_power_ladder_matches_binary_power():
+    # Scattered exponents, shuffled across every ring and order, so the rung
+    # memo evicts and later requests rebuild rungs it dropped.
+    rng = random.Random(0x1AD)
+    requests = [
+        (ring, order, exponent)
+        for ring in RING_POOL
+        for order in (1, 2, 33, 500)
+        for exponent in [0, 1, -1, 600, -600] + rng.sample(range(-600, 601), 7)
+    ]
+    rng.shuffle(requests)
+    _rung.cache_clear()
+    after_eviction = 0
+    for ring, order, exponent in requests:
+        after_eviction += _rung.cache_info().misses > _rung.cache_info().maxsize
+        assert _f1_power.__wrapped__(ring, order, exponent) == (
+            euler_product(1, ring, order) ** exponent
+        ), (ring, order, exponent)
+    assert after_eviction > len(requests) // 2
 
 
 # --- exact negative powers of f1 by the power recurrence ---------------------
