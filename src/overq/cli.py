@@ -11,8 +11,9 @@ Subcommands:
 
 Each command accepts only the options it reads.  Exit codes: 0 all checks
 passed, 1 mathematical mismatch (witness printed), 2 usage or configuration
-error.  Output is deterministic: rows are sorted, and JSON reports are
-byte-identical across runs for identical inputs.
+error, or a run refused up front as over budget (``BudgetError``).  Output
+is deterministic: rows are sorted, and JSON reports are byte-identical
+across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ class UsageError(Exception):
 
 
 def _within_budget(name: str, value: int) -> int:
-    """``value`` itself, or a usage error if it is over ``MAX_EXACT_ORDER``."""
+    """``value`` itself, or a ``BudgetError`` if it is over ``MAX_EXACT_ORDER``."""
     if value > MAX_EXACT_ORDER:
-        raise UsageError(f"{name} {value} exceeds budget {MAX_EXACT_ORDER}")
+        raise BudgetError(f"{name} {value} exceeds budget {MAX_EXACT_ORDER}")
     return value
 
 
@@ -110,7 +111,7 @@ _OPTIONS = {
     "i_max": (_positive_int, RunConfig.i_max, ("verify",)),
     "j_max": (_positive_int, RunConfig.j_max, ("verify",)),
     "alpha_max": (_nonneg_int, RunConfig.alpha_max, ("verify",)),
-    "include_conjectures": (_boolean, RunConfig.include_conjectures, ("verify",)),
+    "include_conjectures": (_boolean, False, ("verify",)),
     "primes_only": (_boolean, RunConfig.primes_only, ("verify",)),
     "upto": (_nonneg_int, 60, ("oracle",)),
     "format": (_format, "table", COMMANDS),
@@ -289,10 +290,7 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     config = RunConfig(
         **{f.name: settings[f.name] for f in fields(RunConfig) if f.name in settings}
     )
-    try:
-        reports = run_families(families, config, warn=lambda msg: print(msg, file=sys.stderr))
-    except BudgetError as exc:
-        raise UsageError(str(exc)) from None
+    reports = run_families(families, config, warn=lambda msg: print(msg, file=sys.stderr))
 
     results = []
     lines = [f"{'KEY':42} {'STATUS':10} {'VERDICT':16} {'PARAMS':>7} {'COEFFS':>8} {'FAILS':>6}"]
@@ -481,7 +479,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             except OSError as exc:
                 raise UsageError(f"cannot create report directory {args.out}: {exc}") from None
         results, lines, rows, code = handlers[args.command](args, settings)
-    except UsageError as exc:
+    except (UsageError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     fmt = settings["format"]

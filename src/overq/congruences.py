@@ -31,7 +31,7 @@ from .expr import (
     eta_series,
     qshift,
 )
-from .identities import DEFAULT_ORDER, IdentityCase, verify_identity
+from .identities import IdentityCase, verify_identity
 
 __all__ = [
     "RunConfig",
@@ -61,14 +61,21 @@ MAX_WORKING_ORDER = 2_000_000
 
 
 class BudgetError(ValueError):
-    """A working order over ``MAX_WORKING_ORDER``, refused before it is built."""
+    """A run refused up front because its order is over a budget.
+
+    Three budgets raise it: a ``verify`` working order over
+    ``MAX_WORKING_ORDER``, a dissection-step order over an eighth of that,
+    and ``cli.MAX_EXACT_ORDER`` for ``identities --order`` and
+    ``oracle --upto``.  ``cli.main`` prints each as ``error: ...`` and
+    exits 2.
+    """
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Grid and output configuration for batch verification runs."""
 
-    order: int = DEFAULT_ORDER
+    order: int = 500
     n_max: int = 200
     t_max: int = 64
     i_max: int = 3
@@ -77,7 +84,6 @@ class RunConfig:
     r_values: tuple[int, ...] = (1, 3, 5, 7, 9, 11, 13, 15)
     k_values: tuple[int, ...] = (1, 5, 7, 11, 13)
     l_values: tuple[int, ...] = (5, 7, 11, 13)
-    include_conjectures: bool = False
     primes_only: bool = False
 
 
@@ -996,7 +1002,7 @@ def verify_dissection_step(
         raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_WORKING_ORDER // 8:
         # dissection sides evaluate their inner series at a multiple of `order`
-        raise ValueError(f"order {order} exceeds the step working budget")
+        raise BudgetError(f"order {order} exceeds the step working budget")
     modulus = step.modulus(params)
     key_params = tuple((name, params[name]) for name in step.param_names)
     try:

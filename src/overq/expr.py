@@ -5,14 +5,13 @@ code, so one tree serves every ring and order.  A recipe node evaluates to a
 :class:`~overq.series.Series` via :func:`evaluate`, and ``str`` prints it in
 its mathematical form (no report prints recipes; ``demos/03`` does).
 
-Recipes support ``+``, ``-``, ``*`` (by recipe or integer), and ``**`` with an
-integer exponent, so registry entries read close to their mathematical form.
+Recipes support ``+``, ``-`` and scaling by an integer (``2 * recipe``), so
+registry entries read close to their mathematical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .series import Ring, Series, spread
 from .eta import EtaQuotient, expand_eta_quotient, family_gf, jacobi_triangular, theta_component
@@ -24,9 +23,7 @@ __all__ = [
     "JacobiRecipe",
     "GfRecipe",
     "SumRecipe",
-    "ProductRecipe",
     "ScaleRecipe",
-    "PowRecipe",
     "ShiftRecipe",
     "SubstRecipe",
     "DissectRecipe",
@@ -46,19 +43,8 @@ class Recipe:
     def __sub__(self, other: "Recipe") -> "Recipe":
         return SumRecipe((self, ScaleRecipe(-1, other)))
 
-    def __mul__(self, other: Union["Recipe", int]) -> "Recipe":
-        if isinstance(other, int):
-            return ScaleRecipe(other, self)
-        return ProductRecipe((self, other))
-
     def __rmul__(self, scalar: int) -> "Recipe":
         return ScaleRecipe(scalar, self)
-
-    def __neg__(self) -> "Recipe":
-        return ScaleRecipe(-1, self)
-
-    def __pow__(self, exponent: int) -> "Recipe":
-        return PowRecipe(self, exponent)
 
 
 @dataclass(frozen=True)
@@ -104,29 +90,12 @@ class SumRecipe(Recipe):
 
 
 @dataclass(frozen=True)
-class ProductRecipe(Recipe):
-    factors: tuple[Recipe, ...]
-
-    def __str__(self) -> str:
-        return " * ".join(f"({f})" for f in self.factors)
-
-
-@dataclass(frozen=True)
 class ScaleRecipe(Recipe):
     scalar: int
     inner: Recipe
 
     def __str__(self) -> str:
         return f"{self.scalar}*({self.inner})"
-
-
-@dataclass(frozen=True)
-class PowRecipe(Recipe):
-    base: Recipe
-    exponent: int
-
-    def __str__(self) -> str:
-        return f"({self.base})^{self.exponent}"
 
 
 @dataclass(frozen=True)
@@ -157,12 +126,10 @@ class DissectRecipe(Recipe):
         return f"({self.inner})[{self.modulus}n+{self.residue}]"
 
 
-def eta_series(quotient: str | EtaQuotient | tuple) -> EtaRecipe:
-    """Recipe for an eta quotient, from text, an EtaQuotient, or factor pairs."""
+def eta_series(quotient: str | tuple) -> EtaRecipe:
+    """Recipe for an eta quotient, from text or (scale, exponent) pairs."""
     if isinstance(quotient, str):
         return EtaRecipe(EtaQuotient.parse(quotient))
-    if isinstance(quotient, EtaQuotient):
-        return EtaRecipe(quotient)
     return EtaRecipe(EtaQuotient(tuple(quotient)))
 
 
@@ -198,15 +165,8 @@ def evaluate(recipe: Recipe, ring: Ring, order: int) -> Series:
         for term in recipe.terms[1:]:
             total = total + evaluate(term, ring, order)
         return total
-    if isinstance(recipe, ProductRecipe):
-        total = evaluate(recipe.factors[0], ring, order)
-        for factor in recipe.factors[1:]:
-            total = total * evaluate(factor, ring, order)
-        return total
     if isinstance(recipe, ScaleRecipe):
         return evaluate(recipe.inner, ring, order).scale(recipe.scalar)
-    if isinstance(recipe, PowRecipe):
-        return evaluate(recipe.base, ring, order) ** recipe.exponent
     if isinstance(recipe, ShiftRecipe):
         return evaluate(recipe.inner, ring, order).shift(recipe.offset)
     if isinstance(recipe, SubstRecipe):

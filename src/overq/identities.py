@@ -3,8 +3,8 @@
 Each case pairs two series recipes with a mode: exact coefficientwise
 equality, or congruence modulo a fixed m.  Checks run to a configurable
 truncation order and report the first mismatching exponent on failure.
-Evaluation failures (for example a recipe that inverts a non-unit) are
-reported in the result rather than raised.
+Evaluation failures (for example a substitution step below 1, or an unknown
+generating-function kind) are reported in the result rather than raised.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "identity_registry",
 ]
 
-DEFAULT_ORDER = 500
-
 
 @dataclass(frozen=True)
 class IdentityCase:
@@ -31,7 +29,6 @@ class IdentityCase:
     lhs: Recipe
     rhs: Recipe
     modulus: int | None = None  # None: exact equality
-    default_order: int = DEFAULT_ORDER
 
     @property
     def mode(self) -> str:
@@ -60,9 +57,8 @@ class IdentityReport:
         return f"q^{n}: {lhs} != {rhs}"
 
 
-def verify_identity(case: IdentityCase, order: int | None = None) -> IdentityReport:
+def verify_identity(case: IdentityCase, order: int) -> IdentityReport:
     """Evaluate both sides of a case to the given order and compare."""
-    order = case.default_order if order is None else order
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     ring = EXACT if case.modulus is None else Zmod(case.modulus)

@@ -450,3 +450,18 @@ def test_exact_orders_over_the_budget_are_usage_errors(
     code, text = run_cli(argv + ["--config", str(cfg)])
     assert code == 2 and text == ""
     assert capsys.readouterr().err == f"error: {setting} 31 exceeds budget 30\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_replay_over_the_step_budget_is_usage_error(tmp_path, capsys, source):
+    # With no --step, replay runs every registered step; the first refuses
+    # order 250001 (over MAX_WORKING_ORDER // 8) before it evaluates anything.
+    if source == "flag":
+        argv = ["replay", "--order", "250001"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("order=250001\n")
+        argv = ["replay", "--config", str(cfg)]
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: order 250001 exceeds the step working budget\n"

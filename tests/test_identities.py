@@ -1,8 +1,12 @@
+import io
+import json
 from dataclasses import replace
 
 import pytest
 
-from overq.expr import GfRecipe, PowRecipe, SubstRecipe, eta_series, evaluate, theta_series
+from overq.cli import main
+from overq.congruences import RunConfig
+from overq.expr import GfRecipe, SubstRecipe, eta_series, evaluate, theta_series
 from overq.identities import (
     IdentityCase,
     builtin_identities,
@@ -122,14 +126,6 @@ def test_failure_reports_first_mismatch():
     assert "q^1" in report.describe()
 
 
-def test_evaluation_error_is_reported_not_raised():
-    zero = eta_series("f1") - eta_series("f1")
-    bad = IdentityCase(key="inverts-zero", lhs=PowRecipe(zero, -1), rhs=eta_series("1"))
-    report = verify_identity(bad, order=10)
-    assert not report.ok
-    assert report.error is not None and "unit" in report.error
-
-
 def test_zero_substitution_step_is_reported_not_raised():
     bad = IdentityCase(key="step-zero", lhs=theta_series("h", 0), rhs=eta_series("1"))
     report = verify_identity(bad, order=10)
@@ -149,7 +145,13 @@ def test_verify_rejects_bad_order():
 
 
 def test_default_order_is_five_hundred():
-    assert all(case.default_order == 500 for case in builtin_identities())
+    # An identities run with no --order takes the CLI default, RunConfig.order.
+    assert RunConfig.order == 500
+    out = io.StringIO()
+    assert main(["identities", "--only", "D1", "--format", "json"], out=out) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["config"]["order"] == 500
+    assert [row["order"] for row in doc["results"]] == [500]
 
 
 def test_gf_recipe_of_unknown_kind_is_an_error():

@@ -14,9 +14,16 @@
   and it calls ``family_gf`` once for its modular buckets, in ``_bucket``,
   so every bucket not derived from a multiple is expanded there
   (``gf_exact`` makes the other call, over the exact ring).
+* Refusals reach the exit code in one place: in ``cli.py`` only ``main``
+  catches ``BudgetError`` or ``UsageError``, and ``verify_dissection_step``
+  refuses an order over its budget with ``BudgetError``.
+* Every name in an ``overq`` module's ``__all__`` is defined there: the bench
+  tracer looks each one up by name.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import overq
@@ -127,3 +134,42 @@ def test_provider_steps_by_its_ladder_and_expands_in_one_place():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "family_gf"
     ]
     assert sorted(callers) == ["_bucket", "gf_exact"]  # gf_exact is the exact ring's
+
+
+def _caught_names(handler):
+    if handler.type is None:
+        return set()
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None) for t in types}
+
+
+def test_only_main_turns_refusals_into_exit_codes():
+    refusals = {"BudgetError", "UsageError"}
+    catchers = {
+        function.name
+        for function in _functions(SOURCE / "cli.py")
+        for node in ast.walk(function)
+        if isinstance(node, ast.ExceptHandler) and _caught_names(node) & refusals
+    }
+    assert catchers == {"main"}
+
+
+def test_step_order_budget_raises_budget_error():
+    step = next(
+        f for f in _functions(SOURCE / "congruences.py") if f.name == "verify_dissection_step"
+    )
+    raised = [
+        ast.unparse(node.exc.func)
+        for node in ast.walk(step)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and any("budget" in ast.unparse(arg) for arg in node.exc.args)
+    ]
+    assert raised == ["BudgetError"]
+
+
+def test_every_exported_name_is_defined():
+    names = [info.name for info in pkgutil.iter_modules(overq.__path__)]
+    modules = [overq] + [importlib.import_module(f"overq.{name}") for name in names]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if name not in vars(module)]
+        assert missing == [], module.__name__
