@@ -4,10 +4,12 @@ coefficient tables and dissection steps that prove them.
 Every divisibility claim is encoded as data: a tuple size, a parameterized
 arithmetic progression A*n + B, a modulus expression and a parameter domain,
 each written once as the text reports print and evaluated from that text, and
-an expected residue (zero unless stated otherwise).  ``check_family`` scans a
-parameter grid over Z/mZ and reports witnesses for every violated
-coefficient.  Families carry a status: ``theorem`` families must pass,
-``conjecture`` families are scanned and reported but never fail a run.
+the expected residues (zero unless stated otherwise), one list for n =
+0..n_max per grid point.  ``check_family`` scans a parameter grid over Z/mZ
+and reports witnesses for every violated coefficient.  Families carry a
+status: ``theorem`` families must pass, ``conjecture`` families are scanned
+and reported but never fail a run.  A dissection step checked at one
+parameter point is an identity case, and its result is an ``IdentityReport``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
+from itertools import accumulate, count, product, takewhile
 from types import CodeType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,7 +33,7 @@ from .expr import (
     eta_series,
     qshift,
 )
-from .identities import IdentityCase, verify_identity
+from .identities import IdentityCase, IdentityReport, _Params, verify_identity
 
 __all__ = [
     "RunConfig",
@@ -52,7 +54,6 @@ __all__ = [
     "DissectionStep",
     "builtin_steps",
     "step_registry",
-    "StepReport",
     "verify_dissection_step",
 ]
 
@@ -85,13 +86,6 @@ class RunConfig:
     k_values: tuple[int, ...] = (1, 5, 7, 11, 13)
     l_values: tuple[int, ...] = (5, 7, 11, 13)
     primes_only: bool = False
-
-
-class _Params:
-    """A record whose ``params`` are (name, value) pairs, as reports print them."""
-
-    def params_text(self) -> str:
-        return ";".join(f"{name}={value}" for name, value in self.params)
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ class CongruenceFamily:
     progression_text: str
     modulus_text: str
     domain_text: str
-    expected: Callable[[Mapping[str, int], int], int] | None = None
+    expected: Callable[[Mapping[str, int], int], list[int]] | None = None  # (params, n_max)
     tags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -266,10 +260,13 @@ class CongruenceFamily:
         }
 
 
-def _is_triangular(n: int) -> bool:
-    # n = k(k+1)/2 iff 8n+1 is a perfect square; exact integer test.
-    root = math.isqrt(8 * n + 1)
-    return root * root == 8 * n + 1
+def _twos_at_triangular(p: Mapping[str, int], n_max: int) -> list[int]:
+    """Residues for n = 0..n_max: 2 at each n = k(k+1)/2 when t is odd, else 0."""
+    residues = [0] * (n_max + 1)
+    if p["t"] % 2 == 1:
+        for n in takewhile(n_max.__ge__, accumulate(count())):
+            residues[n] = 2
+    return residues
 
 
 def _is_prime(n: int) -> bool:
@@ -480,7 +477,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
             progression_text="2^(2a+3) n + 2^(2a)",
             modulus_text="4",
             domain_text="t >= 0, a >= 0",
-            expected=lambda p, n: 2 if (p["t"] % 2 == 1 and _is_triangular(n)) else 0,
+            expected=_twos_at_triangular,
         )
     )
 
@@ -639,7 +636,7 @@ def check_family(
         if family.expected is None:
             expected = (0,) * len(values)
         else:
-            expected = tuple(family.expected(params, n) % modulus for n in range(n_max + 1))
+            expected = tuple(map(modulus.__rmod__, family.expected(params, n_max)))
         failed = list(mismatches(values, expected))
         failures += len(failed)
         for n in failed[: witness_cap - len(witnesses)]:
@@ -806,7 +803,6 @@ class DissectionStep:
     """A congruence-level series rewrite: LHS == RHS (mod modulus) as series."""
 
     key: str
-    param_names: tuple[str, ...]
     description: str
     modulus: Callable[[Mapping[str, int]], int]
     lhs: Callable[[Mapping[str, int]], Recipe]
@@ -814,20 +810,9 @@ class DissectionStep:
     domain: Callable[[Mapping[str, int]], bool]
     default_params: tuple[tuple[tuple[str, int], ...], ...]
 
-
-@dataclass(frozen=True)
-class StepReport(_Params):
-    key: str
-    params: tuple[tuple[str, int], ...]
-    modulus: int
-    order: int
-    ok: bool
-    mismatch: tuple[int, int, int] | None = None
-    error: str | None = None
-
     @property
-    def status(self) -> str:
-        return "PASS" if self.ok else "FAIL"
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.default_params[0])
 
 
 def _gf_reduced(t: int) -> Recipe:
@@ -867,7 +852,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="M1",
-            param_names=("t",),
             description="pbar GF == f1^{2t}/f2^t (mod 4)",
             modulus=lambda p: 4,
             lhs=lambda p: GfRecipe("overpartition", p["t"]),
@@ -879,7 +863,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G4-even",
-            param_names=("t",),
             description="f1^{2t}/f2^t == 1 (mod 4) for even t",
             modulus=lambda p: 4,
             lhs=lambda p: _gf_reduced(p["t"]),
@@ -891,7 +874,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G4-odd",
-            param_names=("t",),
             description="f1^{2t}/f2^t == f8^t/f4^{2t} + 2q f8^3 (mod 4) for odd t",
             modulus=lambda p: 4,
             lhs=lambda p: _gf_reduced(p["t"]),
@@ -904,7 +886,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G16",
-            param_names=("t",),
             description="pbar GF == tabulated four-term f4/f8/f16 expansion (mod 16)",
             modulus=lambda p: 16,
             lhs=lambda p: GfRecipe("overpartition", p["t"]),
@@ -916,7 +897,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G32",
-            param_names=("t",),
             description="pbar GF == tabulated five-term f4/f8/f16 expansion (mod 32)",
             modulus=lambda p: 32,
             lhs=lambda p: GfRecipe("overpartition", p["t"]),
@@ -928,7 +908,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="opt-2n+1-i1",
-            param_names=("r",),
             description="odd-part pair GF at 2n+1 == -28r f1^{4r}f4^{2r+2}/f2^{6r-2}"
             " - 16k' q f4^9 (mod 32)",
             modulus=lambda p: 32,
@@ -944,7 +923,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="opt-2n+1",
-            param_names=("i", "r"),
             description="odd-part tuple GF at 2n+1 == -2^{i+1} 7r f2^2 f4^2"
             " - 2^{i+3} m q f4^9 (mod 2^{i+4}), i >= 2",
             modulus=lambda p: 2 ** (p["i"] + 4),
@@ -967,7 +945,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="opt-4n+3-i1",
-            param_names=("r",),
             description="odd-part pair GF at 4n+3 == 16k f2 f4^4 - 16k' f2^9 (mod 32)",
             modulus=lambda p: 32,
             lhs=lambda p: DissectRecipe(4, 3, GfRecipe("opt", 2 * p["r"])),
@@ -987,8 +964,9 @@ def step_registry() -> dict[str, DissectionStep]:
 
 def verify_dissection_step(
     step_key: str, params: Mapping[str, int], order: int
-) -> StepReport:
-    """Evaluate both sides of a registered step mod its modulus and compare."""
+) -> IdentityReport:
+    """Check a registered step at one parameter point: the identity case of
+    its two sides mod its modulus, with the point as the case's ``params``."""
     registry = step_registry()
     if step_key not in registry:
         raise KeyError(f"unknown dissection step {step_key!r}")
@@ -998,19 +976,13 @@ def verify_dissection_step(
         raise ValueError(f"step {step_key} needs parameters {missing}")
     if not step.domain(params):
         raise ValueError(f"parameters {dict(params)} outside the domain of {step_key}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
     if order > MAX_WORKING_ORDER // 8:
         # dissection sides evaluate their inner series at a multiple of `order`
         raise BudgetError(f"order {order} exceeds the step working budget")
     modulus = step.modulus(params)
-    key_params = tuple((name, params[name]) for name in step.param_names)
+    point = tuple((name, params[name]) for name in step.param_names)
     try:
-        case = IdentityCase(step_key, step.lhs(params), step.rhs(params), modulus)
+        case = IdentityCase(step_key, step.lhs(params), step.rhs(params), modulus, point)
     except ValueError as exc:
-        return StepReport(step_key, key_params, modulus, order, ok=False, error=str(exc))
-    report = verify_identity(case, order)
-    return StepReport(
-        step_key, key_params, modulus, order,
-        ok=report.ok, mismatch=report.mismatch, error=report.error,
-    )
+        return IdentityReport(step_key, modulus, order, ok=False, error=str(exc), params=point)
+    return verify_identity(case, order)

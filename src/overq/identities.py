@@ -1,15 +1,18 @@
 """Machine checks of the dissection and binomial-congruence identities.
 
 Each case pairs two series recipes with a mode: exact coefficientwise
-equality, or congruence modulo a fixed m.  Checks run to a configurable
-truncation order and report the first mismatching exponent on failure.
-Evaluation failures (for example a substitution step below 1, or an unknown
-generating-function kind) are reported in the result rather than raised.
+equality, or congruence modulo a fixed m; a case built at a parameter point,
+such as a dissection step of ``congruences``, carries the point as ``params``.
+Checks run to a configurable truncation order and report the first
+mismatching exponent on failure.  Evaluation failures (for example a
+substitution step below 1, or an unknown generating-function kind) are
+reported in the result rather than raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .series import EXACT, Zmod, mismatches
 from .expr import Recipe, eta_series, jacobi_series, qshift, theta_series, evaluate
@@ -23,12 +26,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    key: str
-    lhs: Recipe
-    rhs: Recipe
-    modulus: int | None = None  # None: exact equality
+class _Params:
+    """A check at a parameter point: ``params`` are (name, value) pairs, as
+    reports print them, and ``modulus`` is None for exact equality."""
+
+    def params_text(self) -> str:
+        return ";".join(f"{name}={value}" for name, value in self.params)
 
     @property
     def mode(self) -> str:
@@ -36,13 +39,23 @@ class IdentityCase:
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityCase(_Params):
     key: str
-    mode: str
+    lhs: Recipe
+    rhs: Recipe
+    modulus: int | None = None  # None: exact equality
+    params: tuple[tuple[str, int], ...] = ()
+
+
+@dataclass(frozen=True)
+class IdentityReport(_Params):
+    key: str
+    modulus: int | None
     order: int
     ok: bool
     mismatch: tuple[int, int, int] | None = None  # exponent, lhs, rhs
     error: str | None = None
+    params: tuple[tuple[str, int], ...] = ()
 
     @property
     def status(self) -> str:
@@ -61,17 +74,17 @@ def verify_identity(case: IdentityCase, order: int) -> IdentityReport:
     """Evaluate both sides of a case to the given order and compare."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    report = partial(IdentityReport, case.key, case.modulus, order, params=case.params)
     ring = EXACT if case.modulus is None else Zmod(case.modulus)
     try:
         lhs = evaluate(case.lhs, ring, order)
         rhs = evaluate(case.rhs, ring, order)
     except ValueError as exc:
-        return IdentityReport(case.key, case.mode, order, ok=False, error=str(exc))
+        return report(ok=False, error=str(exc))
     n = next(mismatches(lhs.coeffs, rhs.coeffs), None)
     if n is not None:
-        mismatch = (n, lhs.coeffs[n], rhs.coeffs[n])
-        return IdentityReport(case.key, case.mode, order, ok=False, mismatch=mismatch)
-    return IdentityReport(case.key, case.mode, order, ok=True)
+        return report(ok=False, mismatch=(n, lhs.coeffs[n], rhs.coeffs[n]))
+    return report(ok=True)
 
 
 def _binomial_cases() -> list[IdentityCase]:

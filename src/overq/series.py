@@ -8,8 +8,9 @@ or in Z/mZ with canonical representatives 0 <= c < m.
 
 Multiplication picks one of three paths, by ring and truncation order n:
 
-* schoolbook: the double loop :func:`_convolve_schoolbook`, for n up to
-  ``_PACKED_CUTOFF``.  It is the reference every other path must reproduce.
+* schoolbook: the double loop :func:`_convolve_schoolbook`, for exact-ring
+  products with n up to ``_PACKED_CUTOFF``.  It is the reference every other
+  path must reproduce.
 * binary slots (Kronecker substitution): both operands become one big
   integer, one coefficient per fixed-width slot, and a single integer
   product yields the convolution.  The exact ring uses
@@ -47,7 +48,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "mismatches", "one", "spread"]
 
 # Below this order the plain double loop beats the packing overhead of the
-# big-integer kernels.
+# exact ring's big-integer kernel.  Z/mZ slots pack at every order.
 _PACKED_CUTOFF = 32
 # From this order on, Z/mZ products with m <= 256 are multiplied as decimals.
 _DECIMAL_CUTOFF = 3000
@@ -218,14 +219,13 @@ def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[in
 
     A product coefficient is a sum of at most min(len(a), len(b), n) terms
     below m^2, so it fits ``width`` unsigned bytes with no offset.  Slots
-    wider than 8 bytes, small orders and big-endian hosts take the generic
-    kernels instead.
+    wider than 8 bytes and big-endian hosts take the generic kernels instead.
     """
     a = a[:n]
     b = b[:n]
     cbound = min(len(a), len(b)) * (m - 1) ** 2
     width = (cbound.bit_length() + 7) // 8
-    if n <= _PACKED_CUTOFF or width > 8 or sys.byteorder != "little":
+    if width > 8 or sys.byteorder != "little":
         return [c % m for c in _convolve(a, b, n)]
     ctx = _decimal_context() if m <= 256 and n >= _DECIMAL_CUTOFF else None
     if ctx is None:

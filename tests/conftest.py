@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import overq.congruences as congruences
 from overq.series import EXACT, Ring, Series, Zmod
 
 RING_POOL = (
@@ -26,6 +27,13 @@ def random_unit_series(rng: random.Random, ring: Ring, order: int) -> Series:
     coeffs = [rng.randint(-9, 9) for _ in range(order)]
     coeffs[0] = rng.choice([1, -1])
     return Series(ring, coeffs)
+
+
+def corrupt_mod16_row(monkeypatch) -> None:
+    """Tabulate one wrong mod-16 residue, so step G16 fails at t = 3 and t = 11."""
+    rows = list(congruences._MOD16_ROWS)
+    rows[3] = (3, 6, 8, 8)  # C(21, 3) * (-2)^3 is 0 mod 16, not 8
+    monkeypatch.setattr(congruences, "_MOD16_ROWS", tuple(rows))
 
 
 @pytest.fixture

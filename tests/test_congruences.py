@@ -1,7 +1,9 @@
+import math
 import random
 import threading
 
 import pytest
+from conftest import corrupt_mod16_row
 
 import overq.congruences as congruences
 from overq.congruences import (
@@ -22,6 +24,7 @@ from overq.congruences import (
 )
 from overq.eta import GF_BASE, EtaQuotient, expand_eta_quotient, family_gf, overpartition_gf
 from overq.expr import GfRecipe, evaluate
+from overq.identities import IdentityCase, verify_identity
 from overq.oracle import count_overpartition_tuples
 from overq.series import EXACT, Series, Zmod
 
@@ -525,12 +528,45 @@ def test_step_rejects_excessive_order():
         verify_dissection_step("M1", {"t": 1}, 10**9)
 
 
+def test_step_is_the_identity_case_at_its_point():
+    for step in builtin_steps():
+        for point in step.default_params:
+            params = dict(point)
+            modulus = step.modulus(params)
+            case = IdentityCase(step.key, step.lhs(params), step.rhs(params), modulus, point)
+            report = verify_dissection_step(step.key, params, 150)
+            assert report == verify_identity(case, 150), (step.key, point)
+            assert (report.params, report.modulus) == (point, modulus)
+
+
+def test_failing_step_reports_its_first_mismatch(monkeypatch):
+    corrupt_mod16_row(monkeypatch)  # the row the replay-fail golden uses
+    report = verify_dissection_step("G16", {"t": 3}, 150)
+    assert (report.status, report.mismatch, report.error) == ("FAIL", (3, 0, 8), None)
+    assert report.describe() == "q^3: 0 != 8"
+    assert (report.params_text(), report.mode) == ("t=3", "mod 16")
+
+
 def test_witness_params_text():
     w = Witness(params=(("i", 1), ("r", 3)), n=2, value=8, modulus=16, expected=0)
     assert w.params_text() == "i=1;r=3"
 
 
 # --- the scan against a per-coefficient walk ------------------------------------
+
+
+def _is_triangular(n):
+    # n = k(k+1)/2 iff 8n+1 is a perfect square; exact integer test.
+    root = math.isqrt(8 * n + 1)
+    return root * root == 8 * n + 1
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_tri_residues_match_the_per_n_rule(t):
+    tri = family_registry()["pbar-2^{2a+3}n+2^{2a}-mod4-tri"]
+    for n_max in range(301):
+        want = [2 if t % 2 == 1 and _is_triangular(n) else 0 for n in range(n_max + 1)]
+        assert tri.expected({"t": t, "a": 0}, n_max) == want, n_max
 
 
 def _walk_family(family, grid, n_max, provider, witness_cap):
@@ -543,7 +579,8 @@ def _walk_family(family, grid, n_max, provider, witness_cap):
         series = provider.gf(family.kind, family.gf_param(params), modulus, order)
         for n in range(n_max + 1):
             value = series.coeff(step * n + offset)
-            expected = 0 if family.expected is None else family.expected(params, n) % modulus
+            expected = 0 if family.expected is None else family.expected(params, n_max)[n]
+            expected %= modulus
             coeffs += 1
             if value != expected:
                 failures += 1
@@ -557,6 +594,9 @@ def _walk_family(family, grid, n_max, provider, witness_cap):
 def _wrong_families():
     from dataclasses import replace
 
+    def twos_at_triangular_for_every_t(p, n_max):
+        return [2 if _is_triangular(n) else 0 for n in range(n_max + 1)]
+
     registry = family_registry()
     tri = registry["pbar-2^{2a+3}n+2^{2a}-mod4-tri"]
     return {
@@ -564,7 +604,7 @@ def _wrong_families():
         "zero": (replace(registry["pbar-8n+7-mod32"], modulus_text="128"),
                  [{"t": t} for t in range(6)]),
         # The -tri rule without its "t odd" condition: even t fail at triangular n.
-        "tri": (replace(tri, expected=lambda p, n: 2 if congruences._is_triangular(n) else 0),
+        "tri": (replace(tri, expected=twos_at_triangular_for_every_t),
                 [{"t": t, "a": a} for t in range(4) for a in range(2)]),
     }
 

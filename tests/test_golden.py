@@ -25,6 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import corrupt_mod16_row
 
 import overq.cli as cli
 import overq.congruences as congruences
@@ -117,12 +118,6 @@ def _corrupted_oracle_count(monkeypatch):
     monkeypatch.setattr(cli, "count_overpartition_tuples", corrupted)
 
 
-def _corrupted_mod16_row(monkeypatch):
-    rows = list(congruences._MOD16_ROWS)
-    rows[3] = (3, 6, 8, 8)  # C(21, 3) * (-2)^3 is 0 mod 16, not 8
-    monkeypatch.setattr(congruences, "_MOD16_ROWS", tuple(rows))
-
-
 def _blocking_family(monkeypatch):
     registry = congruences.family_registry()
     wrong = replace(registry["pbar-8n+7-mod32"], key="pbar-wrong", modulus_text="128")
@@ -137,7 +132,7 @@ FAILING = {
         _corrupted_oracle_count,
         "oracle mismatch: family=overpartition-tuples parameter=2 n=5\n",
     ),
-    "replay-fail": (["replay"], _corrupted_mod16_row, ""),
+    "replay-fail": (["replay"], corrupt_mod16_row, ""),
     "verify-fail": (
         ["verify", "pbar-wrong", "pbar-8n+7-mod32", "--t-max", "3", "--n-max", "5"],
         _blocking_family,

@@ -170,9 +170,10 @@ def test_packed_kernel_thousand_randomized_cases():
 
 # Every modular test ring, plus the largest modulus on the decimal path, one
 # whose slots are a full 8 bytes at n = 33 and one whose slots are wider than
-# 8 bytes (the generic fallback).
+# 8 bytes (the generic fallback).  The orders run from the smallest products
+# (slots pack at every order) through both sides of each cutoff.
 _KERNEL_MODULI = tuple(r.modulus for r in RING_POOL if r.is_modular) + (256, 2**28 + 3, 2**31 - 1)
-_KERNEL_ORDERS = (1, 33, _DECIMAL_CUTOFF - 1, _DECIMAL_CUTOFF, _DECIMAL_CUTOFF + 1)
+_KERNEL_ORDERS = (1, 2, 7, 8, 31, 32, 33, _DECIMAL_CUTOFF - 1, _DECIMAL_CUTOFF, _DECIMAL_CUTOFF + 1)
 
 
 @pytest.fixture(params=["decimal", "no-decimal"])

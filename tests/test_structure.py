@@ -19,6 +19,9 @@
   refuses an order over its budget with ``BudgetError``.
 * Every name in an ``overq`` module's ``__all__`` is defined there: the bench
   tracer looks each one up by name.
+* A dissection step checked at one point is an identity case: no module
+  defines a ``StepReport``, and ``verify_dissection_step`` calls
+  ``verify_identity`` and builds no report class but ``IdentityReport``.
 """
 
 import ast
@@ -173,3 +176,18 @@ def test_every_exported_name_is_defined():
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if name not in vars(module)]
         assert missing == [], module.__name__
+
+
+def test_a_step_is_checked_as_an_identity_case():
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+        assert "StepReport" not in classes, path.name
+    step = next(
+        f for f in _functions(SOURCE / "congruences.py") if f.name == "verify_dissection_step"
+    )
+    called = {
+        getattr(node.func, "id", None) for node in ast.walk(step) if isinstance(node, ast.Call)
+    }
+    assert "verify_identity" in called
+    assert {name for name in called if name and name.endswith("Report")} == {"IdentityReport"}
