@@ -236,6 +236,11 @@ class CongruenceFamily:
     def progression(self, p: Mapping[str, int]) -> tuple[int, int]:
         return eval(self._code[1], _SCOPE, p)
 
+    def working_order(self, p: Mapping[str, int], n_max: int) -> tuple[int, int, int]:
+        """(A, B, order): the progression A n + B and the order reaching n = n_max."""
+        step, offset = self.progression(p)
+        return step, offset, step * n_max + offset + 1
+
     def modulus(self, p: Mapping[str, int]) -> int:
         return eval(self._code[2], _SCOPE, p)
 
@@ -289,33 +294,32 @@ class SeriesProvider:
 
     Within a bucket (kind, modulus) the GF at parameter p is the p-th power
     of its base, ``family_gf(kind, 1, ...)``, and the bucket's memo
-    ``powers`` holds every base^d computed so far.  A parameter not yet
+    ``powers`` holds every base^d computed so far.  One ladder, ``_power``,
+    steps between powers: base^d = (base^(d//2))^2, times the base when d is
+    odd, each rung read from the memo when it is there.  A parameter not yet
     cached is the nearest cached power below it times base^d for the
-    difference d, and base^d comes from a ladder over the same memo:
-    base^d = (base^(d//2))^2, times the base when d is odd, each rung read
-    from the memo when it is there.  So the tuple sizes c*k, k = 1, 5, 7, 11,
-    13, of one odd-part grid step from c to 5c by base^(4c) = ((base^c)^2)^2,
-    and on to 7c, 11c and 13c by one multiply each.
+    difference d.  So the tuple sizes c*k, k = 1, 5, 7, 11, 13, of one
+    odd-part grid step from c to 5c by base^(4c) = ((base^c)^2)^2, and on
+    to 7c, 11c and 13c by one multiply each.
 
-    A bucket is derived from a multiple when it can: if a bucket (kind, M)
+    A bucket starts from a multiple's memo when it can: if a bucket (kind, M)
     is already built with m dividing M and order at least the one requested,
-    the base of (kind, m) is M's base reduced mod m and truncated, and so is
-    each square the period probe below needs that M's memo holds.  Reduction
-    and truncation are ring homomorphisms, so these series are identical to
-    expanded ones.  Otherwise the base is expanded by ``family_gf``.
-    ``run_families`` reserves buckets in descending modulus, so each bucket's
-    multiples are built before it.
+    the memo of (kind, m) is seeded with M's powers base^d, 0 < d < m,
+    reduced mod m and truncated.  Reduction and truncation are ring
+    homomorphisms, so these series are identical to expanded ones.  The base
+    is expanded by ``family_gf`` only when the memo has no base^1.
+    ``run_families`` reserves buckets in descending modulus, so each
+    bucket's multiples are built before it.
 
-    When the modulus is a power of 2, building the bucket squares the base
-    up to log2(modulus) times and compares base^1, base^2, base^4, ... with
-    the series 1 at the bucket's order.  The first 2^e that matches is the
-    bucket's period P, and ``gf`` serves parameter p as base^(p mod P): equal
-    to base^p at that order, and so at every lower one.  Each square below P
-    is kept in the memo.  Both bases are 1 + 2X, so P divides modulus/2;
-    but the period is taken only from the comparison, also in a bucket
-    derived from a multiple.  A modulus that is not a power of 2, or a base
-    whose squares never reach 1, gets no period (``None``).  All methods
-    are thread-safe.
+    When the modulus is a power of 2, the bucket's period P is the first
+    2^k <= modulus whose ladder power base^(2^k) equals the series 1 at the
+    bucket's order, and ``gf`` serves parameter p as base^(p mod P): equal
+    to base^p at that order, and so at every lower one.  The memo then drops
+    every power at or past P, which ``gf`` never asks for.  Both bases are
+    1 + 2X, so P divides modulus/2; but the period is taken only from the
+    comparison, also in a bucket seeded from a multiple.  A modulus that is
+    not a power of 2, or a base whose squares never reach 1, gets no period
+    (``None``).  All methods are thread-safe.
     """
 
     def __init__(self) -> None:
@@ -343,26 +347,18 @@ class SeriesProvider:
                 ),
                 {},
             )
-
-            def derived(d: int) -> Series | None:
-                power = multiple.get(d)
-                return None if power is None else Series(ring, power.coeffs[:order])
-
-            base = derived(1)
-            if base is None:
-                base = family_gf(kind, 1, ring, order)
-            unit = one(ring, order)
-            powers = {0: unit, 1: base}
-            period = None
-            if modulus & (modulus - 1) == 0:
-                p, power = 1, base
-                while power != unit and p < modulus:
-                    powers[p] = power
-                    p *= 2
-                    square = derived(p)
-                    power = power * power if square is None else square
-                if power == unit:
-                    period = p
+            powers = {
+                d: Series(ring, s.coeffs[:order]) for d, s in multiple.items() if 0 < d < modulus
+            }
+            if 1 not in powers:
+                powers[1] = family_gf(kind, 1, ring, order)
+            unit = powers[0] = one(ring, order)
+            # Only a power-of-2 modulus seeks a period, along 1, 2, 4, ..., modulus.
+            ladder = (1 << k for k in range(modulus.bit_length()) if modulus & (modulus - 1) == 0)
+            period = next((p for p in ladder if self._power(powers, p) == unit), None)
+            if period is not None:
+                # gf asks only for sizes below the period, so base^P = 1 and above are dead weight.
+                powers = {d: s for d, s in powers.items() if d < period}
             bucket = {"order": order, "powers": powers, "period": period}
             self._buckets[key] = bucket
         return bucket
@@ -390,12 +386,10 @@ class SeriesProvider:
             powers = bucket["powers"]
             series = powers.get(param)
             if series is None:
+                # The memo holds base^0 and, unless P = 1, base^1: a miss has 1 <= nearest < param.
                 nearest = max(p for p in powers if p <= param)
-                series = self._power(powers, param - nearest)
-                if nearest:
-                    series = powers[nearest] * series
-                powers[param] = series
-        return series if series.order == order else series.truncate(order)
+                series = powers[param] = powers[nearest] * self._power(powers, param - nearest)
+        return series.truncate(order)
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -613,10 +607,9 @@ def check_family(
                 f"parameters {dict(params)} are outside the domain of {family.key}"
             )
         params_tried += 1
-        step, offset = family.progression(params)
+        step, offset, order = family.working_order(params, n_max)
         modulus = family.modulus(params)
         gf_param = family.gf_param(params)
-        order = step * n_max + offset + 1
         piece = provider.gf(family.kind, gf_param, modulus, order).dissect(step, offset % step)
         index0 = offset // step
         values = piece.coeffs[index0 : index0 + n_max + 1]
@@ -672,17 +665,16 @@ def run_families(
     exceed ``MAX_WORKING_ORDER`` is refused with ``BudgetError`` before any
     series is built.  Buckets are pre-sized to the largest order any selected
     family needs, so interleaved families reuse cached powers instead of
-    rebuilding, and are reserved in descending modulus, so each can be
-    derived from a multiple built before it.
+    rebuilding, and are reserved in descending modulus, so each can start
+    from the memo of a multiple built before it.
     """
     provider = provider or SeriesProvider()
     needed: dict[tuple[str, int], int] = {}
     raised = None
     for family in families:
         for params in default_grid(family, config):
-            step, offset = family.progression(params)
+            step, offset, order = family.working_order(params, config.n_max)
             modulus = family.modulus(params)
-            order = step * config.n_max + offset + 1
             reach = f"{step}*{config.n_max}+{offset}"
             if order > MAX_WORKING_ORDER:
                 raise BudgetError(

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -22,7 +23,14 @@ from overq.congruences import (
     step_registry,
     verify_dissection_step,
 )
-from overq.eta import GF_BASE, EtaQuotient, expand_eta_quotient, family_gf, overpartition_gf
+from overq.eta import (
+    GF_BASE,
+    EtaQuotient,
+    euler_product,
+    expand_eta_quotient,
+    family_gf,
+    overpartition_gf,
+)
 from overq.expr import GfRecipe, evaluate
 from overq.identities import IdentityCase, verify_identity
 from overq.oracle import count_overpartition_tuples
@@ -337,6 +345,8 @@ def test_bucket_derived_from_a_multiple_matches_expansion(monkeypatch, kind, mul
         assert provider.gf(kind, t, modulus, 60) == _reference_gf(kind, t, modulus, 60), t
     assert calls == [(kind, multiple, 70)]  # the divisor's bucket expanded nothing
     assert _period(provider, kind, modulus) == _direct_period(kind, modulus, 60)
+    for d, power in provider._buckets[(kind, modulus)]["powers"].items():
+        assert power == _reference_gf(kind, d, modulus, 60), d
 
 
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
@@ -372,6 +382,35 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
         ("opt", 1024, 40), ("opt", 96, 100), ("overpartition", 64, 100),
         ("opt", 64, 80), ("opt", 256, 80),
     ]
+
+
+def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
+    # A cold run of every family on the default grid (the bench `scan` job)
+    # makes 456 multiplies and expands 7 bases; every other bucket is derived
+    # from a built multiple.
+    eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
+    for memo in (euler_product, eta._f1_power, eta._rung):
+        memo.cache_clear()
+    calls = _expansions(monkeypatch)
+    products = []
+    product = Series.__mul__
+
+    def counted(a, b):
+        products.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    provider = SeriesProvider()
+    run_families(builtin_families(), RunConfig(), provider=provider)
+    assert len(products) <= 456
+    assert calls == [
+        ("overpartition", 32, 1608), ("overpartition", 16, 3215), ("overpartition", 4, 25681),
+        ("opt", 2592, 603), ("opt", 1024, 1605), ("opt", 512, 1607), ("opt", 128, 1608),
+    ]
+    # gf asks a bucket with a period only for powers below it, so its memo keeps no other
+    for key, bucket in provider._buckets.items():
+        if bucket["period"] is not None:
+            assert max(bucket["powers"]) < bucket["period"], key
 
 
 def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch):

@@ -10,9 +10,10 @@
   ``congruences.py`` takes nothing from ``eta`` but ``family_gf``, and
   ``expr.evaluate`` names no family kind.
 * ``SeriesProvider`` raises no series to a power (no ``**``, ``pow`` or
-  ``__pow__``), so its ladder is the one path that steps between powers,
-  and it calls ``family_gf`` once for its modular buckets, in ``_bucket``,
-  so every bucket not derived from a multiple is expanded there
+  ``__pow__``), and ``_bucket`` multiplies nothing and defines no inner
+  function, so its ladder ``_power`` is the one path that steps between
+  powers.  It calls ``family_gf`` once for its modular buckets, in
+  ``_bucket``, so every bucket not derived from a multiple is expanded there
   (``gf_exact`` makes the other call, over the exact ring).
 * Refusals reach the exit code in one place: in ``cli.py`` only ``main``
   catches ``BudgetError`` or ``UsageError``, and ``verify_dissection_step``
@@ -137,6 +138,13 @@ def test_provider_steps_by_its_ladder_and_expands_in_one_place():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "family_gf"
     ]
     assert sorted(callers) == ["_bucket", "gf_exact"]  # gf_exact is the exact ring's
+    bucket = next(
+        method for method in provider.body
+        if isinstance(method, ast.FunctionDef) and method.name == "_bucket"
+    )
+    inner = list(ast.walk(bucket))[1:]
+    assert not any(isinstance(node, ast.Mult) for node in inner)  # it squares only by _power
+    assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda)) for node in inner)
 
 
 def _caught_names(handler):
