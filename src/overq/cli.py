@@ -103,9 +103,10 @@ def _boolean(text: str) -> bool:
 # Settings: dest -> (value parser, default, commands that read it).  Each is a
 # flag --dest-with-dashes and a config-file key dest-with-dashes, checked by the
 # same parser; a boolean setting is a switch on the command line.  A setting
-# that RunConfig holds takes its default from RunConfig.
+# that RunConfig holds takes its default from RunConfig.  verify reads no
+# order: each family works at the order its progression needs to reach --n-max.
 _OPTIONS = {
-    "order": (_positive_int, RunConfig.order, ("identities", "verify", "replay")),
+    "order": (_positive_int, 500, ("identities", "replay")),
     "n_max": (_nonneg_int, RunConfig.n_max, ("verify",)),
     "t_max": (_nonneg_int, RunConfig.t_max, ("verify",)),
     "i_max": (_positive_int, RunConfig.i_max, ("verify",)),
@@ -115,6 +116,17 @@ _OPTIONS = {
     "primes_only": (_boolean, RunConfig.primes_only, ("verify",)),
     "upto": (_nonneg_int, 60, ("oracle",)),
     "format": (_format, "table", COMMANDS),
+}
+
+# verify settings that act on one part of the grid: dest -> (the grid hint or
+# family tag they act on, what they do).  One given by flag or config file when
+# no selected family has that hint or tag is a usage error.
+_GRID_SETTINGS = {
+    "t_max": ("t", "sizes only families with a t axis"),
+    "alpha_max": ("alpha", "sizes only families with an alpha axis"),
+    "i_max": ("i", "sizes only families with an i axis"),
+    "j_max": ("j", "sizes only families with a j axis"),
+    "primes_only": ("prime-scan", "filters only families tagged prime-scan"),
 }
 
 
@@ -282,15 +294,15 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     else:
         _check_keys(args.keys, registry, "family")
         families = [registry[k] for k in args.keys]
-    if settings["primes_only"] and not any("prime-scan" in f.tags for f in families):
-        raise UsageError(
-            "--primes-only filters only families tagged prime-scan, and none is selected"
-        )
+    marks = {mark for f in families for mark in (*f.tags, *dict(f.params).values())}
+    for dest, (mark, does) in _GRID_SETTINGS.items():
+        if getattr(args, dest) is not None and mark not in marks:
+            raise UsageError(f"--{dest.replace('_', '-')} {does}, and none is selected")
     families.sort(key=lambda f: f.key)
     config = RunConfig(
         **{f.name: settings[f.name] for f in fields(RunConfig) if f.name in settings}
     )
-    reports = run_families(families, config, warn=lambda msg: print(msg, file=sys.stderr))
+    reports = run_families(families, config)
 
     results = []
     lines = [f"{'KEY':42} {'STATUS':10} {'VERDICT':16} {'PARAMS':>7} {'COEFFS':>8} {'FAILS':>6}"]

@@ -74,9 +74,10 @@ class BudgetError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Grid and output configuration for batch verification runs."""
+    """The parameter grid a batch verification run scans, and the last n it
+    checks on each progression A n + B.  Each family works at the order its
+    progression needs to reach n = ``n_max``."""
 
-    order: int = 500
     n_max: int = 200
     t_max: int = 64
     i_max: int = 3
@@ -657,7 +658,6 @@ def run_families(
     config: RunConfig,
     *,
     provider: SeriesProvider | None = None,
-    warn: Callable[[str], None] | None = None,
 ) -> list[FamilyReport]:
     """Check many families against their default grids, sharing one provider.
 
@@ -670,27 +670,16 @@ def run_families(
     """
     provider = provider or SeriesProvider()
     needed: dict[tuple[str, int], int] = {}
-    raised = None
     for family in families:
         for params in default_grid(family, config):
             step, offset, order = family.working_order(params, config.n_max)
-            modulus = family.modulus(params)
-            reach = f"{step}*{config.n_max}+{offset}"
             if order > MAX_WORKING_ORDER:
                 raise BudgetError(
-                    f"{family.key}: working order {order} (to reach {reach}) "
-                    f"exceeds budget {MAX_WORKING_ORDER}"
+                    f"{family.key}: working order {order} (to reach "
+                    f"{step}*{config.n_max}+{offset}) exceeds budget {MAX_WORKING_ORDER}"
                 )
-            bucket = (family.kind, modulus)
+            bucket = (family.kind, family.modulus(params))
             needed[bucket] = max(needed.get(bucket, 0), order)
-            if order > config.order and raised is None:
-                # one warning per run is enough
-                raised = (
-                    f"{family.key}: raising working order to {order} "
-                    f"(configured order {config.order} cannot reach {reach})"
-                )
-    if raised is not None and warn is not None:
-        warn(raised)
     for (kind, modulus), order in sorted(needed.items(), reverse=True):
         provider.reserve(kind, modulus, order)
     return [

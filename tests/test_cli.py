@@ -226,7 +226,7 @@ def test_bad_config_file_is_usage_error(tmp_path):
     cfg.write_text("nonsense=1\n")
     code, _ = run_cli(["verify", "pbar-8n+7-mod32", "--config", str(cfg)])
     assert code == 2
-    cfg.write_text("order=zero\n")
+    cfg.write_text("n-max=zero\n")
     code, _ = run_cli(["verify", "pbar-8n+7-mod32", "--config", str(cfg)])
     assert code == 2
 
@@ -324,6 +324,7 @@ def test_config_switch_is_read(tmp_path):
         ["identities", "--n-max", "9"],
         ["identities", "--upto", "9"],
         ["verify", "all", "--upto", "9"],
+        ["verify", "all", "--order", "9"],
         ["oracle", "--order", "40"],
         ["oracle", "--n-max", "9"],
         ["replay", "--t-max", "3"],
@@ -369,6 +370,95 @@ def test_config_key_a_command_does_not_read_is_usage_error(tmp_path):
     cfg.write_text("t-max=3\n")
     code, _ = run_cli(["identities", "--only", "D1", "--config", str(cfg)])
     assert code == 2
+    cfg.write_text("order=600\n")
+    code, text = run_cli(["verify", "pbar-8n+7-mod32", "--config", str(cfg)])
+    assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "keys, setting, message",
+    [
+        (["opt-8n+7-mod-2^{i+4}"], "t-max=3", "--t-max sizes only families with a t axis"),
+        (["pbar-8n+7-mod32"], "alpha-max=9", "--alpha-max sizes only families with an alpha axis"),
+        (["pbar-2^{2a+2}n+2^{2a+1}-mod4"], "i-max=2", "--i-max sizes only families with an i axis"),
+        (["pbar-n-mod2", "opt-3n+1-mod-3^i2"], "j-max=2",
+         "--j-max sizes only families with a j axis"),
+    ],
+    ids=["t-max", "alpha-max", "i-max", "j-max"],
+)
+def test_grid_setting_no_selected_family_reads_is_usage_error(
+    tmp_path, capsys, keys, setting, message, source
+):
+    if source == "flag":
+        name, _, value = setting.partition("=")
+        argv = ["verify", *keys, "--" + name, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        argv = ["verify", *keys, "--config", str(cfg)]
+    code, text = run_cli(argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {message}, and none is selected\n"
+
+
+# A tiny run for each (command, setting) pair, and the setting's flag at a
+# value other than its default.
+SETTING_CASES = {
+    ("identities", "order"): (["identities", "--only", "D1"], ["--order", "20"]),
+    ("identities", "format"): (
+        ["identities", "--only", "D1", "--order", "20"], ["--format", "csv"]
+    ),
+    ("verify", "n_max"): (["verify", "pbar-8n+7-mod32", "--t-max", "1"], ["--n-max", "3"]),
+    ("verify", "t_max"): (["verify", "pbar-8n+7-mod32", "--n-max", "3"], ["--t-max", "1"]),
+    ("verify", "i_max"): (["verify", "opt-8n+7-mod-2^{i+4}", "--n-max", "3"], ["--i-max", "1"]),
+    ("verify", "j_max"): (
+        ["verify", "opt-3n+1-mod-3^i2^{j+1}", "--n-max", "3", "--i-max", "1"],
+        ["--j-max", "1"],
+    ),
+    ("verify", "alpha_max"): (
+        ["verify", "pbar-2^{2a+2}n+2^{2a+1}-mod4", "--t-max", "1", "--n-max", "3"],
+        ["--alpha-max", "0"],
+    ),
+    ("verify", "include_conjectures"): (
+        ["verify", "all", "--t-max", "1", "--n-max", "2", "--alpha-max", "0", "--i-max", "1",
+         "--j-max", "1"],
+        ["--include-conjectures"],
+    ),
+    ("verify", "primes_only"): (
+        ["verify", "pbar-8n+7-mod32", "--t-max", "5", "--n-max", "3"], ["--primes-only"]
+    ),
+    ("verify", "format"): (
+        ["verify", "pbar-8n+7-mod32", "--t-max", "1", "--n-max", "3"], ["--format", "csv"]
+    ),
+    ("oracle", "upto"): (["oracle", "--t", "1"], ["--upto", "5"]),
+    ("oracle", "format"): (["oracle", "--t", "1", "--upto", "5"], ["--format", "csv"]),
+    ("replay", "order"): (
+        ["replay", "--step", "opt-2n+1", "--i", "2", "--r", "1"], ["--order", "60"]
+    ),
+    ("replay", "format"): (["replay", "--width", "16"], ["--format", "csv"]),
+}
+
+
+@pytest.mark.parametrize(
+    "command, dest",
+    [
+        pytest.param(command, dest, id=f"{command}-{dest}")
+        for dest, (_, _, readers) in cli._OPTIONS.items()
+        for command in readers
+    ],
+)
+def test_every_setting_a_command_accepts_changes_its_report(command, dest):
+    # A setting accepted and then ignored would report the same at both values.
+    base, other = SETTING_CASES[command, dest]
+    reports = []
+    for argv in (base, base + other):
+        if dest != "format":
+            argv = argv + ["--format", "json"]
+        code, text = run_cli(argv)
+        assert code in (0, 1), argv
+        reports.append(text if dest == "format" else json.loads(text)["results"])
+    assert reports[0] != reports[1]
 
 
 def test_replay_step_with_all_its_parameters():
@@ -411,7 +501,7 @@ def test_config_order_with_width_is_usage_error(tmp_path, capsys):
 
 def test_verify_over_the_order_budget_is_usage_error(capsys):
     # a = 2 asks for order 128*20000+81, over the 2,000,000 budget: refused
-    # before any series is built, with no traceback and no order warning.
+    # before any series is built, with no traceback.
     code, text = run_cli(
         ["verify", "pbar-2^{2a+3}n+5*2^{2a}-mod4", "--n-max", "20000", "--alpha-max", "4",
          "--t-max", "1"]

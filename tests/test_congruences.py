@@ -218,16 +218,6 @@ def test_primes_only_filters_prime_scan_families():
     assert [p["t"] for p in grid] == list(range(13))  # not a prime-scan family
 
 
-def test_run_families_warns_when_order_is_raised(capsys):
-    registry = family_registry()
-    fams = [registry["pbar-8n+7-mod32"]]
-    config = RunConfig(order=10, t_max=2, n_max=10)
-    messages = []
-    reports = run_families(fams, config, warn=messages.append)
-    assert reports[0].ok
-    assert messages and "raising working order" in messages[0]
-
-
 STEPPED_SIZES = {
     # no period in t: every size is stepped to by the ladder
     ("opt", 72): (0, 1, 2, 3, 6, 9, 30, 36, 42, 66, 78, 180, 252, 468),
@@ -419,10 +409,9 @@ def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch)
     families = [registry["pbar-n-mod2"], registry["pbar-2^{2a+3}n+5*2^{2a}-mod4"]]
     config = RunConfig(t_max=1, alpha_max=4, n_max=20000)
     provider = SeriesProvider()
-    messages = []
     with pytest.raises(BudgetError, match=r"5\*2\^\{2a\}-mod4: working order 2560081 "):
-        run_families(families, config, provider=provider, warn=messages.append)
-    assert calls == [] and provider._buckets == {} and messages == []
+        run_families(families, config, provider=provider)
+    assert calls == [] and provider._buckets == {}
 
 
 def test_provider_exact_matches_modular():

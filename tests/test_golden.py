@@ -79,8 +79,6 @@ def test_default_grid_report_matches_golden():
         "verify-all",
         "json",
         argv=["verify", "all", "--include-conjectures"],
-        stderr="opt-3n+1-mod-3^i2: raising working order to 602 "
-        "(configured order 500 cannot reach 3*200+1)\n",
     )
 
 
@@ -92,8 +90,6 @@ def test_wide_grid_report_matches_golden():
             "verify", "all", "--include-conjectures", "--n-max", "60", "--t-max", "20",
             "--alpha-max", "1", "--i-max", "4", "--j-max", "2",
         ],
-        stderr="pbar-16n+10-mod8: raising working order to 971 "
-        "(configured order 500 cannot reach 16*60+10)\n",
     )
 
 

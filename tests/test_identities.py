@@ -4,8 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from overq.cli import main
-from overq.congruences import RunConfig
+from overq.cli import _OPTIONS, main
 from overq.expr import GfRecipe, SubstRecipe, eta_series, evaluate, theta_series
 from overq.identities import (
     IdentityCase,
@@ -145,8 +144,8 @@ def test_verify_rejects_bad_order():
 
 
 def test_default_order_is_five_hundred():
-    # An identities run with no --order takes the CLI default, RunConfig.order.
-    assert RunConfig.order == 500
+    # An identities run with no --order takes the CLI default.
+    assert _OPTIONS["order"][1] == 500
     out = io.StringIO()
     assert main(["identities", "--only", "D1", "--format", "json"], out=out) == 0
     doc = json.loads(out.getvalue())
