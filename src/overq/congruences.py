@@ -293,34 +293,30 @@ def _is_prime(n: int) -> bool:
 class SeriesProvider:
     """Cache of counting generating functions over modular rings.
 
-    Within a bucket (kind, modulus) the GF at parameter p is the p-th power
-    of its base, ``family_gf(kind, 1, ...)``, and the bucket's memo
-    ``powers`` holds every base^d computed so far.  One ladder, ``_power``,
-    steps between powers: base^d = (base^(d//2))^2, times the base when d is
-    odd, each rung read from the memo when it is there.  A parameter not yet
-    cached is the nearest cached power below it times base^d for the
-    difference d.  So the tuple sizes c*k, k = 1, 5, 7, 11, 13, of one
-    odd-part grid step from c to 5c by base^(4c) = ((base^c)^2)^2, and on
-    to 7c, 11c and 13c by one multiply each.
+    A bucket exists only where a base is expanded, by ``family_gf(kind, 1,
+    ...)`` over Z/M to some order, and the GF at parameter p is base^p.  The
+    bucket's memo ``powers`` holds every base^d computed so far.  One ladder,
+    ``_power``, steps between powers: base^d = (base^(d//2))^2, times the base
+    when d is odd, each rung read from the memo when it is there.  A
+    parameter not yet cached is the nearest cached power below it times
+    base^d for the difference d.  So the tuple sizes c*k, k = 1, 5, 7, 11,
+    13, of one odd-part grid step from c to 5c by base^(4c) = ((base^c)^2)^2,
+    and on to 7c, 11c and 13c by one multiply each.
 
-    A bucket starts from a multiple's memo when it can: if a bucket (kind, M)
-    is already built with m dividing M and order at least the one requested,
-    the memo of (kind, m) is seeded with M's powers base^d, 0 < d < m,
-    reduced mod m and truncated.  Reduction and truncation are ring
-    homomorphisms, so these series are identical to expanded ones.  The base
-    is expanded by ``family_gf`` only when the memo has no base^1.
-    ``run_families`` reserves buckets in descending modulus, so each
-    bucket's multiples are built before it.
+    A request mod m is served by the smallest built bucket of its kind whose
+    modulus M is a multiple of m and whose order reaches the one asked for:
+    the divisor gets the multiple's power reduced mod m and truncated.
+    Reduction and truncation are ring homomorphisms, so this is the series an
+    expansion mod m would give.  Only when no bucket serves is a base
+    expanded.  ``run_families`` reserves in descending modulus, so a
+    divisor's multiples are built before it is asked for.
 
-    When the modulus is a power of 2, the bucket's period P is the first
-    2^k <= modulus whose ladder power base^(2^k) equals the series 1 at the
-    bucket's order, and ``gf`` serves parameter p as base^(p mod P): equal
-    to base^p at that order, and so at every lower one.  The memo then drops
-    every power at or past P, which ``gf`` never asks for.  Both bases are
-    1 + 2X, so P divides modulus/2; but the period is taken only from the
-    comparison, also in a bucket seeded from a multiple.  A modulus that is
-    not a power of 2, or a base whose squares never reach 1, gets no period
-    (``None``).  All methods are thread-safe.
+    A bucket of even modulus records whether its base is 1 + 2X: constant
+    term 1 and every other coefficient even, checked on the expansion.  Then
+    base^(m/2) == 1 (mod m) for every power of 2 m that divides the bucket's
+    modulus, and ``gf`` serves parameter p mod m as base^(p mod max(m/2, 1)).
+    A base not of that form, or a modulus that is not a power of 2, is served
+    at p itself.  All methods are thread-safe.
     """
 
     def __init__(self) -> None:
@@ -328,40 +324,32 @@ class SeriesProvider:
         self._lock = threading.Lock()
 
     def reserve(self, kind: str, modulus: int, order: int) -> None:
-        """Pre-size a bucket so later lower-order requests reuse its series."""
+        """Make sure a bucket of a multiple of ``modulus`` reaches ``order``.
+
+        Later requests mod ``modulus``, at that order or below, are served
+        from it.  A base is expanded only when no built bucket serves.
+        """
         with self._lock:
             self._bucket(kind, modulus, order)
 
     def _bucket(self, kind: str, modulus: int, order: int) -> dict:
         if order > MAX_WORKING_ORDER:
             raise BudgetError(f"working order {order} exceeds budget {MAX_WORKING_ORDER}")
-        key = (kind, modulus)
-        bucket = self._buckets.get(key)
-        if bucket is None or bucket["order"] < order:
-            ring = Zmod(modulus)
-            # A bucket being rebuilt is below the order, so it is not its own multiple.
-            multiple = next(
-                (
-                    built["powers"]
-                    for (k, m), built in self._buckets.items()
-                    if k == kind and m % modulus == 0 and built["order"] >= order
-                ),
-                {},
-            )
-            powers = {
-                d: Series(ring, s.coeffs[:order]) for d, s in multiple.items() if 0 < d < modulus
-            }
-            if 1 not in powers:
-                powers[1] = family_gf(kind, 1, ring, order)
-            unit = powers[0] = one(ring, order)
-            # Only a power-of-2 modulus seeks a period, along 1, 2, 4, ..., modulus.
-            ladder = (1 << k for k in range(modulus.bit_length()) if modulus & (modulus - 1) == 0)
-            period = next((p for p in ladder if self._power(powers, p) == unit), None)
-            if period is not None:
-                # gf asks only for sizes below the period, so base^P = 1 and above are dead weight.
-                powers = {d: s for d, s in powers.items() if d < period}
-            bucket = {"order": order, "powers": powers, "period": period}
-            self._buckets[key] = bucket
+        multiples = [
+            m for (k, m), built in self._buckets.items()
+            if k == kind and m % modulus == 0 and built["order"] >= order
+        ]
+        if multiples:
+            return self._buckets[kind, min(multiples)]
+        ring = Zmod(modulus)
+        base = family_gf(kind, 1, ring, order)
+        coeffs = base.coeffs
+        bucket = self._buckets[kind, modulus] = {
+            "order": order,
+            "powers": {0: one(ring, order), 1: base},
+            "one_plus_2x": modulus % 2 == 0 and coeffs[0] == 1
+            and not any(c & 1 for c in coeffs[1:]),
+        }
         return bucket
 
     @staticmethod
@@ -377,19 +365,28 @@ class SeriesProvider:
         return series
 
     def gf(self, kind: str, param: int, modulus: int, order: int) -> Series:
-        """The family GF for a tuple parameter, over Z/modulus, to the order."""
+        """The family GF for a tuple parameter, over Z/modulus, to the order.
+
+        It is the serving bucket's power, reduced mod ``modulus`` when the
+        bucket's modulus is a proper multiple, and truncated to ``order``.  A
+        power-of-2 modulus m takes the parameter mod max(m/2, 1) when the
+        bucket checked its base to be 1 + 2X.
+        """
         if param < 0:
             raise ValueError(f"tuple parameter must be >= 0, got {param}")
         with self._lock:
             bucket = self._bucket(kind, modulus, order)
-            if bucket["period"] is not None:
-                param %= bucket["period"]
+            if bucket["one_plus_2x"] and modulus & (modulus - 1) == 0:
+                # b == 1 (mod 2^k) implies b^2 == 1 (mod 2^(k+1)), so (1 + 2X)^(m/2) == 1 (mod m).
+                param %= max(modulus // 2, 1)
             powers = bucket["powers"]
             series = powers.get(param)
             if series is None:
-                # The memo holds base^0 and, unless P = 1, base^1: a miss has 1 <= nearest < param.
+                # The memo holds base^0 and base^1: a miss has 1 <= nearest < param.
                 nearest = max(p for p in powers if p <= param)
                 series = powers[param] = powers[nearest] * self._power(powers, param - nearest)
+        if series.ring.modulus != modulus:
+            return Series(Zmod(modulus), series.coeffs[:order])
         return series.truncate(order)
 
     @staticmethod
@@ -665,8 +662,9 @@ def run_families(
     exceed ``MAX_WORKING_ORDER`` is refused with ``BudgetError`` before any
     series is built.  Buckets are pre-sized to the largest order any selected
     family needs, so interleaved families reuse cached powers instead of
-    rebuilding, and are reserved in descending modulus, so each can start
-    from the memo of a multiple built before it.
+    rebuilding.  They are reserved in descending modulus, so a modulus that
+    divides one built before it, at an order at least its own, expands
+    nothing and is served from that bucket's powers, reduced.
     """
     provider = provider or SeriesProvider()
     needed: dict[tuple[str, int], int] = {}

@@ -219,11 +219,11 @@ def test_primes_only_filters_prime_scan_families():
 
 
 STEPPED_SIZES = {
-    # no period in t: every size is stepped to by the ladder
+    # not a power of 2, so no period in t: every size is stepped to by the ladder
     ("opt", 72): (0, 1, 2, 3, 6, 9, 30, 36, 42, 66, 78, 180, 252, 468),
     ("opt", 2592): (0, 1, 3, 216, 1080, 1512, 2376, 2808),
     ("overpartition", 2592): (0, 1, 2, 5, 4, 9, 17, 64),
-    # a power of 2 with every size below its period, 512
+    # a power of 2 with every size below modulus/2, 512
     ("opt", 1024): (0, 1, 2, 4, 8, 24, 40, 56, 72, 88, 104, 120, 255, 511),
 }
 
@@ -249,8 +249,9 @@ def _reference_gf(kind, t, modulus, order):
     return expand_eta_quotient(scaled, Zmod(modulus), order)
 
 
-def _period(provider, kind, modulus):
-    return provider._buckets[(kind, modulus)]["period"]
+def _powers(provider, kind, modulus):
+    """The memo keys of the bucket expanded mod ``modulus``."""
+    return set(provider._buckets[(kind, modulus)]["powers"])
 
 
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
@@ -261,7 +262,9 @@ def test_provider_period_matches_direct_expansion(kind, modulus):
     provider = SeriesProvider()
     for t in range(min(modulus + 3, 130) + 1):
         assert provider.gf(kind, t, modulus, 60) == _reference_gf(kind, t, modulus, 60), t
-    assert _period(provider, kind, modulus) == modulus // 2
+    assert provider._buckets[(kind, modulus)]["one_plus_2x"]
+    # every t was served at t mod modulus/2; base^1 is in every memo
+    assert max(_powers(provider, kind, modulus)) < max(modulus // 2, 2)
 
 
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
@@ -269,7 +272,7 @@ def test_provider_period_holds_on_the_decimal_path(kind):
     provider = SeriesProvider()
     for t in range(8):
         assert provider.gf(kind, t, 4, 3001) == _reference_gf(kind, t, 4, 3001), t
-    assert _period(provider, kind, 4) == 2
+    assert _powers(provider, kind, 4) == {0, 1}
 
 
 def test_provider_period_serves_lower_orders_and_is_found_again_on_rebuild():
@@ -284,24 +287,29 @@ def test_provider_period_serves_lower_orders_and_is_found_again_on_rebuild():
     for t in (5, 21, 37):
         assert provider.gf("opt", t, 32, 90) == _reference_gf("opt", t, 32, 90), t
     assert provider._buckets[("opt", 32)]["order"] == 90
-    assert _period(provider, "opt", 32) == 16
+    assert provider._buckets[("opt", 32)]["one_plus_2x"]
+    assert max(_powers(provider, "opt", 32)) < 16  # 21 and 37 were served as base^5
 
 
 def test_provider_gives_no_period_to_a_base_that_is_not_one_plus_2x(monkeypatch):
+    # f1^-1 = 1 + q + 2q^2 + ...: reducing t mod modulus/2 would be wrong from t = 4 on
     monkeypatch.setitem(GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
-    provider = SeriesProvider()
-    for t in range(11):
-        assert provider.gf("overpartition", t, 8, 40) == _reference_gf("overpartition", t, 8, 40)
-    assert _period(provider, "overpartition", 8) is None
+    for modulus in (8, 16):
+        provider = SeriesProvider()
+        for t in range(11):
+            got = provider.gf("overpartition", t, modulus, 40)
+            assert got == _reference_gf("overpartition", t, modulus, 40), (modulus, t)
+        assert not provider._buckets[("overpartition", modulus)]["one_plus_2x"]
 
 
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
 @pytest.mark.parametrize("modulus", [6, 2592])
 def test_provider_gives_no_period_to_other_moduli(kind, modulus):
     provider = SeriesProvider()
-    for t in (0, 1, 2, 5, 4, 9):
+    sizes = (0, 1, 2, 5, 4, 9)
+    for t in sizes:
         assert provider.gf(kind, t, modulus, 40) == _reference_gf(kind, t, modulus, 40), t
-    assert _period(provider, kind, modulus) is None
+    assert _powers(provider, kind, modulus) >= set(sizes)  # each t served at t itself
 
 
 def _expansions(monkeypatch):
@@ -316,12 +324,6 @@ def _expansions(monkeypatch):
     return calls
 
 
-def _direct_period(kind, modulus, order):
-    provider = SeriesProvider()
-    provider.reserve(kind, modulus, order)
-    return _period(provider, kind, modulus)
-
-
 @pytest.mark.parametrize(
     "kind, multiple, modulus",
     [("opt", 1024, 256), ("opt", 1024, 8), ("overpartition", 32, 16), ("opt", 2592, 72),
@@ -333,10 +335,20 @@ def test_bucket_derived_from_a_multiple_matches_expansion(monkeypatch, kind, mul
     provider.reserve(kind, multiple, 70)
     for t in (0, 1, 2, 3, 5, 6, 12, 35, 36, 100):
         assert provider.gf(kind, t, modulus, 60) == _reference_gf(kind, t, modulus, 60), t
-    assert calls == [(kind, multiple, 70)]  # the divisor's bucket expanded nothing
-    assert _period(provider, kind, modulus) == _direct_period(kind, modulus, 60)
-    for d, power in provider._buckets[(kind, modulus)]["powers"].items():
-        assert power == _reference_gf(kind, d, modulus, 60), d
+    assert calls == [(kind, multiple, 70)]  # the divisor expanded nothing
+    assert set(provider._buckets) == {(kind, multiple)}  # and has no bucket of its own
+
+
+def test_power_of_2_request_is_served_by_a_mixed_multiple(monkeypatch):
+    calls = _expansions(monkeypatch)
+    provider = SeriesProvider()
+    provider.reserve("opt", 2592, 50)
+    for modulus in (16, 32, 64):  # 2592 = 2^5 * 3^4, so 64 needs a bucket of its own
+        for t in range(41):
+            got = provider.gf("opt", t, modulus, 50)
+            assert got == _reference_gf("opt", t, modulus, 50), (modulus, t)
+    assert calls == [("opt", 2592, 50), ("opt", 64, 50)]
+    assert set(provider._buckets) == {("opt", 2592), ("opt", 64)}
 
 
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
@@ -347,9 +359,10 @@ def test_reserving_ascending_or_descending_gives_the_same_buckets(kind):
         providers["ascending"].reserve(kind, modulus, 50)
     for modulus in reversed(moduli):
         providers["descending"].reserve(kind, modulus, 50)
+    # a divisor reserved after its multiple is served by it; ascending, none is
+    assert set(providers["ascending"]._buckets) == {(kind, m) for m in moduli}
+    assert set(providers["descending"]._buckets) == {(kind, 1024), (kind, 2592)}
     for modulus in moduli:
-        periods = {_period(p, kind, modulus) for p in providers.values()}
-        assert periods == {_direct_period(kind, modulus, 50)}, modulus
         for t in (0, 1, 7, 30, 65, 216):
             want = _reference_gf(kind, t, modulus, 50)
             for name, provider in providers.items():
@@ -357,7 +370,6 @@ def test_reserving_ascending_or_descending_gives_the_same_buckets(kind):
 
 
 def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
-    periods = {modulus: _direct_period("opt", modulus, 80) for modulus in (256, 64)}
     calls = _expansions(monkeypatch)
     provider = SeriesProvider()
     provider.reserve("opt", 1024, 40)  # a multiple of 256, but of too low an order
@@ -367,7 +379,7 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
         for t in (1, 3, 20, 45):
             got = provider.gf("opt", t, modulus, 80)
             assert got == _reference_gf("opt", t, modulus, 80), (modulus, t)
-        assert _period(provider, "opt", modulus) == periods[modulus]
+        assert provider._buckets[("opt", modulus)]["one_plus_2x"]
     assert calls == [
         ("opt", 1024, 40), ("opt", 96, 100), ("overpartition", 64, 100),
         ("opt", 64, 80), ("opt", 256, 80),
@@ -376,7 +388,7 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
 
 def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     # A cold run of every family on the default grid (the bench `scan` job)
-    # makes 456 multiplies and expands 7 bases; every other bucket is derived
+    # makes 177 multiplies and expands 7 bases; every other modulus is served
     # from a built multiple.
     eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
     for memo in (euler_product, eta._f1_power, eta._rung):
@@ -392,15 +404,17 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", counted)
     provider = SeriesProvider()
     run_families(builtin_families(), RunConfig(), provider=provider)
-    assert len(products) <= 456
-    assert calls == [
+    assert len(products) <= 177
+    expanded = [
         ("overpartition", 32, 1608), ("overpartition", 16, 3215), ("overpartition", 4, 25681),
         ("opt", 2592, 603), ("opt", 1024, 1605), ("opt", 512, 1607), ("opt", 128, 1608),
     ]
-    # gf asks a bucket with a period only for powers below it, so its memo keeps no other
-    for key, bucket in provider._buckets.items():
-        if bucket["period"] is not None:
-            assert max(bucket["powers"]) < bucket["period"], key
+    assert calls == expanded
+    assert set(provider._buckets) == {(kind, modulus) for kind, modulus, _ in expanded}
+    # gf serves a power of 2 m from a 1 + 2X base at t mod m/2, so no memo holds more
+    for (kind, modulus), bucket in provider._buckets.items():
+        if modulus & (modulus - 1) == 0 and bucket["one_plus_2x"]:
+            assert max(bucket["powers"]) < modulus // 2, (kind, modulus)
 
 
 def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch):

@@ -6,8 +6,9 @@ format: ``<command>.json``, ``<command>.txt`` (``--format table``) and
 orders; ``verify`` scans every family, conjectures included, on a small grid
 (so the known ``opt-8n+4`` witnesses appear); ``oracle`` runs its default
 tuple sizes up to n = 12.  ``verify-all.json`` pins ``verify all
---include-conjectures`` at the default grid, where every ``pbar`` bucket
-wraps its period in t, as none from mod 8 up does on the small grid.
+--include-conjectures`` at the default grid, where t passes modulus/2 for
+every ``pbar`` modulus, so each is served at t mod modulus/2 for some t, as
+none from mod 8 up is on the small grid.
 ``verify-wide.json`` pins a grid off the default on every axis, where the
 odd-part families reach the moduli 3^5 * 2^4 and 2^12 and tuple sizes up
 to 3^4 * 2^2 * 13.  The

@@ -13,8 +13,9 @@
   ``__pow__``), and ``_bucket`` multiplies nothing and defines no inner
   function, so its ladder ``_power`` is the one path that steps between
   powers.  It calls ``family_gf`` once for its modular buckets, in
-  ``_bucket``, so every bucket not derived from a multiple is expanded there
-  (``gf_exact`` makes the other call, over the exact ring).
+  ``_bucket``, and ``_bucket`` constructs no ``Series``, so every bucket is
+  an expanded base and no bucket copies another's powers (``gf_exact``
+  makes the other ``family_gf`` call, over the exact ring).
 * Refusals reach the exit code in one place: in ``cli.py`` only ``main``
   catches ``BudgetError`` or ``UsageError``, and ``verify_dissection_step``
   refuses an order over its budget with ``BudgetError``.
@@ -145,6 +146,9 @@ def test_provider_steps_by_its_ladder_and_expands_in_one_place():
     inner = list(ast.walk(bucket))[1:]
     assert not any(isinstance(node, ast.Mult) for node in inner)  # it squares only by _power
     assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda)) for node in inner)
+    assert not any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Series" for node in inner
+    )  # a divisor is served from its multiple's powers, not from a copy of them
 
 
 def _caught_names(handler):
