@@ -24,7 +24,7 @@ from itertools import accumulate, count, product, takewhile
 from types import CodeType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .series import EXACT, Series, Zmod, mismatches, one
+from .series import EXACT, Series, Zmod, _pack_slots, _reduce_slots, mismatches, one
 from .eta import family_gf
 from .expr import (
     DissectRecipe,
@@ -294,18 +294,11 @@ class SeriesProvider:
     """Cache of counting generating functions over modular rings.
 
     A bucket exists only where a base is expanded, by ``family_gf(kind, 1,
-    ...)`` over Z/M to some order, and the GF at parameter p is base^p.  The
-    bucket's memo ``powers`` holds every base^d computed so far.  One ladder,
-    ``_power``, steps between powers: base^d = (base^(d//2))^2, times the base
-    when d is odd, each rung read from the memo when it is there.  A
-    parameter not yet cached is the nearest cached power below it times
-    base^d for the difference d.  So the tuple sizes c*k, k = 1, 5, 7, 11,
-    13, of one odd-part grid step from c to 5c by base^(4c) = ((base^c)^2)^2,
-    and on to 7c, 11c and 13c by one multiply each.
+    ...)`` over Z/M to some order, and the GF at parameter p is base^p.
 
     A request mod m is served by the smallest built bucket of its kind whose
     modulus M is a multiple of m and whose order reaches the one asked for:
-    the divisor gets the multiple's power reduced mod m and truncated.
+    the divisor gets the multiple's coefficients reduced mod m and truncated.
     Reduction and truncation are ring homomorphisms, so this is the series an
     expansion mod m would give.  Only when no bucket serves is a base
     expanded.  ``run_families`` reserves in descending modulus, so a
@@ -313,10 +306,23 @@ class SeriesProvider:
 
     A bucket of even modulus records whether its base is 1 + 2X: constant
     term 1 and every other coefficient even, checked on the expansion.  Then
-    base^(m/2) == 1 (mod m) for every power of 2 m that divides the bucket's
-    modulus, and ``gf`` serves parameter p mod m as base^(p mod max(m/2, 1)).
-    A base not of that form, or a modulus that is not a power of 2, is served
-    at p itself.  All methods are thread-safe.
+    base^p = sum_j C(p, j) (2X)^j, and (2X)^j vanishes mod 2^k from j = k on.
+    So a power-of-2 modulus 2^k is served from the bucket's table N_j =
+    (base - 1)^j mod M, j < v2(M), built once by v2(M) - 2 multiplies: base^p
+    is sum_{j<k} C(p, j) N_j mod 2^k for every p, with no power stepped to.
+
+    Every other request steps by one ladder over the bucket's memo
+    ``powers``, which holds every base^d computed so far: ``_power`` makes
+    base^d = (base^(d//2))^2, times the base when d is odd, each rung read
+    from the memo when it is there.  A parameter not yet cached is the
+    nearest cached power below it times base^d for the difference d.  So the
+    tuple sizes c*k, k = 1, 5, 7, 11, 13, of one odd-part grid step from c to
+    5c by base^(4c) = ((base^c)^2)^2, and on to 7c, 11c and 13c by one
+    multiply each.
+
+    ``values`` serves the residues on one progression, which is all
+    ``check_family`` reads; ``gf`` serves the whole series.  All methods are
+    thread-safe.
     """
 
     def __init__(self) -> None:
@@ -349,6 +355,8 @@ class SeriesProvider:
             "powers": {0: one(ring, order), 1: base},
             "one_plus_2x": modulus % 2 == 0 and coeffs[0] == 1
             and not any(c & 1 for c in coeffs[1:]),
+            "table": None,
+            "slices": {},  # (2^k, start, stop, step) -> (slot width, size, packed N_j)
         }
         return bucket
 
@@ -364,30 +372,62 @@ class SeriesProvider:
             powers[d] = series
         return series
 
-    def gf(self, kind: str, param: int, modulus: int, order: int) -> Series:
-        """The family GF for a tuple parameter, over Z/modulus, to the order.
+    @staticmethod
+    def _table(bucket: dict) -> list[Series]:
+        """N_j = (base - 1)^j over the bucket's ring, j < v2(M), by v2(M) - 2 multiplies."""
+        if bucket["table"] is None:
+            unit, base = bucket["powers"][0], bucket["powers"][1]
+            x = base - unit
+            modulus = base.ring.modulus
+            size = (modulus & -modulus).bit_length() - 1
+            table = [unit, x][:size]
+            while len(table) < size:
+                table.append(table[-1] * x)
+            bucket["table"] = table
+        return bucket["table"]
 
-        It is the serving bucket's power, reduced mod ``modulus`` when the
-        bucket's modulus is a proper multiple, and truncated to ``order``.  A
-        power-of-2 modulus m takes the parameter mod max(m/2, 1) when the
-        bucket checked its base to be 1 + 2X.
-        """
+    def values(
+        self, kind: str, param: int, modulus: int, order: int, step: int, offset: int, count: int
+    ) -> Sequence[int]:
+        """The residues at q^(offset + step n), n < ``count``, of the GF over
+        Z/modulus to the order: ``gf(...).coeffs[offset::step][:count]``, so
+        fewer than ``count`` where the order ends first."""
         if param < 0:
             raise ValueError(f"tuple parameter must be >= 0, got {param}")
+        where = slice(offset, min(order, offset + step * count), step)
         with self._lock:
             bucket = self._bucket(kind, modulus, order)
             if bucket["one_plus_2x"] and modulus & (modulus - 1) == 0:
-                # b == 1 (mod 2^k) implies b^2 == 1 (mod 2^(k+1)), so (1 + 2X)^(m/2) == 1 (mod m).
-                param %= max(modulus // 2, 1)
+                return self._binomial(bucket, param, modulus, where)
             powers = bucket["powers"]
             series = powers.get(param)
             if series is None:
                 # The memo holds base^0 and base^1: a miss has 1 <= nearest < param.
                 nearest = max(p for p in powers if p <= param)
                 series = powers[param] = powers[nearest] * self._power(powers, param - nearest)
-        if series.ring.modulus != modulus:
-            return Series(Zmod(modulus), series.coeffs[:order])
-        return series.truncate(order)
+        coeffs = series.coeffs[where]
+        return coeffs if series.ring.modulus == modulus else [c % modulus for c in coeffs]
+
+    def _binomial(self, bucket: dict, param: int, modulus: int, where: slice) -> list[int]:
+        """base^param mod ``modulus`` = 2^k at the exponents ``where``, as the sum
+        of C(param, j) N_j over j < k.  The N_j slices are packed once per
+        modulus and slice, in byte slots wide enough for that sum."""
+        key = (modulus, where.start, where.stop, where.step)
+        if key not in bucket["slices"]:
+            k = modulus.bit_length() - 1
+            width = ((k * (modulus - 1) * (modulus - 1)).bit_length() + 7) // 8
+            rows = [[c % modulus for c in n.coeffs[where]] for n in self._table(bucket)[:k]]
+            bucket["slices"][key] = width, len(rows[0]), [_pack_slots(row, width) for row in rows]
+        width, size, rows = bucket["slices"][key]
+        total = sum(math.comb(param, j) % modulus * row for j, row in enumerate(rows))
+        return _reduce_slots(total.to_bytes(size * width, "little"), width, size, modulus)
+
+    def gf(self, kind: str, param: int, modulus: int, order: int) -> Series:
+        """The family GF for a tuple parameter, over Z/modulus, to the order:
+        ``values`` at every exponent below ``order``."""
+        return Series._from_canonical(
+            Zmod(modulus), self.values(kind, param, modulus, order, 1, 0, order)
+        )
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -589,10 +629,11 @@ def check_family(
 ) -> FamilyReport:
     """Scan a parameter grid, asserting the expected residue for n = 0..n_max.
 
-    The coefficient at A*n+B is read off dissect(gf, A, B mod A) at index
-    n + B div A, so progressions with B >= A need no special casing.  With
-    ``exact_check`` every modular coefficient is also compared against the
-    exact-ring computation reduced mod m (slow; meant for small grids).
+    The coefficients at A*n+B are the provider's ``values`` on that
+    progression, read straight off the GF, so progressions with B >= A need
+    no special casing.  With ``exact_check`` every modular coefficient is
+    also compared against the exact-ring computation reduced mod m (slow;
+    meant for small grids).
     """
     provider = provider or SeriesProvider()
     params_tried = 0
@@ -608,13 +649,11 @@ def check_family(
         step, offset, order = family.working_order(params, n_max)
         modulus = family.modulus(params)
         gf_param = family.gf_param(params)
-        piece = provider.gf(family.kind, gf_param, modulus, order).dissect(step, offset % step)
-        index0 = offset // step
-        values = piece.coeffs[index0 : index0 + n_max + 1]
+        values = provider.values(family.kind, gf_param, modulus, order, step, offset, n_max + 1)
         if len(values) <= n_max:
-            raise IndexError(
-                f"coefficient q^{index0 + len(values)} is beyond truncation order {piece.order}"
-            )
+            # indexed in the piece c_{A j + (B mod A)}, where n sits at j = n + B div A
+            end = offset // step + len(values)
+            raise IndexError(f"coefficient q^{end} is beyond truncation order {end}")
         coeffs_checked += len(values)
         if exact_check:
             exact = provider.gf_exact(family.kind, gf_param, order).coeffs[offset::step]
@@ -661,10 +700,10 @@ def run_families(
     Every order the grids need is planned first, and a run whose order would
     exceed ``MAX_WORKING_ORDER`` is refused with ``BudgetError`` before any
     series is built.  Buckets are pre-sized to the largest order any selected
-    family needs, so interleaved families reuse cached powers instead of
+    family needs, so interleaved families reuse built buckets instead of
     rebuilding.  They are reserved in descending modulus, so a modulus that
     divides one built before it, at an order at least its own, expands
-    nothing and is served from that bucket's powers, reduced.
+    nothing and is served from that bucket, reduced.
     """
     provider = provider or SeriesProvider()
     needed: dict[tuple[str, int], int] = {}

@@ -187,7 +187,9 @@ def _decimal_context():
 
 
 def _pack_slots(vals: Sequence[int], width: int) -> int:
-    """sum(vals[i] * 2^(8*width*i)) for 0 <= vals[i] < 2^(8*width), width <= 8."""
+    """sum(vals[i] * 2^(8*width*i)) for 0 <= vals[i] < 2^(8*width)."""
+    if width > 8 or sys.byteorder != "little":
+        return _pack(vals, width)
     raw = array("Q", vals).tobytes()
     buf = bytearray(len(vals) * width)
     for j in range(width):
@@ -199,6 +201,9 @@ def _reduce_slots(data: bytes, width: int, n: int, m: int) -> list[int]:
     """Residues mod m of the first n little-endian ``width``-byte slots of ``data``."""
     if 256 % m == 0:
         return list(data[0 : n * width : width].translate(_residue_table(m)))
+    if width > 8 or sys.byteorder != "little":
+        slots = range(0, n * width, width)
+        return [int.from_bytes(data[i : i + width], "little") % m for i in slots]
     lanes = bytearray(8 * n)
     for j in range(width):
         lanes[j::8] = data[j : n * width : width]

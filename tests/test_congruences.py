@@ -219,11 +219,11 @@ def test_primes_only_filters_prime_scan_families():
 
 
 STEPPED_SIZES = {
-    # not a power of 2, so no period in t: every size is stepped to by the ladder
+    # not a power of 2, so no binomial table: every size is stepped to by the ladder
     ("opt", 72): (0, 1, 2, 3, 6, 9, 30, 36, 42, 66, 78, 180, 252, 468),
     ("opt", 2592): (0, 1, 3, 216, 1080, 1512, 2376, 2808),
     ("overpartition", 2592): (0, 1, 2, 5, 4, 9, 17, 64),
-    # a power of 2 with every size below modulus/2, 512
+    # a power of 2: every size is read off the binomial table
     ("opt", 1024): (0, 1, 2, 4, 8, 24, 40, 56, 72, 88, 104, 120, 255, 511),
 }
 
@@ -257,13 +257,13 @@ def _powers(provider, kind, modulus):
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
 @pytest.mark.parametrize("modulus", [2**k for k in range(1, 11)])
 def test_provider_period_matches_direct_expansion(kind, modulus):
-    # Both bases are 1 + 2q + ..., so base^P has q-coefficient 2P and the
-    # period is modulus/2 at every order >= 2.  Sweep t past two periods.
+    # Both bases are 1 + 2q + ..., so base^t mod 2^k is read off the binomial
+    # table for every t.  Sweep t to modulus + 3, at most 130.
     provider = SeriesProvider()
     for t in range(min(modulus + 3, 130) + 1):
         assert provider.gf(kind, t, modulus, 60) == _reference_gf(kind, t, modulus, 60), t
     assert provider._buckets[(kind, modulus)]["one_plus_2x"]
-    # every t was served at t mod modulus/2; base^1 is in every memo
+    # no t was stepped to; base^1 is in every memo
     assert max(_powers(provider, kind, modulus)) < max(modulus // 2, 2)
 
 
@@ -288,18 +288,22 @@ def test_provider_period_serves_lower_orders_and_is_found_again_on_rebuild():
         assert provider.gf("opt", t, 32, 90) == _reference_gf("opt", t, 32, 90), t
     assert provider._buckets[("opt", 32)]["order"] == 90
     assert provider._buckets[("opt", 32)]["one_plus_2x"]
-    assert max(_powers(provider, "opt", 32)) < 16  # 21 and 37 were served as base^5
+    assert max(_powers(provider, "opt", 32)) < 16  # 5, 21 and 37 came off the table
 
 
 def test_provider_gives_no_period_to_a_base_that_is_not_one_plus_2x(monkeypatch):
-    # f1^-1 = 1 + q + 2q^2 + ...: reducing t mod modulus/2 would be wrong from t = 4 on
+    # f1^-1 = 1 + q + 2q^2 + ...: a binomial table of its powers would be wrong
     monkeypatch.setitem(GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
     for modulus in (8, 16):
         provider = SeriesProvider()
         for t in range(11):
+            want = _reference_gf("overpartition", t, modulus, 40)
             got = provider.gf("overpartition", t, modulus, 40)
-            assert got == _reference_gf("overpartition", t, modulus, 40), (modulus, t)
+            assert got == want, (modulus, t)
+            got = provider.values("overpartition", t, modulus, 40, 3, 2, 12)
+            assert tuple(got) == want.coeffs[2::3][:12], (modulus, t)
         assert not provider._buckets[("overpartition", modulus)]["one_plus_2x"]
+        assert provider._buckets[("overpartition", modulus)]["table"] is None
 
 
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
@@ -310,6 +314,59 @@ def test_provider_gives_no_period_to_other_moduli(kind, modulus):
     for t in sizes:
         assert provider.gf(kind, t, modulus, 40) == _reference_gf(kind, t, modulus, 40), t
     assert _powers(provider, kind, modulus) >= set(sizes)  # each t served at t itself
+
+
+# The grid of the wide golden run, off the default on every axis.
+WIDE_CONFIG = RunConfig(n_max=60, t_max=20, alpha_max=1, i_max=4, j_max=2)
+
+
+def _power_of_2_moduli(*configs):
+    return sorted({
+        modulus
+        for config in configs
+        for family in builtin_families()
+        for params in default_grid(family, config)
+        if (modulus := family.modulus(params)) & (modulus - 1) == 0
+    })
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+def test_binomial_table_is_bit_identical_to_direct_expansion(kind):
+    moduli = _power_of_2_moduli(RunConfig(), WIDE_CONFIG)
+    assert moduli == [2**k for k in range(1, 13)]
+    own, by_multiple, by_mixed = SeriesProvider(), SeriesProvider(), SeriesProvider()
+    for modulus in moduli:  # ascending, so each builds a bucket of its own
+        own.reserve(kind, modulus, 40)
+    by_multiple.reserve(kind, 2 * moduli[-1], 40)
+    by_mixed.reserve(kind, 2592, 40)  # 2^5 * 3^4: serves 2 .. 32
+    for modulus in moduli:
+        providers = [own, by_multiple] + [by_mixed] * (2592 % modulus == 0)
+        for t in range(71):
+            want = _reference_gf(kind, t, modulus, 40)
+            for provider in providers:
+                assert provider.gf(kind, t, modulus, 40) == want, (modulus, t)
+                got = provider.values(kind, t, modulus, 40, 3, 4, 12)
+                assert list(got) == list(want.coeffs[4::3]), (modulus, t)
+    assert set(own._buckets) == {(kind, modulus) for modulus in moduli}
+    assert set(by_multiple._buckets) == {(kind, 2 * moduli[-1])}
+    assert set(by_mixed._buckets) == {(kind, 2592)} and by_mixed._buckets[kind, 2592]["table"]
+    for provider in (own, by_multiple, by_mixed):
+        assert all(set(bucket["powers"]) == {0, 1} for bucket in provider._buckets.values())
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+@pytest.mark.parametrize("modulus", [16, 1024, 6, 72, 2592])  # table, then ladder
+def test_values_is_the_slice_of_gf(kind, modulus):
+    provider = SeriesProvider()
+    provider.reserve(kind, 2592, 60)  # serves 16, 6 and 72 reduced
+    slices = ((3, 7, 10), (8, 23, 5), (2, 5, 100), (1, 0, 60), (5, 59, 3), (4, 61, 3))
+    for step, offset, count in slices:  # offset >= step, and slices cut by the order
+        for t in (0, 1, 6, 13, 40):
+            whole = provider.gf(kind, t, modulus, 60)
+            got = provider.values(kind, t, modulus, 60, step, offset, count)
+            assert list(got) == list(whole.coeffs[offset::step][:count]), (step, offset, t)
+    table = provider._buckets.get((kind, modulus), provider._buckets[kind, 2592])["table"]
+    assert (table is not None) == (modulus & (modulus - 1) == 0)
 
 
 def _expansions(monkeypatch):
@@ -388,7 +445,7 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
 
 def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     # A cold run of every family on the default grid (the bench `scan` job)
-    # makes 177 multiplies and expands 7 bases; every other modulus is served
+    # makes 129 multiplies and expands 7 bases; every other modulus is served
     # from a built multiple.
     eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
     for memo in (euler_product, eta._f1_power, eta._rung):
@@ -402,19 +459,35 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
         return product(a, b)
 
     monkeypatch.setattr(Series, "__mul__", counted)
+    requests, tabled = [], []
+    values, binomial = SeriesProvider.values, SeriesProvider._binomial
+
+    def recorded(self, kind, param, modulus, *rest):
+        requests.append(modulus)
+        return values(self, kind, param, modulus, *rest)
+
+    def from_table(self, bucket, param, modulus, where):
+        tabled.append(modulus)
+        return binomial(self, bucket, param, modulus, where)
+
+    monkeypatch.setattr(SeriesProvider, "values", recorded)
+    monkeypatch.setattr(SeriesProvider, "_binomial", from_table)
     provider = SeriesProvider()
     run_families(builtin_families(), RunConfig(), provider=provider)
-    assert len(products) <= 177
+    assert len(products) <= 129
     expanded = [
         ("overpartition", 32, 1608), ("overpartition", 16, 3215), ("overpartition", 4, 25681),
         ("opt", 2592, 603), ("opt", 1024, 1605), ("opt", 512, 1607), ("opt", 128, 1608),
     ]
     assert calls == expanded
     assert set(provider._buckets) == {(kind, modulus) for kind, modulus, _ in expanded}
-    # gf serves a power of 2 m from a 1 + 2X base at t mod m/2, so no memo holds more
+    # every power-of-2 request is read off a binomial table, none off a ladder
+    assert tabled == [m for m in requests if m & (m - 1) == 0]
     for (kind, modulus), bucket in provider._buckets.items():
-        if modulus & (modulus - 1) == 0 and bucket["one_plus_2x"]:
-            assert max(bucket["powers"]) < modulus // 2, (kind, modulus)
+        if modulus & (modulus - 1) == 0:
+            assert set(bucket["powers"]) == {0, 1}, (kind, modulus)
+        if bucket["table"] is not None:  # N_j for j < v2(M)
+            assert len(bucket["table"]) == (modulus & -modulus).bit_length() - 1, (kind, modulus)
 
 
 def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch):
@@ -666,19 +739,22 @@ def test_check_family_matches_per_coefficient_walk(name, witness_cap):
 
 
 class _CorruptProvider(SeriesProvider):
-    """Serves each modular GF with one coefficient changed, or cut short."""
+    """Serves each progression with the coefficient at q^index changed, or
+    with the GF cut short at order index."""
 
     def __init__(self, index, shorten=False):
         super().__init__()
         self.index, self.shorten = index, shorten
 
-    def gf(self, kind, param, modulus, order):
-        series = super().gf(kind, param, modulus, order)
+    def values(self, kind, param, modulus, order, step, offset, count):
         if self.shorten:
-            return series.truncate(self.index)
-        coeffs = list(series.coeffs)
-        coeffs[self.index] += 1
-        return Series(series.ring, coeffs)
+            return super().values(kind, param, modulus, self.index, step, offset, count)
+        values = list(super().values(kind, param, modulus, order, step, offset, count))
+        exponents = range(offset, order, step)[:count]
+        if self.index in exponents:
+            n = exponents.index(self.index)
+            values[n] = (values[n] + 1) % modulus
+        return values
 
 
 def test_exact_check_refuses_a_wrong_modular_coefficient():

@@ -17,6 +17,8 @@ from overq.series import (
     _convolve_packed,
     _convolve_schoolbook,
     _invert_recurrence,
+    _pack_slots,
+    _reduce_slots,
     make_series,
     one,
 )
@@ -215,6 +217,23 @@ def test_modular_kernel_fills_its_slots(m, decimal_available):
     for n in _KERNEL_ORDERS:
         top = (m - 1,) * n
         assert _convolve_mod(top, top, n, m) == [(k + 1) * (m - 1) ** 2 % m for k in range(n)]
+
+
+@pytest.mark.parametrize("host", ["as is", "big-endian"])
+def test_slot_helpers_round_trip_at_every_width(host, monkeypatch):
+    # Slots wider than 8 bytes, and every slot on a big-endian host, take the
+    # byte-by-byte path; the results must not depend on the path.
+    if host == "big-endian":
+        monkeypatch.setattr(sys, "byteorder", "big")
+    rng = random.Random(11)
+    for width in range(1, 12):
+        vals = [rng.choice([0, 256**width - 1, rng.randrange(256**width)]) for _ in range(40)]
+        packed = _pack_slots(vals, width)
+        assert packed == sum(v << (8 * width * i) for i, v in enumerate(vals)), width
+        data = packed.to_bytes(len(vals) * width, "little")
+        for m in (2, 256, 1000, 2**64 + 13):
+            assert _reduce_slots(data, width, 40, m) == [v % m for v in vals], (width, m)
+            assert _reduce_slots(data, width, 7, m) == [v % m for v in vals[:7]], (width, m)
 
 
 def test_newton_inverse_above_decimal_cutoff(decimal_available):

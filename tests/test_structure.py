@@ -12,10 +12,13 @@
 * ``SeriesProvider`` raises no series to a power (no ``**``, ``pow`` or
   ``__pow__``), and ``_bucket`` multiplies nothing and defines no inner
   function, so its ladder ``_power`` is the one path that steps between
-  powers.  It calls ``family_gf`` once for its modular buckets, in
-  ``_bucket``, and ``_bucket`` constructs no ``Series``, so every bucket is
-  an expanded base and no bucket copies another's powers (``gf_exact``
-  makes the other ``family_gf`` call, over the exact ring).
+  powers.  No method reduces the tuple parameter in place (no ``param %=``):
+  a power-of-2 modulus is served from the binomial table, which one method,
+  ``_table``, builds, multiplying by nothing but base - 1.  The provider
+  calls ``family_gf`` once for its modular buckets, in ``_bucket``, and
+  ``_bucket`` constructs no ``Series``, so every bucket is an expanded base
+  and no bucket copies another's powers (``gf_exact`` makes the other
+  ``family_gf`` call, over the exact ring).
 * Refusals reach the exit code in one place: in ``cli.py`` only ``main``
   catches ``BudgetError`` or ``UsageError``, and ``verify_dissection_step``
   refuses an order over its budget with ``BudgetError``.
@@ -149,6 +152,43 @@ def test_provider_steps_by_its_ladder_and_expands_in_one_place():
     assert not any(
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Series" for node in inner
     )  # a divisor is served from its multiple's powers, not from a copy of them
+
+
+def test_provider_reads_power_of_2_moduli_off_one_table():
+    tree = ast.parse((SOURCE / "congruences.py").read_text())
+    provider = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "SeriesProvider"
+    )
+    reductions = [
+        node for node in ast.walk(provider)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mod)
+        and getattr(node.target, "id", None) == "param"
+    ]
+    assert reductions == []  # no period: every parameter is served as itself
+    builders = [
+        method for method in provider.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.slice, ast.Constant) and node.slice.value == "table"
+    ]
+    assert [method.name for method in builders] == ["_table"]
+    (table,) = builders
+    factors = {
+        ast.unparse(node.right)
+        for node in ast.walk(table)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+    }
+    steps = {
+        ast.unparse(node.targets[0]): ast.unparse(node.value)
+        for node in ast.walk(table)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+    }
+    assert len(factors) == 1, factors  # one factor, bound to base^1 - base^0
+    (factor,) = factors
+    assert steps[factor] == "base - unit"
+    assert steps["(unit, base)"] == "(bucket['powers'][0], bucket['powers'][1])"
 
 
 def _caught_names(handler):
