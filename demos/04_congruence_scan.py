@@ -17,8 +17,7 @@ from overq import (
 registry = family_registry()
 provider = SeriesProvider()  # shared cache: GFs step between tuple sizes
 
-config = RunConfig(t_max=16, alpha_max=1, i_max=2, j_max=2, n_max=60,
-                   r_values=(1, 3, 5), k_values=(1, 5), l_values=(5, 7))
+config = RunConfig(t_max=16, alpha_max=1, i_max=2, j_max=2, n_max=60)
 
 for key in (
     "pbar-8n+7-mod32",

@@ -32,6 +32,7 @@ from .eta import opt_gf, overpartition_gf
 from .identities import builtin_identities, identity_registry, verify_identity
 from .oracle import count_opt_tuples, count_overpartition_tuples
 from .congruences import (
+    GRID_CAPS,
     BudgetError,
     RunConfig,
     builtin_steps,
@@ -118,15 +119,16 @@ _OPTIONS = {
     "format": (_format, "table", COMMANDS),
 }
 
-# verify settings that act on one part of the grid: dest -> (the grid hint or
-# family tag they act on, what they do).  One given by flag or config file when
-# no selected family has that hint or tag is a usage error.
+# verify settings that act on one part of the grid: dest -> what they do.  The
+# caps size the axes congruences.GRID_CAPS names; primes_only acts on the
+# families tagged prime-scan.  One given by flag or config file when no selected
+# family reads it is a usage error.
 _GRID_SETTINGS = {
-    "t_max": ("t", "sizes only families with a t axis"),
-    "alpha_max": ("alpha", "sizes only families with an alpha axis"),
-    "i_max": ("i", "sizes only families with an i axis"),
-    "j_max": ("j", "sizes only families with a j axis"),
-    "primes_only": ("prime-scan", "filters only families tagged prime-scan"),
+    "t_max": "sizes only families with a t axis",
+    "alpha_max": "sizes only families with an alpha axis",
+    "i_max": "sizes only families with an i axis",
+    "j_max": "sizes only families with a j axis",
+    "primes_only": "filters only families tagged prime-scan",
 }
 
 
@@ -294,14 +296,14 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     else:
         _check_keys(args.keys, registry, "family")
         families = [registry[k] for k in args.keys]
-    marks = {mark for f in families for mark in (*f.tags, *dict(f.params).values())}
-    for dest, (mark, does) in _GRID_SETTINGS.items():
-        if getattr(args, dest) is not None and mark not in marks:
+    read = {GRID_CAPS.get(name) for f in families for name in f.params}
+    if any("prime-scan" in f.tags for f in families):
+        read.add("primes_only")
+    for dest, does in _GRID_SETTINGS.items():
+        if getattr(args, dest) is not None and dest not in read:
             raise UsageError(f"--{dest.replace('_', '-')} {does}, and none is selected")
     families.sort(key=lambda f: f.key)
-    config = RunConfig(
-        **{f.name: settings[f.name] for f in fields(RunConfig) if f.name in settings}
-    )
+    config = RunConfig(**{f.name: settings[f.name] for f in fields(RunConfig)})
     reports = run_families(families, config)
 
     results = []

@@ -74,19 +74,23 @@ class BudgetError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The parameter grid a batch verification run scans, and the last n it
-    checks on each progression A n + B.  Each family works at the order its
-    progression needs to reach n = ``n_max``."""
+    """The settings of a batch verification run: the last n it checks on each
+    progression A n + B, the caps of the grid axes (``GRID_CAPS``), and
+    whether the prime-scan families take prime tuple sizes t only.  Each
+    family works at the order its progression needs to reach n = ``n_max``."""
 
     n_max: int = 200
     t_max: int = 64
     i_max: int = 3
     j_max: int = 3
     alpha_max: int = 2
-    r_values: tuple[int, ...] = (1, 3, 5, 7, 9, 11, 13, 15)
-    k_values: tuple[int, ...] = (1, 5, 7, 11, 13)
-    l_values: tuple[int, ...] = (5, 7, 11, 13)
     primes_only: bool = False
+
+
+# Each grid axis runs 0..cap: the RunConfig setting named here for a parameter,
+# or ODD_MULTIPLIER_CAP for the odd multipliers r, k and l.
+GRID_CAPS = {"t": "t_max", "a": "alpha_max", "i": "i_max", "j": "j_max"}
+ODD_MULTIPLIER_CAP = 15
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,7 @@ class CongruenceFamily:
     kind: str  # "overpartition" | "opt"
     status: str  # "theorem" | "conjecture"
     statement: str
-    params: tuple[tuple[str, str], ...]  # (name, grid hint) pairs
+    params: tuple[str, ...]  # parameter names
     size_text: str  # tuple size, the parameter of the family GF
     progression_text: str
     modulus_text: str
@@ -223,7 +227,7 @@ class CongruenceFamily:
 
     @cached_property
     def _code(self) -> tuple[CodeType, ...]:
-        names = self.param_names
+        names = self.params
         return (
             _compile(_arith, self.size_text, names),
             _compile(_progression, self.progression_text, names),
@@ -238,19 +242,16 @@ class CongruenceFamily:
         return eval(self._code[1], _SCOPE, p)
 
     def working_order(self, p: Mapping[str, int], n_max: int) -> tuple[int, int, int]:
-        """(A, B, order): the progression A n + B and the order reaching n = n_max."""
+        """(A, B, order): the progression A n + B and the order reaching n = n_max,
+        in whole blocks of A, so the progressions of one step share an order."""
         step, offset = self.progression(p)
-        return step, offset, step * n_max + offset + 1
+        return step, offset, step * (n_max + 1 + offset // step)
 
     def modulus(self, p: Mapping[str, int]) -> int:
         return eval(self._code[2], _SCOPE, p)
 
     def domain(self, p: Mapping[str, int]) -> bool:
         return eval(self._code[3], _SCOPE, p)
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.params)
 
     def describe(self) -> dict:
         """Registry metadata, used verbatim in machine-readable reports."""
@@ -262,7 +263,7 @@ class CongruenceFamily:
             "progression": self.progression_text,
             "modulus": self.modulus_text,
             "domain": self.domain_text,
-            "params": list(self.param_names),
+            "params": list(self.params),
         }
 
 
@@ -439,7 +440,7 @@ class SeriesProvider:
 def builtin_families() -> tuple[CongruenceFamily, ...]:
     """The complete keyed registry, in stable key order."""
     pbar = partial(CongruenceFamily, kind="overpartition", status="theorem",
-                   params=(("t", "t"),), size_text="t", domain_text="t >= 0")
+                   params=("t",), size_text="t", domain_text="t >= 0")
     opt = partial(CongruenceFamily, kind="opt")
 
     # --- overpartition tuples: fixed progressions -------------------------
@@ -494,7 +495,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
             pbar(
                 key=f"pbar-{key}",
                 statement=f"pbar_t({progression}) == 0 (mod 4) for all t, a >= 0",
-                params=(("t", "t"), ("a", "alpha")),
+                params=("t", "a"),
                 progression_text=progression,
                 modulus_text="4",
                 domain_text="t >= 0, a >= 0",
@@ -505,7 +506,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
             key="pbar-2^{2a+3}n+2^{2a}-mod4-tri",
             statement="pbar_t(2^(2a+3) n + 2^(2a)) == 2 (mod 4) when t is odd and n is "
             "triangular, else == 0 (mod 4)",
-            params=(("t", "t"), ("a", "alpha")),
+            params=("t", "a"),
             progression_text="2^(2a+3) n + 2^(2a)",
             modulus_text="4",
             domain_text="t >= 0, a >= 0",
@@ -524,7 +525,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
                 status="theorem",
                 statement=f"opt_{{3^i * 2^j * k}}(3n+{b_n}) == 0 (mod {mod_text}) for "
                 "i, j >= 1 and k coprime to 6",
-                params=(("i", "i"), ("j", "j"), ("k", "k6")),
+                params=("i", "j", "k"),
                 size_text="3^i * 2^j * k",
                 progression_text=f"3n+{b_n}",
                 modulus_text=mod_text,
@@ -548,7 +549,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
                 key=key,
                 status="conjecture" if wide else "theorem",
                 statement=f"opt_{{3^i * l}}(3n+{b_n}) == 0 (mod {mod_text}) for {domain_text}",
-                params=(("i", "i"), ("l", "lodd1" if wide else "lodd")),
+                params=("i", "l"),
                 size_text="3^i * l",
                 progression_text=f"3n+{b_n}",
                 modulus_text=mod_text,
@@ -568,7 +569,7 @@ def builtin_families() -> tuple[CongruenceFamily, ...]:
                 key=f"opt-8n+{b_n}-mod-{key_mod}",
                 status="theorem" if b_n == 7 else "conjecture",
                 statement=f"opt_{{2^i * r}}(8n+{b_n}) == 0 (mod {mod_text}) for i >= 1 and odd r",
-                params=(("i", "i"), ("r", "r")),
+                params=("i", "r"),
                 size_text="2^i * r",
                 progression_text=f"8n+{b_n}",
                 modulus_text=mod_text,
@@ -583,39 +584,25 @@ def family_registry() -> dict[str, CongruenceFamily]:
     return {family.key: family for family in builtin_families()}
 
 
-def _grid_values(hint: str, config: RunConfig) -> Sequence[int]:
-    values = {
-        "t": range(0, config.t_max + 1),
-        "alpha": range(0, config.alpha_max + 1),
-        "i": range(1, config.i_max + 1),
-        "j": range(1, config.j_max + 1),
-        "r": config.r_values,
-        "k6": config.k_values,
-        "lodd": config.l_values,
-        "lodd1": (1,) + tuple(v for v in config.l_values if v != 1),
-    }
-    if hint not in values:
-        raise ValueError(f"unknown grid hint {hint!r}")
-    return values[hint]
-
-
 def default_grid(family: CongruenceFamily, config: RunConfig) -> list[dict[str, int]]:
-    """The grid of parameter points a run scans for one family.
-
-    Points violating the family's domain constraints are filtered out here;
+    """The grid of parameter points a run scans for one family: the product
+    of its axes 0..cap, in order, keeping the points in the family's domain.
+    With ``primes_only`` a prime-scan family keeps prime t only.
     ``check_family`` treats an out-of-domain point as a caller error.
     """
     axes = []
-    for name, hint in family.params:
-        values = _grid_values(hint, config)
-        if (
-            name == "t"
-            and config.primes_only
-            and "prime-scan" in family.tags
-        ):
-            values = [v for v in values if _is_prime(v)]
-        axes.append([(name, v) for v in values])
-    return [dict(point) for point in product(*axes) if family.domain(dict(point))]
+    for name in family.params:
+        if name in GRID_CAPS:
+            values = range(getattr(config, GRID_CAPS[name]) + 1)
+        elif name in ("r", "k", "l"):
+            values = range(ODD_MULTIPLIER_CAP + 1)
+        else:
+            raise ValueError(f"parameter {name!r} of {family.key} has no grid axis")
+        if name == "t" and config.primes_only and "prime-scan" in family.tags:
+            values = filter(_is_prime, values)
+        axes.append(values)
+    points = (dict(zip(family.params, point)) for point in product(*axes))
+    return [point for point in points if family.domain(point)]
 
 
 def check_family(
@@ -706,9 +693,10 @@ def run_families(
     nothing and is served from that bucket, reduced.
     """
     provider = provider or SeriesProvider()
+    grids = [default_grid(family, config) for family in families]
     needed: dict[tuple[str, int], int] = {}
-    for family in families:
-        for params in default_grid(family, config):
+    for family, grid in zip(families, grids):
+        for params in grid:
             step, offset, order = family.working_order(params, config.n_max)
             if order > MAX_WORKING_ORDER:
                 raise BudgetError(
@@ -720,8 +708,8 @@ def run_families(
     for (kind, modulus), order in sorted(needed.items(), reverse=True):
         provider.reserve(kind, modulus, order)
     return [
-        check_family(family, default_grid(family, config), config.n_max, provider=provider)
-        for family in families
+        check_family(family, grid, config.n_max, provider=provider)
+        for family, grid in zip(families, grids)
     ]
 
 

@@ -146,9 +146,7 @@ def test_criterion_4_odd_part_eight_progression(provider):
 
 def test_criterion_5_odd_part_three_progressions(provider):
     registry = family_registry()
-    config = RunConfig(
-        i_max=3, j_max=3, k_values=(1, 5, 7, 11, 13), l_values=(5, 7, 11, 13), n_max=100
-    )
+    config = RunConfig(i_max=3, j_max=3, n_max=100)
     bad = []
     max_modulus = 0
     points = 0

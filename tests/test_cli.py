@@ -500,7 +500,7 @@ def test_config_order_with_width_is_usage_error(tmp_path, capsys):
 
 
 def test_verify_over_the_order_budget_is_usage_error(capsys):
-    # a = 2 asks for order 128*20000+81, over the 2,000,000 budget: refused
+    # a = 2 asks for order 128*20001, over the 2,000,000 budget: refused
     # before any series is built, with no traceback.
     code, text = run_cli(
         ["verify", "pbar-2^{2a+3}n+5*2^{2a}-mod4", "--n-max", "20000", "--alpha-max", "4",
@@ -508,7 +508,7 @@ def test_verify_over_the_order_budget_is_usage_error(capsys):
     )
     assert code == 2 and text == ""
     assert capsys.readouterr().err == (
-        "error: pbar-2^{2a+3}n+5*2^{2a}-mod4: working order 2560081 "
+        "error: pbar-2^{2a+3}n+5*2^{2a}-mod4: working order 2560128 "
         "(to reach 128*20000+80) exceeds budget 2000000\n"
     )
 

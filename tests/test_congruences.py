@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -129,8 +130,7 @@ def test_check_family_exact_cross_check():
     registry = family_registry()
     rng = random.Random(7)
     keys = rng.sample(EXPECTED_FAMILY_KEYS, 3)
-    config = RunConfig(t_max=3, i_max=1, j_max=1, alpha_max=0, n_max=8,
-                       r_values=(1,), k_values=(1,), l_values=(5,))
+    config = RunConfig(t_max=3, i_max=1, j_max=1, alpha_max=0, n_max=8)
     for key in keys:
         family = registry[key]
         grid = default_grid(family, config)[:2]
@@ -154,8 +154,7 @@ def test_failing_family_produces_witnesses():
 def test_conjecture_families_report_but_never_block():
     registry = family_registry()
     family = registry["opt-8n+4-mod-2^{2i+4}"]
-    config = RunConfig(i_max=1, r_values=(1,), n_max=5)
-    report = check_family(family, default_grid(family, config), config.n_max)
+    report = check_family(family, [{"i": 1, "r": 1}], 5)
     assert report.verdict == "conjecture-fail"
     assert not report.blocking
     w = report.witnesses[0]
@@ -165,16 +164,15 @@ def test_conjecture_families_report_but_never_block():
 
 def test_open_conjectures_hold_on_other_progressions():
     registry = family_registry()
-    config = RunConfig(i_max=2, r_values=(1, 3), n_max=30)
+    grid = [{"i": i, "r": r} for i in (1, 2) for r in (1, 3)]
     for key in ("opt-8n+2-mod-2^{2i+1}", "opt-8n+6-mod-2^{2i+3}"):
-        family = registry[key]
-        report = check_family(family, default_grid(family, config), config.n_max)
+        report = check_family(registry[key], grid, 30)
         assert report.verdict == "conjecture-pass", key
 
 
 def test_wide_multiplier_reading_passes_numerically():
     registry = family_registry()
-    config = RunConfig(i_max=2, l_values=(5, 7), n_max=25)
+    config = RunConfig(i_max=2, n_max=25)
     for key in ("opt-3n+2-mod-3^{i+1}2-l1", "opt-3n+1-mod-3^i2-l1"):
         family = registry[key]
         grid = [p for p in default_grid(family, config) if p["l"] == 1]
@@ -320,6 +318,38 @@ def test_provider_gives_no_period_to_other_moduli(kind, modulus):
 WIDE_CONFIG = RunConfig(n_max=60, t_max=20, alpha_max=1, i_max=4, j_max=2)
 
 
+@pytest.mark.parametrize("config", [RunConfig(), WIDE_CONFIG], ids=["default", "wide"])
+def test_default_grid_is_each_axis_as_the_paper_states_it(config):
+    # The axes in the paper's words, written out here rather than read off the
+    # domain texts: k coprime to 6; l odd, 3 not dividing l, l != 1 (the -l1
+    # wide reading admits l = 1); odd r; i, j >= 1; t mod 4 in {0, 2, 3} for
+    # the two sharper mod-16 families.  The multipliers run to 15.
+    for family in builtin_families():
+        axes = {
+            "t": [t for t in range(config.t_max + 1)
+                  if t % 4 != 1 or family.key not in ("pbar-4n+3-mod16", "pbar-8n+6-mod16")],
+            "a": range(config.alpha_max + 1),
+            "i": range(1, config.i_max + 1),
+            "j": range(1, config.j_max + 1),
+            "r": range(1, 16, 2),
+            "k": (1, 5, 7, 11, 13),
+            "l": (1, 5, 7, 11, 13) if family.key.endswith("-l1") else (5, 7, 11, 13),
+        }
+        want = [dict(zip(family.params, point))
+                for point in itertools.product(*(axes[name] for name in family.params))]
+        assert default_grid(family, config) == want, family.key
+
+
+def test_a_parameter_with_no_grid_axis_is_an_error():
+    from dataclasses import replace
+
+    family = replace(family_registry()["opt-8n+7-mod-2^{i+4}"], key="opt-s",
+                     params=("i", "s"), size_text="2^i * s", domain_text="i >= 1, s odd")
+    assert family.domain({"i": 1, "s": 3})
+    with pytest.raises(ValueError, match="parameter 's' of opt-s has no grid axis"):
+        default_grid(family, RunConfig())
+
+
 def _power_of_2_moduli(*configs):
     return sorted({
         modulus
@@ -445,8 +475,9 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
 
 def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     # A cold run of every family on the default grid (the bench `scan` job)
-    # makes 129 multiplies and expands 7 bases; every other modulus is served
-    # from a built multiple.
+    # makes 107 multiplies and expands 5 bases; every other modulus is served
+    # from a built multiple.  Working orders are whole blocks of A, so 8n+4,
+    # 8n+6 and 8n+7 share 1608 and opt mod 512 and 128 read the mod-1024 bucket.
     eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
     for memo in (euler_product, eta._f1_power, eta._rung):
         memo.cache_clear()
@@ -474,10 +505,10 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     monkeypatch.setattr(SeriesProvider, "_binomial", from_table)
     provider = SeriesProvider()
     run_families(builtin_families(), RunConfig(), provider=provider)
-    assert len(products) <= 129
+    assert len(products) <= 107
     expanded = [
-        ("overpartition", 32, 1608), ("overpartition", 16, 3215), ("overpartition", 4, 25681),
-        ("opt", 2592, 603), ("opt", 1024, 1605), ("opt", 512, 1607), ("opt", 128, 1608),
+        ("overpartition", 32, 1608), ("overpartition", 16, 3216), ("overpartition", 4, 25728),
+        ("opt", 2592, 603), ("opt", 1024, 1608),
     ]
     assert calls == expanded
     assert set(provider._buckets) == {(kind, modulus) for kind, modulus, _ in expanded}
@@ -496,7 +527,7 @@ def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch)
     families = [registry["pbar-n-mod2"], registry["pbar-2^{2a+3}n+5*2^{2a}-mod4"]]
     config = RunConfig(t_max=1, alpha_max=4, n_max=20000)
     provider = SeriesProvider()
-    with pytest.raises(BudgetError, match=r"5\*2\^\{2a\}-mod4: working order 2560081 "):
+    with pytest.raises(BudgetError, match=r"5\*2\^\{2a\}-mod4: working order 2560128 "):
         run_families(families, config, provider=provider)
     assert calls == [] and provider._buckets == {}
 

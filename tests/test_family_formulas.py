@@ -106,8 +106,8 @@ def reference(family, p):
 
 
 def wide_grid(family):
-    axes = [range(70) if name == "t" else range(21) for name in family.param_names]
-    return [dict(zip(family.param_names, point)) for point in product(*axes)]
+    axes = [range(70) if name == "t" else range(21) for name in family.params]
+    return [dict(zip(family.params, point)) for point in product(*axes)]
 
 
 def test_reference_covers_the_registry():
@@ -134,7 +134,7 @@ def family_from_texts(size="i", progression="8n+7", modulus="2^(i+4)", domain="i
         kind="opt",
         status="theorem",
         statement="",
-        params=(("i", "i"),),
+        params=("i",),
         size_text=size,
         progression_text=progression,
         modulus_text=modulus,
