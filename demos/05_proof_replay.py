@@ -14,7 +14,7 @@ from overq.congruences import binomial_table, builtin_steps
 # The tables list C(s*t, r) * (-2)^r mod 2^w, which depends on t only through
 # a residue.  Recompute one entry by hand first:
 value = (math.comb(45, 2) * (-2) ** 2) % 32  # s=15, t=3, r=2
-print("C(45,2) * 4 mod 32 =", value, "| table row:", binomial_table(32).rows[3])
+print("C(45,2) * 4 mod 32 =", value, "| table row:", binomial_table(32)[3])
 
 for width in (16, 32):
     result = replay_binomial_tables(width)

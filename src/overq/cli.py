@@ -39,7 +39,6 @@ from .congruences import (
     family_registry,
     replay_binomial_tables,
     run_families,
-    step_registry,
     verify_dissection_step,
 )
 
@@ -415,21 +414,11 @@ def cmd_replay(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     reports = []
 
     if args.step is not None:
-        steps = step_registry()
-        if args.step not in steps:
-            raise UsageError(f"unknown dissection step {args.step!r}")
-        step = steps[args.step]
-        extra = [name for name in step_flags if name not in step.param_names]
-        if extra:
-            raise UsageError(f"step {args.step} takes no --{extra[0]}")
-        missing = [name for name in step.param_names if name not in step_flags]
-        if missing:
-            raise UsageError(f"step {args.step} needs --{missing[0]}")
-        params = {name: getattr(args, name) for name in step.param_names}
+        params = {name: getattr(args, name) for name in step_flags}
         try:
             reports.append(verify_dissection_step(args.step, params, order))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        except (KeyError, ValueError) as exc:
+            raise UsageError(exc.args[0]) from None  # str() would quote a KeyError's text
     else:
         for width in (args.width,) if args.width else (16, 32):
             table = replay_binomial_tables(width)

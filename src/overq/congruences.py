@@ -47,7 +47,6 @@ __all__ = [
     "default_grid",
     "check_family",
     "run_families",
-    "BinomialTable",
     "binomial_table",
     "TableReport",
     "replay_binomial_tables",
@@ -748,23 +747,18 @@ _MOD32_ROWS: tuple[tuple[int, int, int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BinomialTable:
-    width: int  # 16 | 32
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def strength(self) -> int:
-        """The s in C(s*t, r) * (-2)^r that the rows tabulate."""
-        return 7 if self.width == 16 else 15
-
-
-def binomial_table(width: int) -> BinomialTable:
+def binomial_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of the mod-``width`` table: (t mod rowcount, then one residue per r)."""
     if width == 16:
-        return BinomialTable(16, _MOD16_ROWS)
+        return _MOD16_ROWS
     if width == 32:
-        return BinomialTable(32, _MOD32_ROWS)
+        return _MOD32_ROWS
     raise ValueError(f"width must be 16 or 32, got {width}")
+
+
+def _strength(width: int) -> int:
+    """The s in C(s*t, r) * (-2)^r that the mod-``width`` rows tabulate: 7 or 15."""
+    return width // 2 - 1
 
 
 @dataclass(frozen=True)
@@ -786,15 +780,15 @@ def replay_binomial_tables(width: int) -> TableReport:
     value depends on t only through i = t mod (number of rows); both t = i
     and t = i + rowcount are recomputed to witness that periodicity.
     """
-    table = binomial_table(width)
-    rowcount = len(table.rows)
+    rows = binomial_table(width)
+    rowcount = len(rows)
     mismatches = []
     entries = 0
-    for row in table.rows:
+    for row in rows:
         residue, *expected = row
         for t in (residue, residue + rowcount):
             for r, want in enumerate(expected, start=1):
-                got = (math.comb(table.strength * t, r) * (-2) ** r) % width
+                got = (math.comb(_strength(width) * t, r) * (-2) ** r) % width
                 entries += 1
                 if got != want:
                     mismatches.append((residue, t, r, got, want))
@@ -809,7 +803,6 @@ class DissectionStep:
     """A congruence-level series rewrite: LHS == RHS (mod modulus) as series."""
 
     key: str
-    description: str
     modulus: Callable[[Mapping[str, int]], int]
     lhs: Callable[[Mapping[str, int]], Recipe]
     rhs: Callable[[Mapping[str, int]], Recipe]
@@ -828,10 +821,10 @@ def _gf_reduced(t: int) -> Recipe:
 
 def _expansion_rhs(t: int, width: int) -> Recipe:
     """The tabulated 2-adic expansion of the overpartition GF mod 16 or 32."""
-    table = binomial_table(width)
-    s5 = 5 * table.strength  # f8 exponent step: 35 or 75
-    s2 = 2 * table.strength  # f4/f16 exponent step: 14 or 30
-    row = table.rows[t % len(table.rows)][1:]
+    rows = binomial_table(width)
+    s5 = 5 * _strength(width)  # f8 exponent step: 35 or 75
+    s2 = 2 * _strength(width)  # f4/f16 exponent step: 14 or 30
+    row = rows[t % len(rows)][1:]
     terms: list[Recipe] = [eta_series(((8, s5 * t), (4, -s2 * t), (16, -s2 * t)))]
     for r, coeff in enumerate(row, start=1):
         if coeff % width == 0:
@@ -858,7 +851,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="M1",
-            description="pbar GF == f1^{2t}/f2^t (mod 4)",
             modulus=lambda p: 4,
             lhs=lambda p: GfRecipe("overpartition", p["t"]),
             rhs=lambda p: _gf_reduced(p["t"]),
@@ -869,7 +861,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G4-even",
-            description="f1^{2t}/f2^t == 1 (mod 4) for even t",
             modulus=lambda p: 4,
             lhs=lambda p: _gf_reduced(p["t"]),
             rhs=lambda p: eta_series("1"),
@@ -880,7 +871,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G4-odd",
-            description="f1^{2t}/f2^t == f8^t/f4^{2t} + 2q f8^3 (mod 4) for odd t",
             modulus=lambda p: 4,
             lhs=lambda p: _gf_reduced(p["t"]),
             rhs=lambda p: eta_series(((8, p["t"]), (4, -2 * p["t"])))
@@ -892,7 +882,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G16",
-            description="pbar GF == tabulated four-term f4/f8/f16 expansion (mod 16)",
             modulus=lambda p: 16,
             lhs=lambda p: GfRecipe("overpartition", p["t"]),
             rhs=lambda p: _expansion_rhs(p["t"], 16),
@@ -903,7 +892,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="G32",
-            description="pbar GF == tabulated five-term f4/f8/f16 expansion (mod 32)",
             modulus=lambda p: 32,
             lhs=lambda p: GfRecipe("overpartition", p["t"]),
             rhs=lambda p: _expansion_rhs(p["t"], 32),
@@ -914,8 +902,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="opt-2n+1-i1",
-            description="odd-part pair GF at 2n+1 == -28r f1^{4r}f4^{2r+2}/f2^{6r-2}"
-            " - 16k' q f4^9 (mod 32)",
             modulus=lambda p: 32,
             lhs=lambda p: DissectRecipe(2, 1, GfRecipe("opt", 2 * p["r"])),
             rhs=lambda p: (-28 * p["r"])
@@ -929,8 +915,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="opt-2n+1",
-            description="odd-part tuple GF at 2n+1 == -2^{i+1} 7r f2^2 f4^2"
-            " - 2^{i+3} m q f4^9 (mod 2^{i+4}), i >= 2",
             modulus=lambda p: 2 ** (p["i"] + 4),
             lhs=lambda p: DissectRecipe(2, 1, GfRecipe("opt", 2 ** p["i"] * p["r"])),
             rhs=lambda p: (-(2 ** (p["i"] + 1)) * 7 * p["r"]) * eta_series("f2^2 * f4^2")
@@ -951,7 +935,6 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     steps.append(
         DissectionStep(
             key="opt-4n+3-i1",
-            description="odd-part pair GF at 4n+3 == 16k f2 f4^4 - 16k' f2^9 (mod 32)",
             modulus=lambda p: 32,
             lhs=lambda p: DissectRecipe(4, 3, GfRecipe("opt", 2 * p["r"])),
             rhs=lambda p: (16 * 7 * p["r"]) * eta_series("f2 * f4^4")
@@ -972,14 +955,20 @@ def verify_dissection_step(
     step_key: str, params: Mapping[str, int], order: int
 ) -> IdentityReport:
     """Check a registered step at one parameter point: the identity case of
-    its two sides mod its modulus, with the point as the case's ``params``."""
+    its two sides mod its modulus, with the point as the case's ``params``.
+
+    The point must name exactly the step's parameters, inside its domain;
+    the messages name a parameter as its ``replay`` flag."""
     registry = step_registry()
     if step_key not in registry:
         raise KeyError(f"unknown dissection step {step_key!r}")
     step = registry[step_key]
+    extra = [name for name in params if name not in step.param_names]
+    if extra:
+        raise ValueError(f"step {step_key} takes no --{extra[0]}")
     missing = [name for name in step.param_names if name not in params]
     if missing:
-        raise ValueError(f"step {step_key} needs parameters {missing}")
+        raise ValueError(f"step {step_key} needs --{missing[0]}")
     if not step.domain(params):
         raise ValueError(f"parameters {dict(params)} outside the domain of {step_key}")
     if order > MAX_WORKING_ORDER // 8:

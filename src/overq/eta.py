@@ -266,8 +266,6 @@ def borwein_a(ring: Ring, order: int) -> Series:
     return Series(ring, counts)
 
 
-THETA_COMPONENT_NAMES = ("A", "a", "b", "c", "d", "g", "h", "m")
-
 # Eta-quotient part of each dissection component, paired with the power of the
 # cubic theta series A(q) it is multiplied by.
 _COMPONENTS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
@@ -279,6 +277,7 @@ _COMPONENTS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
     "h": (1, ((1, 1),)),
     "m": (0, ((3, 3),)),
 }
+THETA_COMPONENT_NAMES = ("A", *_COMPONENTS)
 
 
 def theta_component(name: str, ring: Ring, order: int) -> Series:

@@ -6,26 +6,22 @@ nothing ever extends a series, so unknown coefficients cannot leak into a
 result.  Coefficients live either in the exact integers (arbitrary precision)
 or in Z/mZ with canonical representatives 0 <= c < m.
 
-Multiplication picks one of three paths, by ring and truncation order n:
+Each ring multiplies by Kronecker substitution: both operands become one
+big integer, one coefficient per fixed-width slot, and a single integer
+product yields the convolution.
 
-* schoolbook: the double loop :func:`_convolve_schoolbook`, for exact-ring
-  products with n up to ``_PACKED_CUTOFF``.  It is the reference every other
-  path must reproduce.
-* binary slots (Kronecker substitution): both operands become one big
-  integer, one coefficient per fixed-width slot, and a single integer
-  product yields the convolution.  The exact ring uses
-  :func:`_convolve_packed`, which handles signs; Z/mZ uses
-  :func:`_convolve_mod`, whose canonical residues need no sign pass and whose
-  packing and unpacking run entirely in C (``array``, ``bytes`` slicing and
-  ``translate``).
-* decimal: for Z/mZ with m <= 256 from order ``_DECIMAL_CUTOFF`` on, the
-  slots are zero-padded decimal digit fields multiplied by libmpdec (the C
-  ``decimal`` module), whose number-theoretic transform beats CPython's
-  Karatsuba on long operands.
+* exact ring: :func:`_convolve_packed`, at every order, with a sign pass.
+* Z/mZ: :func:`_convolve_mod`, whose canonical residues need no sign pass.
+  Its slots are binary, packed and unpacked in C (``array``, ``bytes``
+  slicing and ``translate``) when they fit 8 bytes on a little-endian host
+  and byte by byte otherwise; or, for m <= 256 from order
+  ``_DECIMAL_CUTOFF`` on, zero-padded decimal digit fields multiplied by
+  libmpdec (the C ``decimal`` module), whose number-theoretic transform
+  beats CPython's Karatsuba on long operands.
 
-Every path is bit-identical to the schoolbook reference, reduced mod m; the
-randomized kernel tests enforce this on every test ring, on both sides of
-each cutoff.
+The double loop :func:`_convolve_schoolbook` is the reference only: every
+path is bit-identical to it, reduced mod m, and the randomized kernel tests
+enforce this on every test ring, on both sides of each cutoff.
 
 Every check in overq that compares two coefficient sequences (identity sides,
 replayed steps, family progressions, oracle counts) finds where they differ
@@ -47,9 +43,6 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "mismatches", "one", "spread"]
 
-# Below this order the plain double loop beats the packing overhead of the
-# exact ring's big-integer kernel.  Z/mZ slots pack at every order.
-_PACKED_CUTOFF = 32
 # From this order on, Z/mZ products with m <= 256 are multiplied as decimals.
 _DECIMAL_CUTOFF = 3000
 
@@ -151,12 +144,6 @@ def _convolve_packed(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     ] + [0] * (n - length)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    if n <= _PACKED_CUTOFF:
-        return _convolve_schoolbook(a, b, n)
-    return _convolve_packed(a, b, n)
-
-
 @cache
 def _residue_table(m: int) -> bytes:
     """Byte -> byte mod m: for m dividing 256 a slot's low byte fixes its residue."""
@@ -223,15 +210,14 @@ def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[in
     """Truncated Cauchy product of residues in [0, m), reduced into [0, m).
 
     A product coefficient is a sum of at most min(len(a), len(b), n) terms
-    below m^2, so it fits ``width`` unsigned bytes with no offset.  Slots
-    wider than 8 bytes and big-endian hosts take the generic kernels instead.
+    below m^2, so it fits ``width`` unsigned bytes with no offset.  The slot
+    helpers alone decide the byte layout: slots wider than 8 bytes and
+    big-endian hosts go byte by byte there.
     """
     a = a[:n]
     b = b[:n]
     cbound = min(len(a), len(b)) * (m - 1) ** 2
     width = (cbound.bit_length() + 7) // 8
-    if width > 8 or sys.byteorder != "little":
-        return [c % m for c in _convolve(a, b, n)]
     ctx = _decimal_context() if m <= 256 and n >= _DECIMAL_CUTOFF else None
     if ctx is None:
         product = _pack_slots(a, width) * _pack_slots(b, width)
@@ -254,7 +240,7 @@ def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[in
 def _ring_convolve(ring: Ring, a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Truncated product of canonical coefficient sequences, canonical in ``ring``."""
     if ring.modulus is None:
-        return _convolve(a, b, n)
+        return _convolve_packed(a, b, n)
     return _convolve_mod(a, b, n, ring.modulus)
 
 

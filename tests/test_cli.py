@@ -174,19 +174,28 @@ def test_replay_single_step():
     assert "G4-odd" in text and "PASS" in text
 
 
-def test_replay_step_missing_parameter():
-    code, _ = run_cli(["replay", "--step", "G4-odd"])
-    assert code == 2
+def test_replay_step_missing_parameter(capsys):
+    code, text = run_cli(["replay", "--step", "G4-odd"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: step G4-odd needs --t\n"
 
 
-def test_replay_step_out_of_domain():
-    code, _ = run_cli(["replay", "--step", "G4-even", "--t", "3"])
-    assert code == 2
+def test_replay_step_out_of_domain(capsys):
+    code, text = run_cli(["replay", "--step", "G4-even", "--t", "3"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: parameters {'t': 3} outside the domain of G4-even\n"
 
 
-def test_replay_unknown_step():
-    code, _ = run_cli(["replay", "--step", "nope", "--t", "1"])
-    assert code == 2
+def test_replay_unknown_step(capsys):
+    code, text = run_cli(["replay", "--step", "nope", "--t", "1"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: unknown dissection step 'nope'\n"
+
+
+def test_replay_step_extra_parameter(capsys):
+    code, text = run_cli(["replay", "--step", "G4-odd", "--t", "3", "--i", "2"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: step G4-odd takes no --i\n"
 
 
 def test_replay_everything_small_order():

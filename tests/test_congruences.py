@@ -590,8 +590,8 @@ def test_every_gf_consumer_reads_the_one_base(monkeypatch):
 
 
 def test_table_shapes():
-    assert len(binomial_table(16).rows) == 8
-    assert len(binomial_table(32).rows) == 16
+    assert len(binomial_table(16)) == 8
+    assert len(binomial_table(32)) == 16
     with pytest.raises(ValueError):
         binomial_table(64)
 
@@ -601,7 +601,7 @@ def test_mod16_row_two():
 
     got = tuple((math.comb(14, r) * (-2) ** r) % 16 for r in (1, 2, 3))
     assert got == (4, 12, 0)
-    assert binomial_table(16).rows[2] == (2, 4, 12, 0)
+    assert binomial_table(16)[2] == (2, 4, 12, 0)
 
 
 def test_mod32_row_three():
@@ -609,11 +609,11 @@ def test_mod32_row_three():
 
     got = tuple((math.comb(45, r) * (-2) ** r) % 32 for r in (1, 2, 3, 4))
     assert got == (6, 24, 16, 16)
-    assert binomial_table(32).rows[3] == (3, 6, 24, 16, 16)
+    assert binomial_table(32)[3] == (3, 6, 24, 16, 16)
 
 
 def test_mod32_row_zero_is_trivial():
-    assert binomial_table(32).rows[0] == (0, 0, 0, 0, 0)
+    assert binomial_table(32)[0] == (0, 0, 0, 0, 0)
 
 
 def test_replay_both_widths():
@@ -667,6 +667,8 @@ def test_step_rejects_missing_and_out_of_domain_params():
         verify_dissection_step("G4-even", {"t": 3}, 10)
     with pytest.raises(ValueError):
         verify_dissection_step("opt-2n+1", {"i": 1, "r": 1}, 10)  # i = 1 has its own step
+    with pytest.raises(ValueError):
+        verify_dissection_step("G4-odd", {"t": 3, "i": 2}, 50)  # G4-odd takes no i
 
 
 def test_step_rejects_excessive_order():

@@ -194,21 +194,27 @@ def _sparse(rng, m, length, nonzeros=12):
 
 
 @pytest.mark.parametrize("m", _KERNEL_MODULI)
-def test_modular_kernel_matches_schoolbook(m, decimal_available):
-    rng = random.Random(m)
-    for n in _KERNEL_ORDERS:
-        dense = [rng.randrange(m) for _ in range(n + 5)]
-        shapes = (
-            (_sparse(rng, m, n), dense[:n]),
-            (_sparse(rng, m, n // 3 + 1), dense),  # an operand shorter than n
-            (_sparse(rng, m, n + 5), dense[: rng.randint(1, n)]),
-            (_sparse(rng, m, n // 3 + 1), dense[: n // 3 + 1]),  # product shorter than n
-            ([0] * n, dense[:n]),
-        )
-        for a, b in shapes:
-            expected = [c % m for c in _convolve_schoolbook(a, b, n)]
-            assert _convolve_mod(tuple(a), tuple(b), n, m) == expected, (n, len(a), len(b))
-            assert _convolve_mod(tuple(b), tuple(a), n, m) == expected, (n, len(b), len(a))
+def test_modular_kernel_matches_schoolbook(m, decimal_available, monkeypatch):
+    # Once as the host is, and once as on a big-endian host, where every slot
+    # packs and unpacks byte by byte.
+    for byteorder in (sys.byteorder, "big"):
+        monkeypatch.setattr(sys, "byteorder", byteorder)
+        rng = random.Random(m)
+        for n in _KERNEL_ORDERS:
+            dense = [rng.randrange(m) for _ in range(n + 5)]
+            shapes = (
+                (_sparse(rng, m, n), dense[:n]),
+                (_sparse(rng, m, n // 3 + 1), dense),  # an operand shorter than n
+                (_sparse(rng, m, n + 5), dense[: rng.randint(1, n)]),
+                (_sparse(rng, m, n // 3 + 1), dense[: n // 3 + 1]),  # product shorter than n
+                ([0] * n, dense[:n]),
+            )
+            for a, b in shapes:
+                expected = [c % m for c in _convolve_schoolbook(a, b, n)]
+                got = _convolve_mod(tuple(a), tuple(b), n, m)
+                assert got == expected, (byteorder, n, len(a), len(b))
+                got = _convolve_mod(tuple(b), tuple(a), n, m)
+                assert got == expected, (byteorder, n, len(b), len(a))
 
 
 @pytest.mark.parametrize("m", _KERNEL_MODULI)

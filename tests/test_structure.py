@@ -27,6 +27,10 @@
 * A dissection step checked at one point is an identity case: no module
   defines a ``StepReport``, and ``verify_dissection_step`` calls
   ``verify_identity`` and builds no report class but ``IdentityReport``.
+* A step's point is checked in one place, ``verify_dissection_step``:
+  ``cli.cmd_replay`` calls no ``step_registry`` and reads no ``param_names``.
+* The slot byte layout is decided in the slot helpers only:
+  ``series._convolve_mod`` reads no ``sys.byteorder``.
 """
 
 import ast
@@ -243,3 +247,17 @@ def test_a_step_is_checked_as_an_identity_case():
     }
     assert "verify_identity" in called
     assert {name for name in called if name and name.endswith("Report")} == {"IdentityReport"}
+
+
+def test_replay_leaves_the_step_point_check_to_the_library():
+    replay = next(f for f in _functions(SOURCE / "cli.py") if f.name == "cmd_replay")
+    nodes = list(ast.walk(replay))
+    assert not any(isinstance(n, ast.Name) and n.id == "step_registry" for n in nodes)
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "param_names" for n in nodes)
+
+
+def test_only_the_slot_helpers_read_the_byte_order():
+    kernel = next(f for f in _functions(SOURCE / "series.py") if f.name == "_convolve_mod")
+    assert not any(
+        isinstance(n, ast.Attribute) and n.attr == "byteorder" for n in ast.walk(kernel)
+    )
