@@ -18,11 +18,11 @@ import ast
 import math
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, count, product, takewhile
 from types import CodeType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .series import EXACT, Series, Zmod, _pack_slots, _reduce_slots, mismatches, one
 from .eta import family_gf
@@ -201,13 +201,28 @@ def _compile(parse: Callable, text: str, names: tuple[str, ...]) -> CodeType:
     return compile(tree, text, "eval")
 
 
+class _Point(NamedTuple):
+    """A family's progression A n + B, modulus and tuple size at one point of its domain."""
+
+    step: int
+    offset: int
+    modulus: int
+    size: int
+
+    def order(self, n_max: int) -> int:
+        """The order reaching n = n_max, in whole blocks of A, so the
+        progressions of one step share an order."""
+        return self.step * (n_max + 1 + self.offset // self.step)
+
+
 @dataclass(frozen=True, eq=False)
 class CongruenceFamily:
     """A parameterized claim: coefficient at A*n+B of the family GF is
     congruent to an expected residue mod m, for all parameters in a domain.
 
     The tuple size, progression, modulus and domain are stated once, as the
-    texts the report prints, and evaluated from them."""
+    texts the report prints, and evaluated from them: each point once per
+    family, by ``point``."""
 
     key: str
     kind: str  # "overpartition" | "opt"
@@ -220,6 +235,7 @@ class CongruenceFamily:
     domain_text: str
     expected: Callable[[Mapping[str, int], int], list[int]] | None = None  # (params, n_max)
     tags: tuple[str, ...] = ()
+    _points: dict[tuple, _Point | None] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._code  # compile now, so a malformed text fails the registry build
@@ -240,17 +256,24 @@ class CongruenceFamily:
     def progression(self, p: Mapping[str, int]) -> tuple[int, int]:
         return eval(self._code[1], _SCOPE, p)
 
-    def working_order(self, p: Mapping[str, int], n_max: int) -> tuple[int, int, int]:
-        """(A, B, order): the progression A n + B and the order reaching n = n_max,
-        in whole blocks of A, so the progressions of one step share an order."""
-        step, offset = self.progression(p)
-        return step, offset, step * (n_max + 1 + offset // step)
-
     def modulus(self, p: Mapping[str, int]) -> int:
         return eval(self._code[2], _SCOPE, p)
 
     def domain(self, p: Mapping[str, int]) -> bool:
         return eval(self._code[3], _SCOPE, p)
+
+    def point(self, p: Mapping[str, int]) -> _Point | None:
+        """The formulas at p, or None outside the domain.  Remembered per
+        point, so ``default_grid``, ``run_families`` and ``check_family``
+        share one evaluation."""
+        key = tuple(map(p.get, self.params))
+        if key not in self._points:
+            self._points[key] = (
+                _Point(*self.progression(p), self.modulus(p), self.gf_param(p))
+                if self.domain(p)
+                else None
+            )
+        return self._points[key]
 
     def describe(self) -> dict:
         """Registry metadata, used verbatim in machine-readable reports."""
@@ -601,7 +624,7 @@ def default_grid(family: CongruenceFamily, config: RunConfig) -> list[dict[str, 
             values = filter(_is_prime, values)
         axes.append(values)
     points = (dict(zip(family.params, point)) for point in product(*axes))
-    return [point for point in points if family.domain(point)]
+    return [point for point in points if family.point(point) is not None]
 
 
 def check_family(
@@ -617,9 +640,11 @@ def check_family(
 
     The coefficients at A*n+B are the provider's ``values`` on that
     progression, read straight off the GF, so progressions with B >= A need
-    no special casing.  With ``exact_check`` every modular coefficient is
-    also compared against the exact-ring computation reduced mod m (slow;
-    meant for small grids).
+    no special casing.  A point's formulas come from ``family.point``, so a
+    point ``default_grid`` kept is not evaluated again, and a point outside
+    the domain raises ``ValueError``.  With ``exact_check`` every modular
+    coefficient is also compared against the exact-ring computation reduced
+    mod m (slow; meant for small grids).
     """
     provider = provider or SeriesProvider()
     params_tried = 0
@@ -627,14 +652,14 @@ def check_family(
     failures = 0
     witnesses: list[Witness] = []
     for params in grid:
-        if not family.domain(params):
+        point = family.point(params)
+        if point is None:
             raise ValueError(
                 f"parameters {dict(params)} are outside the domain of {family.key}"
             )
         params_tried += 1
-        step, offset, order = family.working_order(params, n_max)
-        modulus = family.modulus(params)
-        gf_param = family.gf_param(params)
+        step, offset, modulus, gf_param = point
+        order = point.order(n_max)
         values = provider.values(family.kind, gf_param, modulus, order, step, offset, n_max + 1)
         if len(values) <= n_max:
             # indexed in the piece c_{A j + (B mod A)}, where n sits at j = n + B div A
@@ -696,13 +721,15 @@ def run_families(
     needed: dict[tuple[str, int], int] = {}
     for family, grid in zip(families, grids):
         for params in grid:
-            step, offset, order = family.working_order(params, config.n_max)
+            point = family.point(params)
+            order = point.order(config.n_max)
             if order > MAX_WORKING_ORDER:
                 raise BudgetError(
                     f"{family.key}: working order {order} (to reach "
-                    f"{step}*{config.n_max}+{offset}) exceeds budget {MAX_WORKING_ORDER}"
+                    f"{point.step}*{config.n_max}+{point.offset}) exceeds budget "
+                    f"{MAX_WORKING_ORDER}"
                 )
-            bucket = (family.kind, family.modulus(params))
+            bucket = (family.kind, point.modulus)
             needed[bucket] = max(needed.get(bucket, 0), order)
     for (kind, modulus), order in sorted(needed.items(), reverse=True):
         provider.reserve(kind, modulus, order)

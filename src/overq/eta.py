@@ -17,6 +17,13 @@ of f_1 comes from the power recurrence, which reads only the pentagonal terms
 of f_1; every other power is a product of shared rungs g^(2^k), g = f_1 or
 1/f_1, memoized per (ring, order), so scattered exponents pay the inverse and
 the squarings once.
+
+A counting generating function's base (``family_gf`` at tuple size 1) over
+Z/mZ is built instead from Gauss's theta series phi(-q) = f1^2/f2 = 1 +
+2 sum_{n>=1} (-1)^n q^(n^2), which has about sqrt(N) terms below q^N: f2/f1^2
+is 1/phi(-q) and f2^3/(f1^2 f4) is phi(-q^2)/phi(-q).  The positive powers of
+phi are multiplied and the negative ones inverted once; over Z/2^e that
+inverse is 2-adic (``Series.invert``), since phi(-q) is 1 + 2X.
 """
 
 from __future__ import annotations
@@ -308,12 +315,64 @@ GF_BASE = {
 }
 
 
+def _theta(ring: Ring, order: int) -> Series:
+    """phi(-q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2) to the order (Gauss: f1^2 / f2)."""
+    coeffs = [0] * order
+    coeffs[0] = 1
+    for n in range(1, math.isqrt(order - 1) + 1):
+        coeffs[n * n] = -2 if n & 1 else 2
+    return Series(ring, coeffs)
+
+
+def _theta_exponents(quotient: EtaQuotient) -> tuple[tuple[int, int], ...] | None:
+    """The (s, c_s), c_s != 0, with quotient = prod_s phi(-q^s)^c_s, or None
+    when the quotient has no such form.
+
+    phi(-q^s) = f_s^2 / f_2s puts exponent e_s = 2 c_s - c_{s/2} on f_s, so
+    c_s = (e_s + c_{s/2}) / 2, solved from the smallest scale up; the form
+    exists when every c_s is whole and the phi's rebuild the quotient.
+    """
+    exponents = dict(quotient.factors)
+    c = [0] * (max(exponents, default=0) + 1)
+    for s in range(1, len(c)):
+        twice = exponents.get(s, 0) + (c[s // 2] if s % 2 == 0 else 0)
+        if twice % 2:
+            return None
+        c[s] = twice // 2
+    thetas = tuple((s, cs) for s, cs in enumerate(c) if cs)
+    rebuilt = EtaQuotient(tuple(f for s, cs in thetas for f in ((s, 2 * cs), (2 * s, -cs))))
+    return thetas if rebuilt == quotient else None
+
+
+def _expand_thetas(thetas: tuple[tuple[int, int], ...], ring: Ring, order: int) -> Series:
+    """prod_s phi(-q^s)^c_s: the positive powers multiplied, the negative
+    ones multiplied and inverted once."""
+    phis = {s: spread(_theta(ring, (order - 1) // s + 1), s, order) for s, _ in thetas}
+    parts = [phis[s] ** c for s, c in thetas if c > 0]
+    below = [phis[s] ** -c for s, c in thetas if c < 0]
+    if below:
+        parts.append(reduce(mul, below).invert())
+    return reduce(mul, parts) if parts else one(ring, order)
+
+
 def family_gf(kind: str, t: int, ring: Ring, order: int) -> Series:
-    """The ``GF_BASE[kind]`` quotient raised to the tuple size t, expanded."""
+    """The ``GF_BASE[kind]`` quotient raised to the tuple size t, expanded.
+
+    The base itself (t = 1) over Z/mZ is built from phi(-q) when the quotient
+    is a product of powers of phi(-q^s), as both bases are.  Other tuple
+    sizes, and the exact ring, which the cross-checks compare against, are
+    expanded as eta quotients: there the f_1 rungs are shared across t.
+    """
     if kind not in GF_BASE:
         raise ValueError(f"unknown generating function kind {kind!r}")
     if t < 0:
         raise ValueError(f"tuple size must be >= 0, got {t}")
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if t == 1 and ring.is_modular:
+        thetas = _theta_exponents(GF_BASE[kind])
+        if thetas is not None:
+            return _expand_thetas(thetas, ring, order)
     scaled = EtaQuotient(tuple((s, e * t) for s, e in GF_BASE[kind].factors))
     return expand_eta_quotient(scaled, ring, order)
 

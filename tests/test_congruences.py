@@ -198,6 +198,39 @@ def test_check_family_rejects_out_of_domain_points():
         check_family(family, [{"t": 5}], 4)
 
 
+def test_run_families_evaluates_each_point_once(monkeypatch):
+    # default_grid evaluates the domain at every candidate on the axes, and the
+    # progression, modulus and tuple size at each point inside the domain, once;
+    # run_families plans and check_family scans from those evaluations.
+    config = RunConfig(n_max=5, t_max=6, alpha_max=1, i_max=2, j_max=1)
+    families = builtin_families()
+    evaluated = []
+
+    def counted(code, *scope):
+        evaluated.append(code.co_filename)
+        return eval(code, *scope)
+
+    monkeypatch.setattr(congruences, "eval", counted, raising=False)
+    reports = run_families(families, config)
+    candidates = sum(
+        math.prod(
+            getattr(config, congruences.GRID_CAPS[name]) + 1
+            if name in congruences.GRID_CAPS else congruences.ODD_MULTIPLIER_CAP + 1
+            for name in family.params
+        )
+        for family in families
+    )
+    points = sum(report.params_tried for report in reports)
+    assert len(evaluated) == candidates + 3 * points
+    # a point handed straight to check_family is still checked against the domain
+    family = next(family for family in families if family.key == "pbar-4n+3-mod16")
+    evaluated.clear()
+    check_family(family, [{"t": 2}, {"t": 2}, {"t": 7}], 5)
+    assert len(evaluated) == 4  # t = 7 is new: its domain, progression, modulus, size
+    with pytest.raises(ValueError, match="outside the domain"):
+        check_family(family, [{"t": 2}, {"t": 5}], 5)
+
+
 def test_mod_two_families_mean_the_gf_is_one():
     # the all-n mod-2 claim is equivalent to GF == 1 over Z/2
     provider = SeriesProvider()
@@ -475,21 +508,29 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
 
 def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     # A cold run of every family on the default grid (the bench `scan` job)
-    # makes 107 multiplies and expands 5 bases; every other modulus is served
-    # from a built multiple.  Working orders are whole blocks of A, so 8n+4,
-    # 8n+6 and 8n+7 share 1608 and opt mod 512 and 128 read the mod-1024 bucket.
+    # makes 93 multiplies and 125 modular convolutions, and expands 5 bases;
+    # every other modulus is served from a built multiple.  Inverses convolve
+    # without multiplying, so both are counted.  Working orders are whole
+    # blocks of A, so 8n+4, 8n+6 and 8n+7 share 1608 and opt mod 512 and 128
+    # read the mod-1024 bucket.
     eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
+    series = sys.modules["overq.series"]
     for memo in (euler_product, eta._f1_power, eta._rung):
         memo.cache_clear()
     calls = _expansions(monkeypatch)
-    products = []
-    product = Series.__mul__
+    products, convolutions = [], []
+    product, convolve = Series.__mul__, series._convolve_mod
 
     def counted(a, b):
         products.append(None)
         return product(a, b)
 
+    def counted_convolve(*args):
+        convolutions.append(None)
+        return convolve(*args)
+
     monkeypatch.setattr(Series, "__mul__", counted)
+    monkeypatch.setattr(series, "_convolve_mod", counted_convolve)
     requests, tabled = [], []
     values, binomial = SeriesProvider.values, SeriesProvider._binomial
 
@@ -505,7 +546,8 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     monkeypatch.setattr(SeriesProvider, "_binomial", from_table)
     provider = SeriesProvider()
     run_families(builtin_families(), RunConfig(), provider=provider)
-    assert len(products) <= 107
+    assert len(products) <= 93
+    assert len(convolutions) <= 125
     expanded = [
         ("overpartition", 32, 1608), ("overpartition", 16, 3216), ("overpartition", 4, 25728),
         ("opt", 2592, 603), ("opt", 1024, 1608),

@@ -2,11 +2,13 @@ import io
 import sys
 
 import pytest
+from conftest import RING_POOL
 from hypothesis import given, strategies as st
 
 from overq.cli import main
 from overq.series import EXACT, Series, Zmod, one
 from overq.eta import (
+    GF_BASE,
     EtaQuotient,
     borwein_a,
     eta,
@@ -227,6 +229,68 @@ def test_family_gf_scales_each_base_and_rejects_bad_input():
         family_gf("bogus", 1, EXACT, 5)
     with pytest.raises(ValueError, match="tuple size"):
         family_gf("opt", -1, EXACT, 5)
+
+
+# --- bases from phi(-q) ------------------------------------------------------
+
+
+def _eta_only(monkeypatch):
+    """Make family_gf fail if it expands an eta quotient, so a base it returns
+    came from phi(-q)."""
+
+    def refuse(*args):
+        raise AssertionError("expanded as an eta quotient")
+
+    monkeypatch.setattr(ETA, "expand_eta_quotient", refuse)
+
+
+@pytest.mark.parametrize("kind", sorted(GF_BASE))
+@pytest.mark.parametrize("ring", [r for r in RING_POOL if r.is_modular], ids=str)
+def test_base_from_theta_matches_eta_expansion(kind, ring, monkeypatch):
+    want = {n: expand_eta_quotient(GF_BASE[kind], ring, n) for n in (1, 2, 70, 3001)}
+    _eta_only(monkeypatch)
+    for order, series in want.items():
+        assert family_gf(kind, 1, ring, order) == series, order
+
+
+@pytest.mark.parametrize(
+    "kind, modulus, order",
+    [("overpartition", 32, 1608), ("overpartition", 16, 3216), ("overpartition", 4, 25728),
+     ("opt", 2592, 603), ("opt", 1024, 1608)],
+)
+def test_base_from_theta_matches_eta_expansion_at_the_scan_buckets(kind, modulus, order):
+    ring = Zmod(modulus)
+    assert family_gf(kind, 1, ring, order) == expand_eta_quotient(GF_BASE[kind], ring, order)
+
+
+def test_theta_exponents_are_read_off_the_quotient(monkeypatch):
+    assert ETA._theta_exponents(GF_BASE["overpartition"]) == ((1, -1),)  # 1 / phi(-q)
+    assert ETA._theta_exponents(GF_BASE["opt"]) == ((1, -1), (2, 1))  # phi(-q^2) / phi(-q)
+    # phi(-q)^2 phi(-q^2) = f1^4 / f4: the scale-2 phi leaves no f2
+    assert ETA._theta_exponents(eta("f1^4 * f4^-1")) == ((1, 2), (2, 1))
+    for text in ("f1^-1", "f2 * f1^-1", "f1^2", "f1^2 * f2^-1 * f3"):
+        assert ETA._theta_exponents(eta(text)) is None, text
+    # the route follows GF_BASE: a base phi(-q)^-2 = f2^2 / f1^4 is built from phi too
+    monkeypatch.setitem(GF_BASE, "overpartition", eta("f2^2 * f1^-4"))
+    want = expand_eta_quotient(eta("f2^2 * f1^-4"), Zmod(64), 90)
+    _eta_only(monkeypatch)
+    assert family_gf("overpartition", 1, Zmod(64), 90) == want
+
+
+def test_bases_without_a_theta_form_and_other_sizes_stay_eta_quotients(monkeypatch):
+    monkeypatch.setitem(GF_BASE, "overpartition", eta("f1^-1"))
+    calls = []
+    expand = ETA.expand_eta_quotient
+
+    def recorded(quotient, ring, order):
+        calls.append(str(quotient))
+        return expand(quotient, ring, order)
+
+    monkeypatch.setattr(ETA, "expand_eta_quotient", recorded)
+    family_gf("overpartition", 1, Zmod(8), 20)
+    family_gf("opt", 2, Zmod(8), 20)
+    family_gf("opt", 1, EXACT, 20)
+    assert calls == ["f1^-1", "f1^-4 * f2^6 * f4^-2", "f1^-2 * f2^3 * f4^-1"]
 
 
 def test_prime_power_reduction_instances():

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from overq.series import (
+    _DECIMAL_CUTOFF,
     EXACT,
     Ring,
     Series,
@@ -209,9 +212,21 @@ def test_invert_requires_unit():
 def test_invert_matches_recurrence(rng):
     from conftest import RING_POOL, random_unit_series
 
+    def even_tail(ring, order):
+        # a0 + 2X, which Z/2^e inverts 2-adically; random units seldom have it
+        units = (1, -1, 3, 5) if ring.modulus and math.gcd(ring.modulus, 15) == 1 else (1, -1)
+        tail = [2 * rng.randint(-9, 9) for _ in range(order - 1)]
+        return Series(ring, [rng.choice(units), *tail])
+
     for ring in RING_POOL:
         s = random_unit_series(rng, ring, 70)
         assert s.invert() == _invert_recurrence(s)
+        s = even_tail(ring, 70)
+        assert s.invert() == _invert_recurrence(s), ring
+    # past the decimal cutoff: mod 4 needs no convolution, mod 32 two rounds of them
+    for ring in (Zmod(4), Zmod(32)):
+        s = even_tail(ring, _DECIMAL_CUTOFF + 1)
+        assert s.invert() == _invert_recurrence(s), ring
 
 
 # --- pow ---------------------------------------------------------------------

@@ -8,7 +8,9 @@
   comparisons go through ``series.mismatches``.
 * The two counting generating functions are stated once, in ``eta.GF_BASE``:
   ``congruences.py`` takes nothing from ``eta`` but ``family_gf``, and
-  ``expr.evaluate`` names no family kind.
+  ``expr.evaluate`` names no family kind.  In ``eta.py`` a family kind is
+  named only as a ``GF_BASE`` key or a ``family_gf`` argument, and the
+  phi(-q) exponents of a base are derived from ``GF_BASE[kind]``.
 * ``SeriesProvider`` raises no series to a power (no ``**``, ``pow`` or
   ``__pow__``), and ``_bucket`` multiplies nothing and defines no inner
   function, so its ladder ``_power`` is the one path that steps between
@@ -122,6 +124,27 @@ def test_gf_bases_are_read_only_through_family_gf():
     evaluate = next(f for f in _functions(SOURCE / "expr.py") if f.name == "evaluate")
     kinds = {"overpartition", "opt"}
     assert not any(isinstance(n, ast.Constant) and n.value in kinds for n in ast.walk(evaluate))
+
+
+def test_eta_states_the_bases_once():
+    # the phi(-q) exponents of a base are derived from GF_BASE, not tabulated
+    tree = ast.parse((SOURCE / "eta.py").read_text())
+    kinds = {"overpartition", "opt"}
+    (table,) = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "GF_BASE"
+    ]
+    allowed = {id(key) for key in table.keys} | {
+        id(node.args[0]) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "family_gf"
+    }
+    named = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in kinds]
+    assert named and all(id(n) in allowed for n in named)  # no second table keyed by kind
+    derived = [
+        ast.unparse(node.args[0]) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_theta_exponents"
+    ]
+    assert derived == ["GF_BASE[kind]"]
 
 
 def test_provider_steps_by_its_ladder_and_expands_in_one_place():
