@@ -22,8 +22,9 @@ A counting generating function's base (``family_gf`` at tuple size 1) over
 Z/mZ is built instead from Gauss's theta series phi(-q) = f1^2/f2 = 1 +
 2 sum_{n>=1} (-1)^n q^(n^2), which has about sqrt(N) terms below q^N: f2/f1^2
 is 1/phi(-q) and f2^3/(f1^2 f4) is phi(-q^2)/phi(-q).  The positive powers of
-phi are multiplied and the negative ones inverted once; over Z/2^e that
-inverse is 2-adic (``Series.invert``), since phi(-q) is 1 + 2X.
+phi are multiplied and the negative ones inverted once, by Newton in q
+(``Series.invert``); over Z/4 the inverse of phi(-q) = 1 + 2X is a closed
+form.
 """
 
 from __future__ import annotations

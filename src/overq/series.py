@@ -23,11 +23,10 @@ The double loop :func:`_convolve_schoolbook` is the reference only: every
 path is bit-identical to it, reduced mod m, and the randomized kernel tests
 enforce this on every test ring, on both sides of each cutoff.
 
-:meth:`Series.invert` doubles the order by Newton steps in q, except over
-Z/2^e for a series a0 + 2X (every coefficient past the constant even), such
-as the theta series phi(-q) that the family bases are built from: there
-Newton steps in 2 work at full order, and ceil(log2 e) of them suffice.
-Both are bit-identical to the recurrence :func:`_invert_recurrence`.
+:meth:`Series.invert` doubles the order by Newton steps in q.  Over Z/2
+and Z/4 a series a0 + 2X, such as the theta series phi(-q) that the family
+bases are built from, is inverted in closed form with no convolution.  Both
+are bit-identical to the recurrence :func:`_invert_recurrence`.
 
 Every check in overq that compares two coefficient sequences (identity sides,
 replayed steps, family progressions, oracle counts) finds where they differ
@@ -250,28 +249,6 @@ def _ring_convolve(ring: Ring, a: Sequence[int], b: Sequence[int], n: int) -> li
     return _convolve_mod(a, b, n, ring.modulus)
 
 
-def _invert_2adic(a: Sequence[int], inv0: int, m: int) -> list[int]:
-    """The inverse of a = a0 + 2X over Z/m, m = 2^e, to the full order of a;
-    ``inv0`` is the inverse of a0 mod m.
-
-    Newton's step b <- b(2 - ab) squares the error 1 - ab.  From b = inv0
-    the error -2X inv0 is divisible by 2, so ceil(log2 e) rounds make it
-    vanish mod 2^e.  The first round is coefficientwise, b = inv0 - inv0^2
-    (a - a0), with no convolution, and the later ones take two each.
-    """
-    n = len(a)
-    rounds = (m.bit_length() - 2).bit_length()  # ceil(log2 e), m = 2^e
-    if not rounds:
-        return [inv0] + [0] * (n - 1)
-    square = inv0 * inv0
-    b = [inv0] + [-square * c % m for c in a[1:]]
-    for _ in range(rounds - 1):
-        residual = [-c % m for c in _convolve_mod(a, b, n, m)]  # -ab
-        residual[0] = (residual[0] + 2) % m
-        b = _convolve_mod(b, residual, n, m)
-    return b
-
-
 class Series:
     """Immutable dense truncated power series over a :class:`Ring`."""
 
@@ -374,20 +351,20 @@ class Series:
     def invert(self) -> "Series":
         """Multiplicative inverse to the truncation order.
 
-        Requires a unit constant term.  Over Z/2^e, a series a0 + 2X, every
-        coefficient past the constant even, is inverted 2-adically by
-        ``_invert_2adic``.  Every other series uses Newton doubling in q: if
-        b is the inverse to order h, then a*b = 1 + e*q^h and b' = b -
-        b*e*q^h is the inverse to order 2h.  So each step keeps b and
-        appends the low coefficients of -b*e.
+        Requires a unit constant term.  Newton doubling in q: if b is the
+        inverse to order h, then a*b = 1 + e*q^h and b' = b - b*e*q^h is the
+        inverse to order 2h.  So each step keeps b and appends the low
+        coefficients of -b*e.  Over Z/2 and Z/4 a series a0 + 2X, every
+        coefficient past the constant even, has the closed form a0^-1 - 2X
+        instead: a0^-1 == a0 mod 2 and (2X)^2 == 0 mod 4.
         """
         ring = self.ring
         m = ring.modulus
         inv0 = ring.unit_inverse(self._coeffs[0])
         n = self.order
         a = self._coeffs
-        if m is not None and m & (m - 1) == 0 and not any(c & 1 for c in a[1:]):
-            return Series._from_canonical(ring, _invert_2adic(a, inv0, m))
+        if m in (2, 4) and not any(c & 1 for c in a[1:]):
+            return Series._from_canonical(ring, [inv0] + [-c % m for c in a[1:]])
         b = [ring.canon(inv0)]
         k = 1
         while k < n:

@@ -508,26 +508,27 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
 
 def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     # A cold run of every family on the default grid (the bench `scan` job)
-    # makes 93 multiplies and 125 modular convolutions, and expands 5 bases;
-    # every other modulus is served from a built multiple.  Inverses convolve
-    # without multiplying, so both are counted.  Working orders are whole
-    # blocks of A, so 8n+4, 8n+6 and 8n+7 share 1608 and opt mod 512 and 128
-    # read the mod-1024 bucket.
+    # makes 93 multiplies and 181 modular convolutions of total length
+    # 96,639, and expands 5 bases; every other modulus is served from a built
+    # multiple.  Inverses convolve without multiplying, so both are counted;
+    # Newton in q makes many short convolutions, so their total length is
+    # capped too.  Working orders are whole blocks of A, so 8n+4, 8n+6 and
+    # 8n+7 share 1608 and opt mod 512 and 128 read the mod-1024 bucket.
     eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
     series = sys.modules["overq.series"]
     for memo in (euler_product, eta._f1_power, eta._rung):
         memo.cache_clear()
     calls = _expansions(monkeypatch)
-    products, convolutions = [], []
+    products, lengths = [], []
     product, convolve = Series.__mul__, series._convolve_mod
 
     def counted(a, b):
         products.append(None)
         return product(a, b)
 
-    def counted_convolve(*args):
-        convolutions.append(None)
-        return convolve(*args)
+    def counted_convolve(a, b, n, m):
+        lengths.append(n)
+        return convolve(a, b, n, m)
 
     monkeypatch.setattr(Series, "__mul__", counted)
     monkeypatch.setattr(series, "_convolve_mod", counted_convolve)
@@ -547,7 +548,8 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     provider = SeriesProvider()
     run_families(builtin_families(), RunConfig(), provider=provider)
     assert len(products) <= 93
-    assert len(convolutions) <= 125
+    assert len(lengths) == 181
+    assert sum(lengths) <= 96_639
     expanded = [
         ("overpartition", 32, 1608), ("overpartition", 16, 3216), ("overpartition", 4, 25728),
         ("opt", 2592, 603), ("opt", 1024, 1608),

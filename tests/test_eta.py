@@ -263,6 +263,23 @@ def test_base_from_theta_matches_eta_expansion_at_the_scan_buckets(kind, modulus
     assert family_gf(kind, 1, ring, order) == expand_eta_quotient(GF_BASE[kind], ring, order)
 
 
+def test_mod_4_bases_convolve_at_most_once(monkeypatch):
+    # 1/phi(-q) mod 4 is a closed form, so at the scan's order 25,728 the
+    # overpartition base convolves nothing and opt only phi(-q^2) times it
+    series = sys.modules["overq.series"]
+    convolve, calls = series._convolve_mod, []
+
+    def counted(*args):
+        calls.append(None)
+        return convolve(*args)
+
+    monkeypatch.setattr(series, "_convolve_mod", counted)
+    for kind, want in (("overpartition", 0), ("opt", 1)):
+        calls.clear()
+        family_gf(kind, 1, Zmod(4), 25728)
+        assert len(calls) == want, kind
+
+
 def test_theta_exponents_are_read_off_the_quotient(monkeypatch):
     assert ETA._theta_exponents(GF_BASE["overpartition"]) == ((1, -1),)  # 1 / phi(-q)
     assert ETA._theta_exponents(GF_BASE["opt"]) == ((1, -1), (2, 1))  # phi(-q^2) / phi(-q)

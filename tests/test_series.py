@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -209,11 +210,11 @@ def test_invert_requires_unit():
         make_series(Zmod(8), [6, 1], 3).invert()
 
 
-def test_invert_matches_recurrence(rng):
+def test_invert_matches_recurrence(rng, monkeypatch):
     from conftest import RING_POOL, random_unit_series
 
     def even_tail(ring, order):
-        # a0 + 2X, which Z/2^e inverts 2-adically; random units seldom have it
+        # a0 + 2X, which Z/2 and Z/4 invert in closed form; random units seldom have it
         units = (1, -1, 3, 5) if ring.modulus and math.gcd(ring.modulus, 15) == 1 else (1, -1)
         tail = [2 * rng.randint(-9, 9) for _ in range(order - 1)]
         return Series(ring, [rng.choice(units), *tail])
@@ -223,10 +224,25 @@ def test_invert_matches_recurrence(rng):
         assert s.invert() == _invert_recurrence(s)
         s = even_tail(ring, 70)
         assert s.invert() == _invert_recurrence(s), ring
-    # past the decimal cutoff: mod 4 needs no convolution, mod 32 two rounds of them
-    for ring in (Zmod(4), Zmod(32)):
+    # residues in {0, 2} are "even" mod 3 too, but 1 + 2X has no closed form there
+    s = Series(Zmod(3), [1, 2, *(rng.choice((0, 2)) for _ in range(68))])
+    assert s.invert() == _invert_recurrence(s)
+    # past the decimal cutoff: mod 8 and 32 take Newton in q, as a closed form would be wrong
+    for ring in (Zmod(8), Zmod(32)):
         s = even_tail(ring, _DECIMAL_CUTOFF + 1)
         assert s.invert() == _invert_recurrence(s), ring
+    # and mod 4 convolves nothing
+    series = sys.modules["overq.series"]
+    convolve, calls = series._convolve_mod, []
+
+    def counted(*args):
+        calls.append(None)
+        return convolve(*args)
+
+    s = even_tail(Zmod(4), _DECIMAL_CUTOFF + 1)
+    monkeypatch.setattr(series, "_convolve_mod", counted)
+    assert s.invert() == _invert_recurrence(s)
+    assert calls == []
 
 
 # --- pow ---------------------------------------------------------------------

@@ -33,6 +33,9 @@
   ``cli.cmd_replay`` calls no ``step_registry`` and reads no ``param_names``.
 * The slot byte layout is decided in the slot helpers only:
   ``series._convolve_mod`` reads no ``sys.byteorder``.
+* Every method that the bench tracer wraps (``METHODS`` in
+  ``bench/spans.py``, read without importing it) is defined on its class,
+  where ``Tracer.install`` looks it up.
 """
 
 import ast
@@ -43,6 +46,7 @@ from pathlib import Path
 import overq
 
 SOURCE = Path(overq.__file__).parent
+SPANS = Path(__file__).parent.parent / "bench" / "spans.py"
 FORMAT_NAMES = {"json", "csv", "table"}
 
 
@@ -284,3 +288,16 @@ def test_only_the_slot_helpers_read_the_byte_order():
     assert not any(
         isinstance(n, ast.Attribute) and n.attr == "byteorder" for n in ast.walk(kernel)
     )
+
+
+def test_every_traced_method_is_defined_on_its_class():
+    tree = ast.parse(SPANS.read_text())
+    assigned = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["METHODS"]
+    )
+    for (layer, cls_name), methods in ast.literal_eval(assigned).items():
+        cls = getattr(importlib.import_module(f"overq.{layer}"), cls_name)
+        missing = [method for method in methods if method not in vars(cls)]
+        assert missing == [], (layer, cls_name)
