@@ -58,7 +58,8 @@ FIXED_CONFIG = {"jobs": 1, "seed": 0}
 
 # Largest `identities --order` and `oracle --upto`.  Both are exact-ring work
 # that grows about quadratically: on a 2-vCPU host `identities --order 16000`
-# took 19 s and `oracle --upto 2400` 7.5 s, so runs at the budget end within
+# took 19 s and `oracle --upto 2400` 2.5-2.6 s (about 1.1 s of it counting,
+# the rest the generating functions), so runs at the budget end within
 # minutes, while `identities --only D1 --order 5000000` ran out of memory.
 MAX_EXACT_ORDER = 10_000
 

@@ -92,7 +92,26 @@ def test_rejects_negative_arguments():
 # --- the recurrence against the dynamic program ---------------------------------
 
 
-@pytest.mark.parametrize("upto", [0, 1, 2, 3, 31, 200])
+def _at_block_edge(blocks, extra):
+    """The least upto >= 1 with upto == blocks * B + extra, B = the block rule at upto.
+
+    The upto + 1 counts then fill ``blocks`` whole blocks with extra + 1 over.
+    B grows by at most 1 per step of upto, so upto - blocks * B rises only in
+    steps of +1 and hits 0.
+    """
+    return next(
+        upto for upto in range(1, 10_000) if upto == blocks * oracle._block_size(upto) + extra
+    )
+
+
+_BLOCK_EDGES = {"B-1": (1, -1), "B": (1, 0), "B+1": (1, 1), "2B": (2, 0), "3B+1": (3, 1)}
+
+
+@pytest.mark.parametrize(
+    "upto",
+    [0, 1, 2, 3, 31, 200]
+    + [pytest.param(_at_block_edge(*edge), id=name) for name, edge in _BLOCK_EDGES.items()],
+)
 @pytest.mark.parametrize("parts", ["all", "odd"])
 def test_recurrence_matches_dp_reference(upto, parts):
     part_range = _part_ranges(upto)[parts]
@@ -106,6 +125,37 @@ def test_recurrence_matches_dp_reference(upto, parts):
 def test_recurrence_matches_dp_reference_at_bench_size(parts):
     part_range = _part_ranges(600)[parts]
     assert _tuple_counts(16, 600, part_range) == _dp_reference(16, 600, part_range)
+
+
+@pytest.mark.parametrize("parts", ["all", "odd"])
+def test_recurrence_matches_dp_reference_with_wide_slots(parts):
+    # 40 colors make counts of hundreds of bits, so the slots grow from 17-19
+    # to 30-35 bytes over the four blocks.
+    upto = _at_block_edge(3, 1)
+    part_range = _part_ranges(upto)[parts]
+    assert _tuple_counts(40, upto, part_range) == _dp_reference(40, upto, part_range)
+
+
+@pytest.mark.parametrize("rule", ["1", "2", "upto+1"])
+@pytest.mark.parametrize("parts", ["all", "odd"])
+def test_block_size_does_not_change_counts(rule, parts, monkeypatch):
+    expected = {
+        (colors, upto): _tuple_counts(colors, upto, _part_ranges(upto)[parts])
+        for colors in (0, 1, 3, 16)
+        for upto in (0, 1, 2, 40, 97)
+    }
+    sizes = {"1": lambda upto: 1, "2": lambda upto: 2, "upto+1": lambda upto: upto + 1}
+    monkeypatch.setattr(oracle, "_block_size", sizes[rule])
+    for (colors, upto), counts in expected.items():
+        assert _tuple_counts(colors, upto, _part_ranges(upto)[parts]) == counts, (colors, upto)
+
+
+@pytest.mark.parametrize("parts", ["all", "odd"])
+def test_a_wrong_far_term_is_an_error(parts, monkeypatch):
+    pack = oracle._pack
+    monkeypatch.setattr(oracle, "_pack", lambda vals, width: pack(vals, width) + 1)
+    with pytest.raises(RuntimeError, match="remainder"):
+        _tuple_counts(3, 200, _part_ranges(200)[parts])
 
 
 def test_oracle_imports_no_other_overq_module():
