@@ -360,16 +360,21 @@ def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     # One lazy CSV row per count, made only when CSV is rendered.
     rows = [[("family", "parameter", "n", "count")]]
     first_mismatch: tuple[str, int, int, int, int] | None = None
+    # (family, param) -> (table, first mismatching n): a size named twice is checked once
+    checked = {}
     for family, param in sizes:
-        if family == "overpartition-tuples":
-            table = count_overpartition_tuples(param, upto)
-            series = overpartition_gf(param, EXACT, upto + 1)
-        else:
-            table = count_opt_tuples(param, upto)
-            series = opt_gf(param, EXACT, upto + 1)
-        n = next(mismatches(table.counts, series.coeffs), None)
-        if n is not None and first_mismatch is None:
-            first_mismatch = (family, param, n, table.counts[n], series.coeffs[n])
+        if (family, param) not in checked:
+            if family == "overpartition-tuples":
+                table = count_overpartition_tuples(param, upto)
+                series = overpartition_gf(param, EXACT, upto + 1)
+            else:
+                table = count_opt_tuples(param, upto)
+                series = opt_gf(param, EXACT, upto + 1)
+            n = next(mismatches(table.counts, series.coeffs), None)
+            if n is not None and first_mismatch is None:
+                first_mismatch = (family, param, n, table.counts[n], series.coeffs[n])
+            checked[family, param] = table, n
+        table, n = checked[family, param]
         row = {
             "family": family,
             "parameter": param,

@@ -3,13 +3,14 @@ coefficient tables and dissection steps that prove them.
 
 Every divisibility claim is encoded as data: a tuple size, a parameterized
 arithmetic progression A*n + B, a modulus expression and a parameter domain,
-each written once as the text reports print and evaluated from that text, and
-the expected residues (zero unless stated otherwise), one list for n =
-0..n_max per grid point.  ``check_family`` scans a parameter grid over Z/mZ
-and reports witnesses for every violated coefficient.  Families carry a
-status: ``theorem`` families must pass, ``conjecture`` families are scanned
-and reported but never fail a run.  A dissection step checked at one
-parameter point is an identity case, and its result is an ``IdentityReport``.
+each written once as the text reports print, the four compiled together
+into one point expression, and the expected residues (zero unless stated
+otherwise), one list for n = 0..n_max per grid point.  ``check_family``
+scans a parameter grid over Z/mZ and reports witnesses for every violated
+coefficient.  Families carry a status: ``theorem`` families must pass,
+``conjecture`` families are scanned and reported but never fail a run.  A
+dissection step checked at one parameter point is an identity case, and its
+result is an ``IdentityReport``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import ast
 import math
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, count, product, takewhile
 from types import CodeType
@@ -58,6 +59,9 @@ __all__ = [
 
 # Hard cap on series length; progressions needing more are configuration errors.
 MAX_WORKING_ORDER = 2_000_000
+
+# The most witnesses a family report keeps; its failure count counts them all.
+WITNESS_CAP = 10
 
 
 class BudgetError(ValueError):
@@ -133,13 +137,13 @@ class FamilyReport:
 # with juxtaposition as multiplication ("2a", "2^(2a+2) n").  A progression is
 # A n + B in the variable n.  A domain is a list of clauses separated by
 # commas outside brackets, optionally ending in a "(wide reading: ...)" note.
-# Each distinct text is parsed, checked and compiled once.
+# A family's four texts are parsed, checked and compiled into one point
+# expression, once per distinct tuple of texts.
 
 _JUXTAPOSED = re.compile(r"(?<=[\d)])\s*(?=[A-Za-z(])")
 _CLAUSE_SEP = re.compile(r",\s*(?![^(){}]*[)}])")
 _WIDE_NOTE = re.compile(r"\s*\(wide reading: [^()]*\)$")
 _ARITH_NODES = (ast.BinOp, ast.Add, ast.Mult, ast.Pow, ast.Name, ast.Load, ast.Constant)
-_SCOPE = {"__builtins__": {}, "gcd": math.gcd}
 
 
 def _arith(text: str, names: tuple[str, ...]) -> ast.expr:
@@ -159,12 +163,12 @@ def _arith(text: str, names: tuple[str, ...]) -> ast.expr:
     return body
 
 
-def _progression(text: str, names: tuple[str, ...]) -> ast.expr:
-    """A n + B  ->  the tuple (A, B)."""
+def _progression(text: str, names: tuple[str, ...]) -> list[ast.expr]:
+    """A n + B  ->  [A, B]."""
     m = re.fullmatch(r"(.*?)\s*n\s*\+(.+)", text)
     if m is None:
         raise ValueError(f"progression {text!r} is not of the form A n + B")
-    return ast.Tuple([_arith(m[1] or "1", names), _arith(m[2], names)], ast.Load())
+    return [_arith(m[1] or "1", names), _arith(m[2], names)]
 
 
 def _clause(text: str, names: tuple[str, ...]) -> ast.expr:
@@ -195,12 +199,6 @@ def _domain(text: str, names: tuple[str, ...]) -> ast.expr:
     return clauses[0] if len(clauses) == 1 else ast.BoolOp(ast.And(), clauses)
 
 
-@lru_cache(maxsize=None)
-def _compile(parse: Callable, text: str, names: tuple[str, ...]) -> CodeType:
-    tree = ast.fix_missing_locations(ast.Expression(parse(text, names)))
-    return compile(tree, text, "eval")
-
-
 class _Point(NamedTuple):
     """A family's progression A n + B, modulus and tuple size at one point of its domain."""
 
@@ -215,14 +213,31 @@ class _Point(NamedTuple):
         return self.step * (n_max + 1 + self.offset // self.step)
 
 
+_SCOPE = {"__builtins__": {}, "gcd": math.gcd, "_Point": _Point}
+
+
+@lru_cache(maxsize=None)
+def _point_code(
+    size: str, progression: str, modulus: str, domain: str, names: tuple[str, ...]
+) -> CodeType:
+    """The texts as one expression: ``_Point(A, B, modulus, size) if domain else None``."""
+    point = ast.Call(
+        ast.Name("_Point", ast.Load()),
+        [*_progression(progression, names), _arith(modulus, names), _arith(size, names)],
+        [],
+    )
+    tree = ast.IfExp(_domain(domain, names), point, ast.Constant(None))
+    return compile(ast.fix_missing_locations(ast.Expression(tree)), progression, "eval")
+
+
 @dataclass(frozen=True, eq=False)
 class CongruenceFamily:
     """A parameterized claim: coefficient at A*n+B of the family GF is
     congruent to an expected residue mod m, for all parameters in a domain.
 
     The tuple size, progression, modulus and domain are stated once, as the
-    texts the report prints, and evaluated from them: each point once per
-    family, by ``point``."""
+    texts the report prints, and compiled together into one point
+    expression, which ``point`` evaluates."""
 
     key: str
     kind: str  # "overpartition" | "opt"
@@ -235,45 +250,20 @@ class CongruenceFamily:
     domain_text: str
     expected: Callable[[Mapping[str, int], int], list[int]] | None = None  # (params, n_max)
     tags: tuple[str, ...] = ()
-    _points: dict[tuple, _Point | None] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._code  # compile now, so a malformed text fails the registry build
 
     @cached_property
-    def _code(self) -> tuple[CodeType, ...]:
-        names = self.params
-        return (
-            _compile(_arith, self.size_text, names),
-            _compile(_progression, self.progression_text, names),
-            _compile(_arith, self.modulus_text, names),
-            _compile(_domain, self.domain_text, names),
+    def _code(self) -> CodeType:
+        return _point_code(
+            self.size_text, self.progression_text, self.modulus_text, self.domain_text,
+            self.params,
         )
 
-    def gf_param(self, p: Mapping[str, int]) -> int:
-        return eval(self._code[0], _SCOPE, p)
-
-    def progression(self, p: Mapping[str, int]) -> tuple[int, int]:
-        return eval(self._code[1], _SCOPE, p)
-
-    def modulus(self, p: Mapping[str, int]) -> int:
-        return eval(self._code[2], _SCOPE, p)
-
-    def domain(self, p: Mapping[str, int]) -> bool:
-        return eval(self._code[3], _SCOPE, p)
-
     def point(self, p: Mapping[str, int]) -> _Point | None:
-        """The formulas at p, or None outside the domain.  Remembered per
-        point, so ``default_grid``, ``run_families`` and ``check_family``
-        share one evaluation."""
-        key = tuple(map(p.get, self.params))
-        if key not in self._points:
-            self._points[key] = (
-                _Point(*self.progression(p), self.modulus(p), self.gf_param(p))
-                if self.domain(p)
-                else None
-            )
-        return self._points[key]
+        """The formulas at p, or None outside the domain."""
+        return eval(self._code, _SCOPE, p)
 
     def describe(self) -> dict:
         """Registry metadata, used verbatim in machine-readable reports."""
@@ -634,17 +624,16 @@ def check_family(
     *,
     provider: SeriesProvider | None = None,
     exact_check: bool = False,
-    witness_cap: int = 10,
 ) -> FamilyReport:
     """Scan a parameter grid, asserting the expected residue for n = 0..n_max.
 
     The coefficients at A*n+B are the provider's ``values`` on that
     progression, read straight off the GF, so progressions with B >= A need
-    no special casing.  A point's formulas come from ``family.point``, so a
-    point ``default_grid`` kept is not evaluated again, and a point outside
-    the domain raises ``ValueError``.  With ``exact_check`` every modular
-    coefficient is also compared against the exact-ring computation reduced
-    mod m (slow; meant for small grids).
+    no special casing.  A point's formulas come from ``family.point``, and a
+    point outside the domain raises ``ValueError``.  At most ``WITNESS_CAP``
+    witnesses are kept; every failure is counted.  With ``exact_check`` every
+    modular coefficient is also compared against the exact-ring computation
+    reduced mod m (slow; meant for small grids).
     """
     provider = provider or SeriesProvider()
     params_tried = 0
@@ -680,7 +669,7 @@ def check_family(
             expected = tuple(map(modulus.__rmod__, family.expected(params, n_max)))
         failed = list(mismatches(values, expected))
         failures += len(failed)
-        for n in failed[: witness_cap - len(witnesses)]:
+        for n in failed[: WITNESS_CAP - len(witnesses)]:
             witnesses.append(
                 Witness(
                     params=tuple(sorted(params.items())),

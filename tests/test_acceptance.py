@@ -153,7 +153,7 @@ def test_criterion_5_odd_part_three_progressions(provider):
     for key in ODD_PART_THEOREM_KEYS:
         family = registry[key]
         grid = default_grid(family, config)
-        max_modulus = max(max_modulus, max(family.modulus(p) for p in grid))
+        max_modulus = max(max_modulus, max(family.point(p).modulus for p in grid))
         rep = check_family(family, grid, 100, provider=provider)
         points += rep.params_tried
         if not rep.ok:

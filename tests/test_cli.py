@@ -152,6 +152,38 @@ def test_oracle_default_runs_small_parameters():
     assert text.count("PASS") == 14  # overpartition and odd-part, sizes 0..6
 
 
+def test_oracle_counts_and_expands_a_repeated_size_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(param, *args):
+            calls.append((name, param))
+            return real(param, *args)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("count_overpartition_tuples", "overpartition_gf", "count_opt_tuples", "opt_gf"):
+        counted(name)
+    argv = ["oracle", "--t", "2", "--t", "1", "--t", "2", "--opt", "3", "--opt", "3",
+            "--upto", "8", "--format", "json"]
+    code, text = run_cli(argv)
+    assert code == 0
+    assert sorted(calls) == sorted([
+        ("count_overpartition_tuples", 2), ("overpartition_gf", 2),
+        ("count_overpartition_tuples", 1), ("overpartition_gf", 1),
+        ("count_opt_tuples", 3), ("opt_gf", 3),
+    ])
+    results = json.loads(text)["results"]
+    assert [(row["family"], row["parameter"]) for row in results] == [
+        ("overpartition-tuples", 2), ("overpartition-tuples", 1), ("overpartition-tuples", 2),
+        ("opt-tuples", 3), ("opt-tuples", 3),
+    ]
+    assert results[0] == results[2] and results[3] == results[4]
+    assert all(row["matches_gf"] for row in results)
+
+
 # --- replay ----------------------------------------------------------------------
 
 

@@ -80,12 +80,10 @@ def test_registry_is_complete_and_stable():
 def test_registry_pinned_keys():
     registry = family_registry()
     f = registry["pbar-8n+7-mod32"]
-    assert f.progression({"t": 0}) == (8, 7)
-    assert f.modulus({"t": 0}) == 32
-    assert f.domain({"t": 0})
+    assert f.point({"t": 0}) == congruences._Point(step=8, offset=7, modulus=32, size=0)
     g = registry["opt-3n+2-mod-3^{i+1}2^{j+2}"]
-    assert g.gf_param({"i": 1, "j": 1, "k": 1}) == 6
-    assert g.modulus({"i": 1, "j": 1, "k": 1}) == 72
+    assert g.point({"i": 1, "j": 1, "k": 1}) == congruences._Point(3, 2, modulus=72, size=6)
+    assert g.point({"i": 1, "j": 1, "k": 3}) is None
 
 
 def test_describe_carries_registry_metadata():
@@ -199,9 +197,9 @@ def test_check_family_rejects_out_of_domain_points():
 
 
 def test_run_families_evaluates_each_point_once(monkeypatch):
-    # default_grid evaluates the domain at every candidate on the axes, and the
-    # progression, modulus and tuple size at each point inside the domain, once;
-    # run_families plans and check_family scans from those evaluations.
+    # default_grid evaluates the point expression at every candidate on the
+    # axes; run_families evaluates it again at each point it plans, and
+    # check_family at each point it scans.
     config = RunConfig(n_max=5, t_max=6, alpha_max=1, i_max=2, j_max=1)
     families = builtin_families()
     evaluated = []
@@ -221,12 +219,12 @@ def test_run_families_evaluates_each_point_once(monkeypatch):
         for family in families
     )
     points = sum(report.params_tried for report in reports)
-    assert len(evaluated) == candidates + 3 * points
+    assert len(evaluated) == candidates + 2 * points
     # a point handed straight to check_family is still checked against the domain
     family = next(family for family in families if family.key == "pbar-4n+3-mod16")
     evaluated.clear()
     check_family(family, [{"t": 2}, {"t": 2}, {"t": 7}], 5)
-    assert len(evaluated) == 4  # t = 7 is new: its domain, progression, modulus, size
+    assert len(evaluated) == 3  # one evaluation per point handed in
     with pytest.raises(ValueError, match="outside the domain"):
         check_family(family, [{"t": 2}, {"t": 5}], 5)
 
@@ -378,7 +376,7 @@ def test_a_parameter_with_no_grid_axis_is_an_error():
 
     family = replace(family_registry()["opt-8n+7-mod-2^{i+4}"], key="opt-s",
                      params=("i", "s"), size_text="2^i * s", domain_text="i >= 1, s odd")
-    assert family.domain({"i": 1, "s": 3})
+    assert family.point({"i": 1, "s": 3}) is not None
     with pytest.raises(ValueError, match="parameter 's' of opt-s has no grid axis"):
         default_grid(family, RunConfig())
 
@@ -389,7 +387,7 @@ def _power_of_2_moduli(*configs):
         for config in configs
         for family in builtin_families()
         for params in default_grid(family, config)
-        if (modulus := family.modulus(params)) & (modulus - 1) == 0
+        if (modulus := family.point(params).modulus) & (modulus - 1) == 0
     })
 
 
@@ -765,10 +763,9 @@ def _walk_family(family, grid, n_max, provider, witness_cap):
     """The scan as a plain loop over n: the reference check_family must match."""
     failures, coeffs, witnesses = 0, 0, []
     for params in grid:
-        step, offset = family.progression(params)
-        modulus = family.modulus(params)
+        step, offset, modulus, size = family.point(params)
         order = step * n_max + offset + 1
-        series = provider.gf(family.kind, family.gf_param(params), modulus, order)
+        series = provider.gf(family.kind, size, modulus, order)
         for n in range(n_max + 1):
             value = series.coeff(step * n + offset)
             expected = 0 if family.expected is None else family.expected(params, n_max)[n]
@@ -803,14 +800,15 @@ def _wrong_families():
 
 @pytest.mark.parametrize("name", ["zero", "tri"])
 @pytest.mark.parametrize("witness_cap", [0, 3, 10, 1000])
-def test_check_family_matches_per_coefficient_walk(name, witness_cap):
+def test_check_family_matches_per_coefficient_walk(name, witness_cap, monkeypatch):
+    monkeypatch.setattr(congruences, "WITNESS_CAP", witness_cap)
     family, grid = _wrong_families()[name]
     provider = SeriesProvider()
-    report = check_family(family, grid, 30, provider=provider, witness_cap=witness_cap)
+    report = check_family(family, grid, 30, provider=provider)
     expected = _walk_family(family, grid, 30, provider, witness_cap)
     got = (report.params_tried, report.coeffs_checked, report.failures, report.witnesses)
     assert got == expected
-    assert report.failures > 10  # past the default cap, every failure is still counted
+    assert report.failures > 10  # past the shipped cap of 10, every failure is still counted
     if name == "tri":  # the failures are even t at triangular n: 0 where 2 is expected
         assert all((w.value, w.expected) == (0, 2) for w in report.witnesses)
 

@@ -1,11 +1,11 @@
 """Family formulas: a family's tuple size, progression, modulus and domain
-are evaluated from the texts its report prints.
+are compiled from the texts its report prints into one point expression.
 
 ``REFERENCE`` is a test-only table of each family's formulas written as
 Python functions, one entry per registry key; the registry stated them this
-way before it evaluated its texts.  The texts must agree with it at every
-point of the default grid and of a wider grid that also holds points outside
-each domain.
+way before it evaluated its texts.  ``family.point`` must agree with it at
+every point of the default grid and of a wider grid that also holds points
+outside each domain, where it is None.
 """
 
 import math
@@ -13,7 +13,13 @@ from itertools import product
 
 import pytest
 
-from overq.congruences import CongruenceFamily, RunConfig, builtin_families, default_grid
+from overq.congruences import (
+    CongruenceFamily,
+    RunConfig,
+    _Point,
+    builtin_families,
+    default_grid,
+)
 
 
 def _t(p):
@@ -96,13 +102,10 @@ REFERENCE = {
 FAMILIES = builtin_families()
 
 
-def derived(family, p):
-    """(tuple size, progression, modulus, in domain) as the texts state them."""
-    return (family.gf_param(p), family.progression(p), family.modulus(p), family.domain(p))
-
-
 def reference(family, p):
-    return tuple(formula(p) for formula in REFERENCE[family.key])
+    """The point the reference formulas give at p, or None outside the domain."""
+    size, progression, modulus, domain = REFERENCE[family.key]
+    return _Point(*progression(p), modulus(p), size(p)) if domain(p) else None
 
 
 def wide_grid(family):
@@ -119,13 +122,13 @@ def test_texts_agree_with_reference_on_the_default_grid(family):
     grid = default_grid(family, RunConfig())
     assert grid
     for p in grid:
-        assert derived(family, p) == reference(family, p), p
+        assert family.point(p) == reference(family, p), p
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.key)
 def test_texts_agree_with_reference_on_a_wide_grid(family):
     for p in wide_grid(family):
-        assert derived(family, p) == reference(family, p), p
+        assert family.point(p) == reference(family, p), p
 
 
 def family_from_texts(size="i", progression="8n+7", modulus="2^(i+4)", domain="i >= 1"):
@@ -142,17 +145,21 @@ def family_from_texts(size="i", progression="8n+7", modulus="2^(i+4)", domain="i
     )
 
 
+def in_domain(family, values):
+    return [i for i in values if family.point({"i": i}) is not None]
+
+
 def test_well_formed_texts_evaluate():
-    assert family_from_texts().modulus({"i": 2}) == 64
+    assert family_from_texts().point({"i": 2}) == _Point(step=8, offset=7, modulus=64, size=2)
     family = family_from_texts(
         domain="i >= 1, i odd, 3 does not divide i, i != 5, gcd(i, 6) = 1, i % 12 in {1, 11}"
     )
-    assert [i for i in range(40) if family.domain({"i": i})] == [1, 11, 13, 23, 25, 35, 37]
+    assert in_domain(family, range(40)) == [1, 11, 13, 23, 25, 35, 37]
     family = family_from_texts(domain="i >= 1, i odd (wide reading: i = 1 allowed)")
-    assert [i for i in range(6) if family.domain({"i": i})] == [1, 3, 5]
-    assert family_from_texts(progression="n+1").progression({"i": 3}) == (1, 1)
+    assert in_domain(family, range(6)) == [1, 3, 5]
+    assert family_from_texts(progression="n+1").point({"i": 3})[:2] == (1, 1)
     family = family_from_texts(progression="2^(2i+2) n + 3*2^(2i)")
-    assert family.progression({"i": 1}) == (16, 12)
+    assert family.point({"i": 1})[:2] == (16, 12)
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,10 @@
   ``cli.cmd_replay`` calls no ``step_registry`` and reads no ``param_names``.
 * The slot byte layout is decided in the slot helpers only:
   ``series._convolve_mod`` reads no ``sys.byteorder``.
+* A congruence family's formulas are one compiled point expression:
+  ``congruences.py`` calls ``compile`` once, in ``_point_code``, and
+  ``eval`` once, in ``CongruenceFamily.point``, so no per-formula
+  evaluator sits beside it.
 * Every method that the bench tracer wraps (``METHODS`` in
   ``bench/spans.py``, read without importing it) is defined on its class,
   where ``Tracer.install`` looks it up.
@@ -288,6 +292,29 @@ def test_only_the_slot_helpers_read_the_byte_order():
     assert not any(
         isinstance(n, ast.Attribute) and n.attr == "byteorder" for n in ast.walk(kernel)
     )
+
+
+def _builtin_calls(path, builtin):
+    """The enclosing class and function names of each call of ``builtin`` in ``path``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, where + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == builtin:
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_family_formulas_compile_into_one_point_expression():
+    path = SOURCE / "congruences.py"
+    assert _builtin_calls(path, "compile") == [("_point_code",)]
+    assert _builtin_calls(path, "eval") == [("CongruenceFamily", "point")]
 
 
 def test_every_traced_method_is_defined_on_its_class():
