@@ -57,10 +57,10 @@ FIXED_CONFIG = {"jobs": 1, "seed": 0}
 
 
 # Largest `identities --order` and `oracle --upto`.  Both are exact-ring work
-# that grows about quadratically: on a 2-vCPU host `identities --order 16000`
-# took 19 s and `oracle --upto 2400` 2.5-2.6 s (about 1.1 s of it counting,
-# the rest the generating functions), so runs at the budget end within
-# minutes, while `identities --only D1 --order 5000000` ran out of memory.
+# that grows about quadratically: on a 2-vCPU host `identities --order 10000`
+# took 1.3-1.7 s and `oracle --upto 2400` 2.5-2.6 s (about 1.1 s of it
+# counting, the rest the generating functions), so runs at the budget end
+# within seconds, while `identities --only D1 --order 5000000` ran out of memory.
 MAX_EXACT_ORDER = 10_000
 
 

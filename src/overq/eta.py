@@ -16,7 +16,11 @@ order 2000 multiplies at order 500.  Over the exact integers a negative power
 of f_1 comes from the power recurrence, which reads only the pentagonal terms
 of f_1; every other power is a product of shared rungs g^(2^k), g = f_1 or
 1/f_1, memoized per (ring, order), so scattered exponents pay the inverse and
-the squarings once.
+the squarings once.  The exact identity checks never ask for a negative
+power: they multiply both sides by an eta quotient D that clears every
+negative exponent, merged into each leaf's quotient (``theta_component`` and
+``family_gf`` take D as ``unit``), so the recurrence serves the exact
+generating functions of the oracle and ``exact_check`` cross-checks.
 
 A counting generating function's base (``family_gf`` at tuple size 1) over
 Z/mZ is built instead from Gauss's theta series phi(-q) = f1^2/f2 = 1 +
@@ -92,6 +96,12 @@ class EtaQuotient:
                 raise ValueError(f"bad eta factor {token!r} (expected e.g. 'f2^-3')")
             factors.append((int(m.group(1)), int(m.group(2) or 1)))
         return cls(tuple(factors))
+
+    def __mul__(self, other: "EtaQuotient") -> "EtaQuotient":
+        return EtaQuotient(self.factors + other.factors)
+
+    def __pow__(self, exponent: int) -> "EtaQuotient":
+        return EtaQuotient(tuple((scale, e * exponent) for scale, e in self.factors))
 
     def __str__(self) -> str:
         if not self.factors:
@@ -288,24 +298,37 @@ _COMPONENTS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
 THETA_COMPONENT_NAMES = ("A", *_COMPONENTS)
 
 
-def theta_component(name: str, ring: Ring, order: int) -> Series:
-    """One of the named series used by the cubic dissections.
+def theta_component(name: str, ring: Ring, order: int, unit: EtaQuotient = EtaQuotient()) -> Series:
+    """One of the named series used by the cubic dissections, times ``unit``.
 
     ``A`` is the lattice sum itself; the lowercase components combine a power
-    of A with a fixed eta quotient (for example d = f3^2 / f6 and h = A * f1).
+    of A with a fixed eta quotient (for example d = f3^2 / f6 and h = A * f1),
+    which is expanded merged with ``unit``.
     """
     if name == "A":
-        return borwein_a(ring, order)
+        return _times(borwein_a(ring, order), unit)
     try:
         a_power, factors = _COMPONENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown theta component {name!r}; expected one of {THETA_COMPONENT_NAMES}"
         ) from None
-    result = expand_eta_quotient(EtaQuotient(factors), ring, order)
+    result = expand_eta_quotient(EtaQuotient(factors) * unit, ring, order)
     if a_power:
         result = result * (borwein_a(ring, order) ** a_power)
     return result
+
+
+def component_quotient(name: str) -> EtaQuotient:
+    """The eta-quotient part of a theta component; empty for ``A`` and unknown names."""
+    return EtaQuotient(_COMPONENTS.get(name, (0, ()))[1])
+
+
+def _times(series: Series, unit: EtaQuotient) -> Series:
+    """``series`` times the expansion of ``unit``, with no multiply for the empty quotient."""
+    if not unit.factors:
+        return series
+    return series * expand_eta_quotient(unit, series.ring, series.order)
 
 
 # The counting generating function of each family kind at tuple size 1; the
@@ -356,13 +379,17 @@ def _expand_thetas(thetas: tuple[tuple[int, int], ...], ring: Ring, order: int) 
     return reduce(mul, parts) if parts else one(ring, order)
 
 
-def family_gf(kind: str, t: int, ring: Ring, order: int) -> Series:
-    """The ``GF_BASE[kind]`` quotient raised to the tuple size t, expanded.
+def family_gf(
+    kind: str, t: int, ring: Ring, order: int, unit: EtaQuotient = EtaQuotient()
+) -> Series:
+    """The ``GF_BASE[kind]`` quotient raised to the tuple size t, times
+    ``unit``, expanded.
 
-    The base itself (t = 1) over Z/mZ is built from phi(-q) when the quotient
-    is a product of powers of phi(-q^s), as both bases are.  Other tuple
-    sizes, and the exact ring, which the cross-checks compare against, are
-    expanded as eta quotients: there the f_1 rungs are shared across t.
+    The base itself (t = 1) over Z/mZ, with the empty unit, is built from
+    phi(-q) when the quotient is a product of powers of phi(-q^s), as both
+    bases are.  Other tuple sizes, and the exact ring, which the cross-checks
+    compare against, are expanded as eta quotients: there the f_1 rungs are
+    shared across t.
     """
     if kind not in GF_BASE:
         raise ValueError(f"unknown generating function kind {kind!r}")
@@ -370,12 +397,11 @@ def family_gf(kind: str, t: int, ring: Ring, order: int) -> Series:
         raise ValueError(f"tuple size must be >= 0, got {t}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if t == 1 and ring.is_modular:
+    if t == 1 and ring.is_modular and not unit.factors:
         thetas = _theta_exponents(GF_BASE[kind])
         if thetas is not None:
             return _expand_thetas(thetas, ring, order)
-    scaled = EtaQuotient(tuple((s, e * t) for s, e in GF_BASE[kind].factors))
-    return expand_eta_quotient(scaled, ring, order)
+    return expand_eta_quotient(GF_BASE[kind] ** t * unit, ring, order)
 
 
 def overpartition_gf(t: int, ring: Ring, order: int) -> Series:

@@ -7,14 +7,31 @@ its mathematical form (no report prints recipes; ``demos/03`` does).
 
 Recipes support ``+``, ``-`` and scaling by an integer (``2 * recipe``), so
 registry entries read close to their mathematical form.
+
+:func:`evaluate` can multiply a recipe by an eta quotient ``unit`` as it
+goes: the unit is merged into each eta leaf's quotient instead of being
+multiplied by the sum afterwards, so a unit chosen to clear the leaves'
+negative exponents (``Recipe.eta_leaves`` lists them) leaves no negative
+power of f_1 to expand.  The exact identity checks use this; everything
+else evaluates with the empty unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .series import Ring, Series, spread
-from .eta import EtaQuotient, expand_eta_quotient, family_gf, jacobi_triangular, theta_component
+from .eta import (
+    GF_BASE,
+    EtaQuotient,
+    _times,
+    component_quotient,
+    expand_eta_quotient,
+    family_gf,
+    jacobi_triangular,
+    theta_component,
+)
 
 __all__ = [
     "Recipe",
@@ -46,10 +63,24 @@ class Recipe:
     def __rmul__(self, scalar: int) -> "Recipe":
         return ScaleRecipe(scalar, self)
 
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        """The eta quotient of each eta, theta-component and GF leaf, with
+        its scales multiplied through every substitution above it.
+
+        Opaque leaves (the Jacobi series, ``A``, a dissection) have none.
+        Nothing here raises: a node that ``evaluate`` refuses, such as a
+        substitution step below 1 or an unknown kind, adds nothing to clear,
+        so ``evaluate`` reports it as it would with no unit.
+        """
+        return iter(())
+
 
 @dataclass(frozen=True)
 class EtaRecipe(Recipe):
     quotient: EtaQuotient
+
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        yield self.quotient
 
     def __str__(self) -> str:
         return str(self.quotient)
@@ -58,6 +89,9 @@ class EtaRecipe(Recipe):
 @dataclass(frozen=True)
 class ThetaRecipe(Recipe):
     name: str
+
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        yield component_quotient(self.name)
 
     def __str__(self) -> str:
         return self.name if self.name == "A" else f"{self.name}(q)"
@@ -76,6 +110,10 @@ class GfRecipe(Recipe):
     kind: str  # "overpartition" | "opt"
     parameter: int
 
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        if self.kind in GF_BASE:
+            yield GF_BASE[self.kind] ** self.parameter
+
     def __str__(self) -> str:
         name = "pbar" if self.kind == "overpartition" else self.kind
         return f"{name}_gf({self.parameter})"
@@ -84,6 +122,10 @@ class GfRecipe(Recipe):
 @dataclass(frozen=True)
 class SumRecipe(Recipe):
     terms: tuple[Recipe, ...]
+
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        for term in self.terms:
+            yield from term.eta_leaves()
 
     def __str__(self) -> str:
         return " + ".join(f"({t})" for t in self.terms)
@@ -94,6 +136,9 @@ class ScaleRecipe(Recipe):
     scalar: int
     inner: Recipe
 
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        return self.inner.eta_leaves()
+
     def __str__(self) -> str:
         return f"{self.scalar}*({self.inner})"
 
@@ -103,6 +148,9 @@ class ShiftRecipe(Recipe):
     offset: int
     inner: Recipe
 
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        return self.inner.eta_leaves()
+
     def __str__(self) -> str:
         return f"q^{self.offset}*({self.inner})"
 
@@ -111,6 +159,11 @@ class ShiftRecipe(Recipe):
 class SubstRecipe(Recipe):
     step: int
     inner: Recipe
+
+    def eta_leaves(self) -> Iterator[EtaQuotient]:
+        if self.step >= 1:
+            for leaf in self.inner.eta_leaves():
+                yield EtaQuotient(tuple((scale * self.step, e) for scale, e in leaf.factors))
 
     def __str__(self) -> str:
         return f"({self.inner})[q->q^{self.step}]"
@@ -148,33 +201,45 @@ def qshift(recipe: Recipe, offset: int) -> Recipe:
     return ShiftRecipe(offset, recipe)
 
 
-def evaluate(recipe: Recipe, ring: Ring, order: int) -> Series:
-    """Evaluate a recipe to a truncated series over the given ring."""
+def evaluate(recipe: Recipe, ring: Ring, order: int, unit: EtaQuotient = EtaQuotient()) -> Series:
+    """Evaluate a recipe times the eta quotient ``unit`` to a truncated series
+    over the given ring.
+
+    The unit is pushed into the leaves.  An eta, theta-component or GF leaf
+    expands its quotient merged with it.  A substitution q -> q^step passes
+    in the unit's factors whose scale ``step`` divides, scales divided by
+    ``step``, and multiplies by the rest after spreading.  An opaque leaf
+    (the Jacobi series, ``A``, a dissection) is multiplied by the unit's
+    expansion.  The empty unit (the default) multiplies nothing.
+    """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if isinstance(recipe, EtaRecipe):
-        return expand_eta_quotient(recipe.quotient, ring, order)
+        return expand_eta_quotient(recipe.quotient * unit, ring, order)
     if isinstance(recipe, ThetaRecipe):
-        return theta_component(recipe.name, ring, order)
+        return theta_component(recipe.name, ring, order, unit)
     if isinstance(recipe, JacobiRecipe):
-        return jacobi_triangular(ring, order)
+        return _times(jacobi_triangular(ring, order), unit)
     if isinstance(recipe, GfRecipe):
-        return family_gf(recipe.kind, recipe.parameter, ring, order)
+        return family_gf(recipe.kind, recipe.parameter, ring, order, unit)
     if isinstance(recipe, SumRecipe):
-        total = evaluate(recipe.terms[0], ring, order)
+        total = evaluate(recipe.terms[0], ring, order, unit)
         for term in recipe.terms[1:]:
-            total = total + evaluate(term, ring, order)
+            total = total + evaluate(term, ring, order, unit)
         return total
     if isinstance(recipe, ScaleRecipe):
-        return evaluate(recipe.inner, ring, order).scale(recipe.scalar)
+        return evaluate(recipe.inner, ring, order, unit).scale(recipe.scalar)
     if isinstance(recipe, ShiftRecipe):
-        return evaluate(recipe.inner, ring, order).shift(recipe.offset)
+        return evaluate(recipe.inner, ring, order, unit).shift(recipe.offset)
     if isinstance(recipe, SubstRecipe):
         step = recipe.step
         if step < 1:
             raise ValueError(f"substitution step must be >= 1, got {step}")
-        return spread(evaluate(recipe.inner, ring, (order - 1) // step + 1), step, order)
+        inside = EtaQuotient(tuple((s // step, e) for s, e in unit.factors if s % step == 0))
+        outside = EtaQuotient(tuple((s, e) for s, e in unit.factors if s % step))
+        inner = evaluate(recipe.inner, ring, (order - 1) // step + 1, inside)
+        return _times(spread(inner, step, order), outside)
     if isinstance(recipe, DissectRecipe):
         inner = evaluate(recipe.inner, ring, recipe.modulus * order + recipe.residue)
-        return inner.dissect(recipe.modulus, recipe.residue).truncate(order)
+        return _times(inner.dissect(recipe.modulus, recipe.residue).truncate(order), unit)
     raise TypeError(f"unknown recipe node {type(recipe).__name__}")

@@ -7,6 +7,20 @@ Checks run to a configurable truncation order and report the first
 mismatching exponent on failure.  Evaluation failures (for example a
 substitution step below 1, or an unknown generating-function kind) are
 reported in the result rather than raised.
+
+An exact case is checked with its denominators cleared.  D = prod f_k^d_k is
+the least eta quotient that clears every negative exponent of every eta leaf
+(eta quotient, theta component or generating function) on either side, with
+scales taken through each substitution q -> q^step: for ``D4``, lhs 1/f1^3
+and rhs built from a(q^3), b(q^3), c(q^3), D = f1^3 f3^12 and the lhs becomes
+f3^12.  Both sides are evaluated times D (``expr.evaluate``'s ``unit``), so
+no negative power of f_1 is expanded and the coefficients stay small.  D has
+constant term 1, so it is a unit modulo q^N: D * lhs and D * rhs agree below
+q^N exactly when lhs and rhs do, and the first exponent where they differ is
+the same, since D * (lhs - rhs) and lhs - rhs share their lowest term.  A
+failure at q^n reports the plain sides' coefficients there, from both sides
+evaluated again with no D to order n + 1.  Congruence cases keep the empty
+unit: their coefficients cannot grow.
 """
 
 from __future__ import annotations
@@ -14,12 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
+from .eta import EtaQuotient
 from .series import EXACT, Zmod, mismatches
 from .expr import Recipe, eta_series, jacobi_series, qshift, theta_series, evaluate
 
 __all__ = [
     "IdentityCase",
     "IdentityReport",
+    "denominator",
     "verify_identity",
     "builtin_identities",
     "identity_registry",
@@ -70,21 +86,40 @@ class IdentityReport(_Params):
         return f"q^{n}: {lhs} != {rhs}"
 
 
+def denominator(case: IdentityCase) -> EtaQuotient:
+    """D = prod f_k^d_k, the least eta quotient that clears every negative
+    exponent of every eta leaf of either side of the case."""
+    need: dict[int, int] = {}
+    for leaf in (*case.lhs.eta_leaves(), *case.rhs.eta_leaves()):
+        for scale, exponent in leaf.factors:
+            need[scale] = max(need.get(scale, 0), -exponent)
+    return EtaQuotient(tuple(need.items()))
+
+
 def verify_identity(case: IdentityCase, order: int) -> IdentityReport:
-    """Evaluate both sides of a case to the given order and compare."""
+    """Evaluate both sides of a case to the given order and compare.
+
+    An exact case compares D * lhs with D * rhs, D = ``denominator(case)``,
+    and on a mismatch at q^n reports the plain sides' coefficients there,
+    evaluated to order n + 1.  A congruence case keeps the empty unit.
+    """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     report = partial(IdentityReport, case.key, case.modulus, order, params=case.params)
     ring = EXACT if case.modulus is None else Zmod(case.modulus)
+    unit = denominator(case) if case.modulus is None else EtaQuotient()
     try:
-        lhs = evaluate(case.lhs, ring, order)
-        rhs = evaluate(case.rhs, ring, order)
+        lhs = evaluate(case.lhs, ring, order, unit)
+        rhs = evaluate(case.rhs, ring, order, unit)
     except ValueError as exc:
         return report(ok=False, error=str(exc))
     n = next(mismatches(lhs.coeffs, rhs.coeffs), None)
-    if n is not None:
-        return report(ok=False, mismatch=(n, lhs.coeffs[n], rhs.coeffs[n]))
-    return report(ok=True)
+    if n is None:
+        return report(ok=True)
+    if unit.factors:  # the sides evaluated just now would raise nothing new
+        lhs = evaluate(case.lhs, ring, n + 1)
+        rhs = evaluate(case.rhs, ring, n + 1)
+    return report(ok=False, mismatch=(n, lhs.coeffs[n], rhs.coeffs[n]))
 
 
 def _binomial_cases() -> list[IdentityCase]:

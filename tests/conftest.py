@@ -3,7 +3,8 @@ import random
 import pytest
 
 import overq.congruences as congruences
-from overq.series import EXACT, Ring, Series, Zmod
+from overq.expr import evaluate
+from overq.series import EXACT, Ring, Series, Zmod, mismatches
 
 RING_POOL = (
     EXACT,
@@ -27,6 +28,18 @@ def random_unit_series(rng: random.Random, ring: Ring, order: int) -> Series:
     coeffs = [rng.randint(-9, 9) for _ in range(order)]
     coeffs[0] = rng.choice([1, -1])
     return Series(ring, coeffs)
+
+
+def plain_check(case, order):
+    """(ok, mismatch, error) of an exact case checked the plain way: both
+    sides evaluated with the empty unit, and their first mismatch."""
+    try:
+        lhs = evaluate(case.lhs, EXACT, order)
+        rhs = evaluate(case.rhs, EXACT, order)
+    except ValueError as exc:
+        return False, None, str(exc)
+    n = next(mismatches(lhs.coeffs, rhs.coeffs), None)
+    return n is None, None if n is None else (n, lhs.coeffs[n], rhs.coeffs[n]), None
 
 
 def corrupt_mod16_row(monkeypatch) -> None:

@@ -1,18 +1,38 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from conftest import plain_check
 
+import overq.identities as identities
 from overq.cli import _OPTIONS, main
-from overq.expr import GfRecipe, SubstRecipe, eta_series, evaluate, theta_series
+from overq.eta import EtaQuotient
+from overq.expr import (
+    EtaRecipe,
+    GfRecipe,
+    ScaleRecipe,
+    SubstRecipe,
+    SumRecipe,
+    eta_series,
+    evaluate,
+    theta_series,
+)
 from overq.identities import (
     IdentityCase,
     builtin_identities,
+    denominator,
     identity_registry,
     verify_identity,
 )
 from overq.series import EXACT, Zmod
+
+ETA = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_KEYS = [
     "B1-p2-k1",
@@ -159,3 +179,112 @@ def test_gf_recipe_of_unknown_kind_is_an_error():
     case = IdentityCase("BOGUS", GfRecipe("bogus", 2), GfRecipe("opt", 2), modulus=8)
     report = verify_identity(case, 6)
     assert not report.ok and "bogus" in report.error
+
+
+def test_unknown_kind_is_named_in_an_exact_case():
+    # the exact case has a denominator, f1^2, and still reports the kind
+    case = IdentityCase("BOGUS", GfRecipe("bogus", 2), eta_series("f1^-2"))
+    assert denominator(case) == EtaQuotient(((1, 2),))
+    report = verify_identity(case, 6)
+    assert not report.ok and report.error == "unknown generating function kind 'bogus'"
+
+
+def test_zero_substitution_step_is_reported_past_a_denominator():
+    case = IdentityCase("step-zero", eta_series("f2^-3"), theta_series("h", 0))
+    assert denominator(case) == EtaQuotient(((2, 3),))
+    report = verify_identity(case, 10)
+    assert report.error == "substitution step must be >= 1, got 0"
+
+
+def test_denominator_takes_scales_through_substitutions():
+    registry = identity_registry()
+    assert str(denominator(registry["D4"])) == "f1^3 * f3^12"
+    assert str(denominator(registry["D1"])) == "f4^2 * f8 * f16^2"
+    assert str(denominator(registry["D3"])) == "f2 * f6 * f9 * f18"
+    assert denominator(registry["D2"]) == denominator(registry["JACOBI"]) == EtaQuotient()
+    # cleared, the lhs of D4 is f3^12: no negative power of f1 is left
+    assert evaluate(registry["D4"].lhs, EXACT, 300, denominator(registry["D4"])) == evaluate(
+        eta_series("f3^12"), EXACT, 300
+    )
+
+
+def _terms(recipe):
+    """The terms of a (nested) sum, each with its sign and scalar."""
+    if isinstance(recipe, SumRecipe):
+        return [t for term in recipe.terms for t in _terms(term)]
+    return [recipe]
+
+
+def _mutants(case):
+    terms = _terms(case.rhs)
+    for i in range(len(terms)):
+        flipped = terms[:i] + [ScaleRecipe(-1, terms[i])] + terms[i + 1 :]
+        yield f"sign-{i}", replace(case, rhs=SumRecipe(tuple(flipped)))
+    factors = case.lhs.quotient.factors
+    for i, (scale, exponent) in enumerate(factors):
+        for delta in (1, -1):
+            bumped = factors[:i] + ((scale, exponent + delta),) + factors[i + 1 :]
+            yield f"f{scale}{delta:+d}", replace(case, lhs=EtaRecipe(EtaQuotient(bumped)))
+
+
+@pytest.mark.parametrize("key", ["D1", "D1SQ", "D3", "D4"])
+def test_dissection_mutants_fail_where_the_plain_check_does(key):
+    case = identity_registry()[key]
+    assert denominator(case).factors  # the check runs cleared
+    kinds = set()
+    for name, mutant in _mutants(case):
+        report = verify_identity(mutant, 300)
+        ok, mismatch, error = plain_check(mutant, 300)
+        assert not ok and mismatch is not None, name
+        assert (report.ok, report.mismatch, report.error) == (ok, mismatch, error), name
+        kinds.add(name.split("-")[0][0])
+    assert kinds == {"s", "f"}
+
+
+def test_exact_checks_run_no_power_recurrence(monkeypatch):
+    calls = []
+    real = ETA._f1_power_exact
+    monkeypatch.setattr(ETA, "_f1_power_exact", lambda *args: calls.append(args) or real(*args))
+    ETA._f1_power.cache_clear()
+    exact = [case for case in builtin_identities() if case.modulus is None]
+    assert {case.key for case in exact} >= {"D1", "D1SQ", "D3", "D4"}
+    for case in exact:
+        assert verify_identity(case, 500).ok, case.key
+    assert calls == []
+
+
+def test_congruence_checks_keep_the_empty_unit(monkeypatch):
+    units = []
+    real = identities.evaluate
+
+    def spy(recipe, ring, order, unit=EtaQuotient()):
+        units.append(unit)
+        return real(recipe, ring, order, unit)
+
+    monkeypatch.setattr(identities, "evaluate", spy)
+    for case in builtin_identities():
+        if case.modulus is not None:
+            assert verify_identity(case, 100).ok, case.key
+    assert main(["replay", "--order", "60", "--format", "json"], out=io.StringIO()) == 0
+    assert len(units) > 2 * 11 and set(units) == {EtaQuotient()}
+
+
+def test_replay_modular_convolutions_are_pinned():
+    # a fresh interpreter, so no memo is warm: replay --order 500 makes 1,492
+    # modular convolutions, exactly as many as before exact checks were cleared
+    script = (
+        "import io, overq.series as s, overq.cli as cli\n"
+        "real, n = s._convolve_mod, [0]\n"
+        "def count(*args):\n"
+        "    n[0] += 1\n"
+        "    return real(*args)\n"
+        "s._convolve_mod = count\n"
+        "code = cli.main(['replay', '--order', '500', '--format', 'json'], out=io.StringIO())\n"
+        "print(code, n[0])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stderr == ""
+    assert done.stdout.split() == ["0", "1492"]

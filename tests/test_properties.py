@@ -1,13 +1,34 @@
 import math
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import RING_POOL, random_unit_series
+from conftest import RING_POOL, plain_check, random_unit_series
 from overq import series as series_module
-from overq.eta import EtaQuotient, _f1_power, _rung, euler_product, expand_eta_quotient
+from overq.eta import (
+    THETA_COMPONENT_NAMES,
+    EtaQuotient,
+    _f1_power,
+    _rung,
+    component_quotient,
+    euler_product,
+    expand_eta_quotient,
+)
+from overq.expr import (
+    DissectRecipe,
+    EtaRecipe,
+    GfRecipe,
+    JacobiRecipe,
+    ScaleRecipe,
+    ShiftRecipe,
+    SubstRecipe,
+    SumRecipe,
+    ThetaRecipe,
+)
+from overq.identities import IdentityCase, verify_identity
 from overq.series import (
     _DECIMAL_CUTOFF,
     EXACT,
@@ -476,3 +497,100 @@ def test_expand_eta_quotient_runs_once_per_quotient(monkeypatch):
     ETA.family_gf("opt", 2, EXACT, 50)
     ETA.theta_component("g", Zmod(8), 50)
     assert calls == ["f1^-4 * f2^6 * f4^-2", "f1 * f2^-1 * f3^-1 * f6^2"]
+
+
+# --- exact identity checks with their denominators cleared ---------------------
+
+_quotients = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=-4, max_value=4)),
+    max_size=3,
+).map(lambda factors: EtaQuotient(tuple(factors)))
+
+_leaves = st.one_of(
+    _quotients.map(EtaRecipe),
+    _quotients.map(EtaRecipe),
+    st.sampled_from((*THETA_COMPONENT_NAMES, "z")).map(ThetaRecipe),  # "z" is unknown
+    st.just(JacobiRecipe()),
+    st.builds(GfRecipe, st.sampled_from(["overpartition", "opt"]), st.integers(0, 2)),
+)
+
+
+def _nodes(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda terms: SumRecipe(tuple(terms))),
+        st.builds(ScaleRecipe, st.integers(min_value=-3, max_value=3), children),
+        st.builds(ShiftRecipe, st.integers(min_value=0, max_value=3), children),
+        st.builds(SubstRecipe, st.sampled_from([1, 2, 2, 3, 3, 0]), children),  # 0 is refused
+        st.builds(DissectRecipe, st.integers(2, 3), st.integers(0, 1), children),
+    )
+
+
+_recipes = st.recursive(_leaves, _nodes, max_leaves=6)
+
+
+def _equal_form(recipe):
+    """The same series as another tree: eta leaves X read off X(q^2) by a
+    dissection, substitutions of eta leaves folded, sums reversed, scalars
+    split, and the Jacobi series and the pure-eta theta components written as
+    eta quotients."""
+    if isinstance(recipe, EtaRecipe):
+        doubled = EtaQuotient(tuple((2 * s, e) for s, e in recipe.quotient.factors))
+        return DissectRecipe(2, 0, EtaRecipe(doubled))
+    if isinstance(recipe, JacobiRecipe):
+        return EtaRecipe(EtaQuotient(((1, 3),)))
+    if isinstance(recipe, ThetaRecipe) and recipe.name in "cdgm":
+        return EtaRecipe(component_quotient(recipe.name))
+    if isinstance(recipe, SumRecipe):
+        return SumRecipe(tuple(_equal_form(t) for t in reversed(recipe.terms)))
+    if isinstance(recipe, ScaleRecipe):
+        inner = _equal_form(recipe.inner)
+        return SumRecipe((ScaleRecipe(recipe.scalar + 1, inner), ScaleRecipe(-1, inner)))
+    if isinstance(recipe, ShiftRecipe):
+        return ShiftRecipe(recipe.offset, _equal_form(recipe.inner))
+    if isinstance(recipe, SubstRecipe):
+        if recipe.step >= 1 and isinstance(recipe.inner, EtaRecipe):
+            factors = tuple((s * recipe.step, e) for s, e in recipe.inner.quotient.factors)
+            return EtaRecipe(EtaQuotient(factors))
+        return SubstRecipe(recipe.step, _equal_form(recipe.inner))
+    return recipe
+
+
+def _one_exponent_apart(recipe, delta):
+    """The tree with the first exponent of its first eta leaf moved by delta
+    (f1^delta on an empty quotient); None when it has no eta leaf."""
+    if isinstance(recipe, EtaRecipe):
+        factors = recipe.quotient.factors or ((1, 0),)
+        scale, exponent = factors[0]
+        return EtaRecipe(EtaQuotient(((scale, exponent + delta),) + factors[1:]))
+    if isinstance(recipe, SumRecipe):
+        for i, term in enumerate(recipe.terms):
+            moved = _one_exponent_apart(term, delta)
+            if moved is not None:
+                return SumRecipe(recipe.terms[:i] + (moved,) + recipe.terms[i + 1 :])
+        return None
+    if isinstance(recipe, (ScaleRecipe, ShiftRecipe, SubstRecipe, DissectRecipe)):
+        moved = _one_exponent_apart(recipe.inner, delta)
+        return None if moved is None else replace(recipe, inner=moved)
+    return None
+
+
+@st.composite
+def _exact_cases(draw):
+    lhs = draw(_recipes)
+    how = draw(st.sampled_from(["equal", "apart", "independent"]))
+    if how == "independent":
+        rhs = draw(_recipes)
+    else:
+        rhs = _equal_form(lhs)
+        if how == "apart":
+            rhs = _one_exponent_apart(rhs, draw(st.sampled_from([1, -1]))) or rhs
+    if draw(st.booleans()):
+        lhs, rhs = rhs, lhs
+    return IdentityCase("random", lhs, rhs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_exact_cases(), st.integers(min_value=1, max_value=40))
+def test_cleared_exact_check_matches_the_plain_check(case, order):
+    report = verify_identity(case, order)
+    assert (report.ok, report.mismatch, report.error) == plain_check(case, order)

@@ -37,6 +37,10 @@
   ``congruences.py`` calls ``compile`` once, in ``_point_code``, and
   ``eval`` once, in ``CongruenceFamily.point``, so no per-formula
   evaluator sits beside it.
+* Recipes have one evaluator: ``expr.evaluate`` is the only function in
+  ``overq`` that dispatches on recipe node types (``isinstance`` or
+  ``type`` against a recipe class, or a class pattern of ``match``).  The
+  walk that finds an exact case's denominator is a method of each node.
 * Every method that the bench tracer wraps (``METHODS`` in
   ``bench/spans.py``, read without importing it) is defined on its class,
   where ``Tracer.install`` looks it up.
@@ -315,6 +319,42 @@ def test_family_formulas_compile_into_one_point_expression():
     path = SOURCE / "congruences.py"
     assert _builtin_calls(path, "compile") == [("_point_code",)]
     assert _builtin_calls(path, "eval") == [("CongruenceFamily", "point")]
+
+
+def _recipe_classes():
+    tree = ast.parse((SOURCE / "expr.py").read_text())
+    classes = {"Recipe"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & classes:
+            classes.add(node.name)
+    return classes
+
+
+def _dispatches_on(function, classes):
+    """Whether ``function`` tests a value's type against one of ``classes``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "type"):
+            named = {n.id for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Name)}
+            if named & classes:
+                return True
+        if isinstance(node, ast.Compare) and "type(" in ast.unparse(node):
+            if {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & classes:
+                return True
+        if isinstance(node, ast.MatchClass) and ast.unparse(node.cls).split(".")[-1] in classes:
+            return True
+    return False
+
+
+def test_recipes_have_one_evaluator():
+    classes = _recipe_classes()
+    assert {"EtaRecipe", "SubstRecipe", "DissectRecipe"} <= classes
+    dispatchers = [
+        (path.name, function.name)
+        for path in sorted(SOURCE.glob("*.py"))
+        for function in _functions(path)
+        if _dispatches_on(function, classes)
+    ]
+    assert dispatchers == [("expr.py", "evaluate")]
 
 
 def test_every_traced_method_is_defined_on_its_class():
