@@ -27,8 +27,8 @@ from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .series import EXACT, mismatches
-from .eta import opt_gf, overpartition_gf
+from .series import EXACT
+from .eta import family_gf, gf_mismatch
 from .identities import builtin_identities, identity_registry, verify_identity
 from .oracle import count_opt_tuples, count_overpartition_tuples
 from .congruences import (
@@ -58,9 +58,10 @@ FIXED_CONFIG = {"jobs": 1, "seed": 0}
 
 # Largest `identities --order` and `oracle --upto`.  Both are exact-ring work
 # that grows about quadratically: on a 2-vCPU host `identities --order 10000`
-# took 1.3-1.7 s and `oracle --upto 2400` 2.5-2.6 s (about 1.1 s of it
-# counting, the rest the generating functions), so runs at the budget end
-# within seconds, while `identities --only D1 --order 5000000` ran out of memory.
+# took 1.3-1.7 s and `oracle --upto 2400` 1.7-1.9 s (0.3 s of it checking the
+# counts against the generating functions, the rest counting), so runs at the
+# budget end within seconds, while `identities --only D1 --order 5000000` ran
+# out of memory.
 MAX_EXACT_ORDER = 10_000
 
 
@@ -365,14 +366,13 @@ def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     for family, param in sizes:
         if (family, param) not in checked:
             if family == "overpartition-tuples":
-                table = count_overpartition_tuples(param, upto)
-                series = overpartition_gf(param, EXACT, upto + 1)
+                table, kind = count_overpartition_tuples(param, upto), "overpartition"
             else:
-                table = count_opt_tuples(param, upto)
-                series = opt_gf(param, EXACT, upto + 1)
-            n = next(mismatches(table.counts, series.coeffs), None)
+                table, kind = count_opt_tuples(param, upto), "opt"
+            n = gf_mismatch(kind, param, table.counts)
             if n is not None and first_mismatch is None:
-                first_mismatch = (family, param, n, table.counts[n], series.coeffs[n])
+                want = family_gf(kind, param, EXACT, n + 1).coeffs[n]
+                first_mismatch = (family, param, n, table.counts[n], want)
             checked[family, param] = table, n
         table, n = checked[family, param]
         row = {

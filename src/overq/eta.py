@@ -12,15 +12,12 @@ each factor is f_1^e at order ceil(N/k), memoized per (ring, order, e), and
 spread onto every k-th exponent.  A quotient whose scales share a gcd g > 1
 is expanded with its scales divided by g at order ceil(N/g) and spread by g,
 so each product runs at the order its factors need: f4^-4 f8^10 f16^-4 to
-order 2000 multiplies at order 500.  Over the exact integers a negative power
-of f_1 comes from the power recurrence, which reads only the pentagonal terms
-of f_1; every other power is a product of shared rungs g^(2^k), g = f_1 or
-1/f_1, memoized per (ring, order), so scattered exponents pay the inverse and
-the squarings once.  The exact identity checks never ask for a negative
-power: they multiply both sides by an eta quotient D that clears every
-negative exponent, merged into each leaf's quotient (``theta_component`` and
-``family_gf`` take D as ``unit``), so the recurrence serves the exact
-generating functions of the oracle and ``exact_check`` cross-checks.
+order 2000 multiplies at order 500.  Every power of f_1 is a product of
+shared rungs g^(2^k), g = f_1 or 1/f_1, memoized per (ring, order), so
+scattered exponents pay the inverse and the squarings once.  The exact
+identity checks never ask for a negative power: they multiply both sides by
+an eta quotient D that clears every negative exponent, merged into each
+leaf's quotient (``theta_component`` and ``family_gf`` take D as ``unit``).
 
 A counting generating function's base (``family_gf`` at tuple size 1) over
 Z/mZ is built instead from Gauss's theta series phi(-q) = f1^2/f2 = 1 +
@@ -28,7 +25,9 @@ Z/mZ is built instead from Gauss's theta series phi(-q) = f1^2/f2 = 1 +
 is 1/phi(-q) and f2^3/(f1^2 f4) is phi(-q^2)/phi(-q).  The positive powers of
 phi are multiplied and the negative ones inverted once, by Newton in q
 (``Series.invert``); over Z/4 the inverse of phi(-q) = 1 + 2X is a closed
-form.
+form.  ``gf_mismatch`` checks counts against the exact generating function
+of t-tuples, prod_s phi(-q^s)^(c_s t), without expanding it: each step
+multiplies a packed integer by one sparse phi(-q^s).
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import repeat
-from operator import mul, sub
-from typing import Iterator
+from operator import mul
+from typing import Iterator, Sequence
 
-from .series import EXACT, Ring, Series, one, spread
+from .series import Ring, Series, _pack, one, spread
 
 __all__ = [
     "EtaQuotient",
@@ -53,6 +51,7 @@ __all__ = [
     "THETA_COMPONENT_NAMES",
     "GF_BASE",
     "family_gf",
+    "gf_mismatch",
     "overpartition_gf",
     "opt_gf",
 ]
@@ -152,33 +151,6 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
     return Series(ring, coeffs)
 
 
-def _f1_power_exact(order: int, alpha: int) -> Series:
-    """f_1^alpha over the exact integers by J.C.P. Miller's power recurrence.
-
-    For g = f^alpha with f_0 = 1, n g_n = sum_{k=1..n} ((alpha+1) k - n) f_k g_{n-k}
-    (Knuth, TAOCP vol. 2, 4.7).  f_1 has only the pentagonal terms, about
-    2 sqrt(2n/3) of them up to n, so each coefficient costs that many
-    small-by-big products, against a full product per squaring for a binary
-    power of the inverse.  The division by n is exact.
-    """
-    terms = list(_pentagonal(order))[1:]
-    ks = [k for k, _ in terms]
-    signs = [s for _, s in terms]
-    weighted = list(map(mul, ks, signs))
-    g = [1]
-    m = 0
-    for n in range(1, order):
-        if m < len(ks) and ks[m] == n:
-            m += 1
-        back = list(map(g.__getitem__, map(sub, repeat(n), ks[:m])))
-        total = (alpha + 1) * sum(map(mul, weighted[:m], back))
-        value, rest = divmod(total - n * sum(map(mul, signs[:m], back)), n)
-        if rest:
-            raise RuntimeError(f"power recurrence for f1^{alpha} left remainder {rest} at q^{n}")
-        g.append(value)
-    return Series._from_canonical(EXACT, g)
-
-
 @lru_cache(maxsize=256)
 def _rung(ring: Ring, order: int, negative: bool, k: int) -> Series:
     """Rung k of the f_1 power ladder: g^(2^k) to the order, g = 1/f_1 if negative else f_1.
@@ -195,20 +167,15 @@ def _rung(ring: Ring, order: int, negative: bool, k: int) -> Series:
 
 @lru_cache(maxsize=128)
 def _f1_power(ring: Ring, order: int, exponent: int) -> Series:
-    """f_1^exponent to the order.
+    """f_1^exponent to the order, on every ring.
 
-    On the exact ring a negative exponent runs the power recurrence of
-    ``_f1_power_exact``, since the recurrence divides by n, which Z/mZ
-    cannot.  Every other power is the product of the ``_rung`` series at
-    the set bits of |exponent|, lowest first: the same multiplies as a
-    binary power, but the inverse and the squarings are shared by every
-    exponent asked for at one ring and order, which pays off for the
-    scattered exponents of the replay recipes.  Kept memoized too:
-    quotients that share a factor at one order, such as the ``--t`` and
-    ``--opt`` GFs of one oracle size, hit it.
+    The product of the ``_rung`` series at the set bits of |exponent|,
+    lowest first: the same multiplies as a binary power, but the inverse
+    and the squarings are shared by every exponent asked for at one ring
+    and order, which pays off for the scattered exponents of the replay
+    recipes.  Kept memoized too: quotients that share a factor at one
+    order hit it.
     """
-    if ring.modulus is None and exponent < 0:
-        return _f1_power_exact(order, exponent)
     if exponent == 0:
         return one(ring, order)
     e = abs(exponent)
@@ -339,12 +306,22 @@ GF_BASE = {
 }
 
 
+def _squares(order: int) -> Iterator[tuple[int, int]]:
+    """The non-constant terms (exponent, sign) of phi(-q) below the order, in
+    increasing exponent: phi(-q) = 1 + 2 sum sign q^exponent.
+
+    Gauss's theta series puts them at n^2, n >= 1, with sign (-1)^n.
+    """
+    for n in range(1, math.isqrt(order - 1) + 1):
+        yield n * n, -1 if n & 1 else 1
+
+
 def _theta(ring: Ring, order: int) -> Series:
     """phi(-q) = 1 + 2 sum_{n>=1} (-1)^n q^(n^2) to the order (Gauss: f1^2 / f2)."""
     coeffs = [0] * order
     coeffs[0] = 1
-    for n in range(1, math.isqrt(order - 1) + 1):
-        coeffs[n * n] = -2 if n & 1 else 2
+    for exponent, sign in _squares(order):
+        coeffs[exponent] = 2 * sign
     return Series(ring, coeffs)
 
 
@@ -366,6 +343,13 @@ def _theta_exponents(quotient: EtaQuotient) -> tuple[tuple[int, int], ...] | Non
     thetas = tuple((s, cs) for s, cs in enumerate(c) if cs)
     rebuilt = EtaQuotient(tuple(f for s, cs in thetas for f in ((s, 2 * cs), (2 * s, -cs))))
     return thetas if rebuilt == quotient else None
+
+
+def _base_thetas(kind: str) -> tuple[tuple[int, int], ...] | None:
+    """``_theta_exponents`` of the base of a family kind, read from ``GF_BASE``."""
+    if kind not in GF_BASE:
+        raise ValueError(f"unknown generating function kind {kind!r}")
+    return _theta_exponents(GF_BASE[kind])
 
 
 def _expand_thetas(thetas: tuple[tuple[int, int], ...], ring: Ring, order: int) -> Series:
@@ -391,17 +375,80 @@ def family_gf(
     compare against, are expanded as eta quotients: there the f_1 rungs are
     shared across t.
     """
-    if kind not in GF_BASE:
-        raise ValueError(f"unknown generating function kind {kind!r}")
+    thetas = _base_thetas(kind)
     if t < 0:
         raise ValueError(f"tuple size must be >= 0, got {t}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if t == 1 and ring.is_modular and not unit.factors:
-        thetas = _theta_exponents(GF_BASE[kind])
-        if thetas is not None:
-            return _expand_thetas(thetas, ring, order)
+    if t == 1 and ring.is_modular and not unit.factors and thetas is not None:
+        return _expand_thetas(thetas, ring, order)
     return expand_eta_quotient(GF_BASE[kind] ** t * unit, ring, order)
+
+
+def gf_mismatch(kind: str, t: int, counts: Sequence[int]) -> int | None:
+    """The first n at which ``counts`` differs from ``family_gf(kind, t,
+    EXACT, len(counts))``, or None where they agree; no series is expanded.
+
+    With the base's theta form, the GF of t-tuples is R / U mod q^N, N =
+    len(counts), where R is the product of phi(-q^s)^(c_s t) over the
+    c_s > 0 and U the product of phi(-q^s)^(-c_s t) over the c_s < 0.  U
+    has constant term 1, so it is a unit, and counts = R / U iff L =
+    counts * U equals R.  Better: if counts first differ from the GF at m,
+    by delta, then L - R = (counts - GF) * U first differs from 0 at m, by
+    delta too.
+
+    Both sides are evaluated at q = B = 2^(8 w): counts is packed into one
+    integer (``series._pack``) and multiplied by one phi(-q^s) per step, a
+    shifted add or subtract for each of its about sqrt(N / s) terms, then
+    reduced mod B^N.  The evaluation is a ring map Z[q]/q^N -> Z/B^N, so no
+    coefficient needs to fit its slot on the way, and L - R maps to B^m (delta
+    + B Y) mod B^N for an integer Y.  Its lowest set bit lies in slot m
+    whenever delta is not divisible by B, so whenever B > |delta|.
+
+    The width w bounds delta = L_m - R_m.  A product with phi(-q^s) mod q^N
+    multiplies the largest |coefficient| by at most the sum of its |terms|,
+    1 + 2 isqrt((N - 1) / s), so with M = max |counts|, and P_- and P_+ the
+    products of those sums over the steps of U and of R, |L_m| <= M P_- and
+    |R_m| <= P_+; w is the least with B > M P_- + P_+.  Both the number of
+    steps, sum |c_s| t, and w grow with t, so large tuple sizes cost more
+    than an eta expansion would.
+    """
+    thetas = _base_thetas(kind)
+    if thetas is None:
+        raise ValueError(f"the {kind} generating function has no theta form")
+    if t < 0:
+        raise ValueError(f"tuple size must be >= 0, got {t}")
+    order = len(counts)
+    if not order:
+        return None
+    lhs_bound, rhs_bound = max(max(map(abs, counts)), 1), 1
+    for s, c in thetas:
+        growth = (1 + 2 * math.isqrt((order - 1) // s)) ** (abs(c) * t)
+        if c < 0:
+            lhs_bound *= growth
+        else:
+            rhs_bound *= growth
+    width = ((lhs_bound + rhs_bound).bit_length() + 7) // 8
+    slot = 8 * width
+    mask = (1 << slot * order) - 1
+    lhs, rhs = _pack(counts, width) & mask, 1
+    for s, c in thetas:
+        terms = list(_squares((order - 1) // s + 1))
+        up = [slot * s * e for e, sign in terms if sign > 0]
+        down = [slot * s * e for e, sign in terms if sign < 0]
+        for _ in range(abs(c) * t):
+            if c < 0:
+                lhs = _times_phi(lhs, up, down, mask)
+            else:
+                rhs = _times_phi(rhs, up, down, mask)
+    diff = (lhs - rhs) & mask
+    return ((diff & -diff).bit_length() - 1) // slot if diff else None
+
+
+def _times_phi(x: int, up: list[int], down: list[int], mask: int) -> int:
+    """x * phi(-q^s) mod B^N in packed form, given the bit shifts of the
+    terms of phi(-q^s) past its constant with sign + (``up``) and - (``down``)."""
+    return (x + (sum(x << k for k in up) - sum(x << k for k in down) << 1)) & mask
 
 
 def overpartition_gf(t: int, ring: Ring, order: int) -> Series:

@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +9,9 @@ from overq import cli
 from overq.cli import main
 from overq.identities import IdentityCase
 from overq.expr import eta_series
+from overq.series import EXACT
+
+ETA = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
 
 
 def run_cli(argv):
@@ -153,28 +158,40 @@ def test_oracle_default_runs_small_parameters():
 
 
 def test_oracle_counts_and_expands_a_repeated_size_once(monkeypatch):
+    # Each distinct size is counted and checked once, by gf_mismatch, and a
+    # passing run expands no exact eta quotient: the GF is read only for the
+    # value reported at a failing size.
     calls = []
 
     def counted(name):
         real = getattr(cli, name)
 
-        def wrapper(param, *args):
-            calls.append((name, param))
-            return real(param, *args)
+        def wrapper(*args):
+            calls.append((name, *args[:2]))
+            return real(*args)
 
         monkeypatch.setattr(cli, name, wrapper)
 
-    for name in ("count_overpartition_tuples", "overpartition_gf", "count_opt_tuples", "opt_gf"):
+    for name in ("count_overpartition_tuples", "count_opt_tuples", "gf_mismatch", "family_gf"):
         counted(name)
+    expand = ETA.expand_eta_quotient
+    expansions = []
+
+    def recorded(quotient, ring, order):
+        expansions.append((str(quotient), ring, order))
+        return expand(quotient, ring, order)
+
+    monkeypatch.setattr(ETA, "expand_eta_quotient", recorded)
     argv = ["oracle", "--t", "2", "--t", "1", "--t", "2", "--opt", "3", "--opt", "3",
             "--upto", "8", "--format", "json"]
     code, text = run_cli(argv)
     assert code == 0
     assert sorted(calls) == sorted([
-        ("count_overpartition_tuples", 2), ("overpartition_gf", 2),
-        ("count_overpartition_tuples", 1), ("overpartition_gf", 1),
-        ("count_opt_tuples", 3), ("opt_gf", 3),
+        ("count_overpartition_tuples", 2, 8), ("gf_mismatch", "overpartition", 2),
+        ("count_overpartition_tuples", 1, 8), ("gf_mismatch", "overpartition", 1),
+        ("count_opt_tuples", 3, 8), ("gf_mismatch", "opt", 3),
     ])
+    assert expansions == []
     results = json.loads(text)["results"]
     assert [(row["family"], row["parameter"]) for row in results] == [
         ("overpartition-tuples", 2), ("overpartition-tuples", 1), ("overpartition-tuples", 2),
@@ -182,6 +199,21 @@ def test_oracle_counts_and_expands_a_repeated_size_once(monkeypatch):
     ]
     assert results[0] == results[2] and results[3] == results[4]
     assert all(row["matches_gf"] for row in results)
+
+    count = cli.count_overpartition_tuples
+
+    def corrupted(t, upto):
+        table = count(t, upto)
+        return replace(table, counts=table.counts[:5] + (table.counts[5] + 1,) + table.counts[6:])
+
+    monkeypatch.setattr(cli, "count_overpartition_tuples", corrupted)
+    calls.clear()
+    code, text = run_cli(argv)
+    assert code == 1
+    assert [call for call in calls if call[0] == "family_gf"] == [("family_gf", "overpartition", 2)]
+    assert expansions == [("f1^-4 * f2^2", EXACT, 6)]  # the value at n = 5, read once
+    results = json.loads(text)["results"]
+    assert [row["matches_gf"] for row in results] == [False, False, False, True, True]
 
 
 # --- replay ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from overq.identities import (
     identity_registry,
     verify_identity,
 )
-from overq.series import EXACT, Zmod
+from overq.series import EXACT, Series, Zmod
 
 ETA = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
 ROOT = Path(__file__).resolve().parents[1]
@@ -242,15 +242,17 @@ def test_dissection_mutants_fail_where_the_plain_check_does(key):
 
 
 def test_exact_checks_run_no_power_recurrence(monkeypatch):
-    calls = []
-    real = ETA._f1_power_exact
-    monkeypatch.setattr(ETA, "_f1_power_exact", lambda *args: calls.append(args) or real(*args))
-    ETA._f1_power.cache_clear()
+    # Cleared sides ask for no negative power, so no exact series is inverted.
+    inverted = []
+    invert = Series.invert
+    monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
+    for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+        memo.cache_clear()
     exact = [case for case in builtin_identities() if case.modulus is None]
     assert {case.key for case in exact} >= {"D1", "D1SQ", "D3", "D4"}
     for case in exact:
         assert verify_identity(case, 500).ok, case.key
-    assert calls == []
+    assert EXACT not in inverted
 
 
 def test_congruence_checks_keep_the_empty_unit(monkeypatch):

@@ -1,11 +1,13 @@
 import ast
+import math
+import sys
 from pathlib import Path
 
 import pytest
 
 from overq import oracle
-from overq.series import EXACT
-from overq.eta import opt_gf, overpartition_gf
+from overq.series import EXACT, mismatches
+from overq.eta import GF_BASE, EtaQuotient, family_gf, gf_mismatch, opt_gf, overpartition_gf
 from overq.oracle import (
     ENUMERATE_MAX_N,
     ENUMERATE_MAX_T,
@@ -245,3 +247,78 @@ def test_counts_match_generating_functions():
         table = count_opt_tuples(t, 60)
         series = opt_gf(t, EXACT, 61)
         assert list(table.counts) == list(series.coeffs)
+
+
+# --- the sparse-step check against the theta form of the GF ----------------------
+
+ETA = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
+COUNTERS = {"overpartition": count_overpartition_tuples, "opt": count_opt_tuples}
+UPTOS = (0, 1, 2, 3, 4, 8, 9, 24, 25, 600)
+
+
+def _clean_width(kind, t, counts):
+    """The least w with 2^(8w) > M P_- + P_+, the bound ``gf_mismatch`` states."""
+    n = len(counts)
+    below, above = max(max(map(abs, counts)), 1), 1
+    for s, c in ETA._theta_exponents(GF_BASE[kind]):
+        growth = (1 + 2 * math.isqrt((n - 1) // s)) ** (abs(c) * t)
+        if c < 0:
+            below *= growth
+        else:
+            above *= growth
+    return ((below + above).bit_length() + 7) // 8
+
+
+def _corruptions(counts, width):
+    """Copies of counts each wrong somewhere: at index 0, the last index and a
+    square index, by +-1 and +-2^(8 width); a negative count; and a wrong
+    count a short slot would miss ahead of one it would not."""
+    last = len(counts) - 1
+    slot = 1 << 8 * width
+    for i in sorted({0, last, math.isqrt(last) ** 2}):
+        for delta in (1, -1, 2, slot, -slot):
+            wrong = list(counts)
+            wrong[i] += delta
+            yield wrong
+        wrong = list(counts)
+        wrong[i] = -counts[i] - 1
+        yield wrong
+    wrong = list(counts)
+    wrong[0] += slot
+    wrong[last] += 1
+    yield wrong
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 7, 16])
+@pytest.mark.parametrize("kind", sorted(GF_BASE))
+def test_gf_mismatch_finds_the_plain_first_mismatch(kind, t):
+    counts = COUNTERS[kind](t, max(UPTOS)).counts
+    gf = family_gf(kind, t, EXACT, max(UPTOS) + 1).coeffs
+    for upto in UPTOS:
+        clean, want = counts[: upto + 1], gf[: upto + 1]
+        assert gf_mismatch(kind, t, clean) is None, upto
+        for wrong in _corruptions(clean, _clean_width(kind, t, clean)):
+            assert gf_mismatch(kind, t, wrong) == next(mismatches(wrong, want)), upto
+
+
+def test_gf_mismatch_expands_no_series(monkeypatch):
+    counts = count_opt_tuples(5, 100).counts
+
+    def refuse(*args):
+        raise AssertionError("expanded a series")
+
+    for name in ("expand_eta_quotient", "_expand_thetas", "_f1_power"):
+        monkeypatch.setattr(ETA, name, refuse)
+    assert gf_mismatch("opt", 5, counts) is None
+    assert gf_mismatch("opt", 5, counts[:50] + (0,) + counts[51:]) == 50
+
+
+def test_gf_mismatch_rejects_what_it_cannot_check(monkeypatch):
+    assert gf_mismatch("opt", 3, ()) is None  # nothing to compare
+    with pytest.raises(ValueError, match="unknown generating function kind"):
+        gf_mismatch("bogus", 1, (1,))
+    with pytest.raises(ValueError, match="tuple size"):
+        gf_mismatch("opt", -1, (1,))
+    monkeypatch.setitem(GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
+    with pytest.raises(ValueError, match="no theta form"):
+        gf_mismatch("overpartition", 1, (1,))

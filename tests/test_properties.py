@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import RING_POOL, plain_check, random_unit_series
 from overq import series as series_module
 from overq.eta import (
+    GF_BASE,
     THETA_COMPONENT_NAMES,
     EtaQuotient,
     _f1_power,
@@ -16,6 +17,8 @@ from overq.eta import (
     component_quotient,
     euler_product,
     expand_eta_quotient,
+    family_gf,
+    gf_mismatch,
 )
 from overq.expr import (
     DissectRecipe,
@@ -41,6 +44,7 @@ from overq.series import (
     _pack_slots,
     _reduce_slots,
     make_series,
+    mismatches,
     one,
 )
 
@@ -409,7 +413,7 @@ def test_f1_power_ladder_matches_binary_power():
     assert after_eviction > len(requests) // 2
 
 
-# --- exact negative powers of f1 by the power recurrence ---------------------
+# --- exact negative powers of f1, from the ladder's Newton inverse ----------
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, 6, 7, 8, 601])
@@ -424,20 +428,24 @@ def test_exact_f1_power_recurrence_matches_binary_power_at_order_2000():
 
 
 def test_f1_power_recurrence_runs_only_on_exact_negative_powers(monkeypatch):
-    calls = []
-    recurrence = ETA._f1_power_exact
-
-    def recorded(order, exponent):
-        calls.append((order, exponent))
-        return recurrence(order, exponent)
-
-    monkeypatch.setattr(ETA, "_f1_power_exact", recorded)
+    # Every ring, the exact one included, takes the one ladder path: rung 0
+    # of the negative powers inverts f1 once per ring and order.
+    exponents = (-5, -1, 0, 1, 4)
+    want = {
+        (ring, exponent): euler_product(1, ring, 40) ** exponent
+        for ring in RING_POOL
+        for exponent in exponents
+    }
+    inverted = []
+    invert = Series.invert
+    monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
+    _rung.cache_clear()
     for ring in RING_POOL:
-        for exponent in (-5, -1, 0, 1, 4):
-            assert _f1_power.__wrapped__(ring, 40, exponent) == (
-                euler_product(1, ring, 40) ** exponent
-            ), (ring, exponent)
-    assert calls == [(40, -5), (40, -1)]
+        for exponent in exponents:
+            assert _f1_power.__wrapped__(ring, 40, exponent) == want[ring, exponent], (
+                ring, exponent,
+            )
+    assert inverted == list(RING_POOL)
 
 
 # --- eta quotients expanded at the order of their scale gcd -------------------
@@ -594,3 +602,34 @@ def _exact_cases(draw):
 def test_cleared_exact_check_matches_the_plain_check(case, order):
     report = verify_identity(case, order)
     assert (report.ok, report.mismatch, report.error) == plain_check(case, order)
+
+
+# Wrong counts: small deltas, deltas near a power of 2 (a slot edge at some
+# width), and counts replaced by a negative value.
+_count_errors = st.one_of(
+    st.integers(min_value=-3, max_value=3).filter(bool).map(lambda d: ("add", d)),
+    st.builds(
+        lambda sign, k, d: ("add", sign * (2**k + d)),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=-1, max_value=1),
+    ),
+    st.integers(min_value=1, max_value=2**64).map(lambda v: ("set", -v)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(sorted(GF_BASE)),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=60),
+    st.lists(st.tuples(st.integers(min_value=0), _count_errors), max_size=3),
+)
+def test_gf_mismatch_matches_the_plain_check(kind, t, order, errors):
+    counts = list(family_gf(kind, t, EXACT, max(order, 1)).coeffs[:order])  # order 0: no counts
+    want = list(counts)
+    for index, (how, value) in errors:
+        if counts:
+            i = index % len(counts)
+            counts[i] = counts[i] + value if how == "add" else value
+    assert gf_mismatch(kind, t, counts) == next(mismatches(counts, want), None)
