@@ -29,8 +29,9 @@ bases are built from, is inverted in closed form with no convolution.  Both
 are bit-identical to the recurrence :func:`_invert_recurrence`.
 
 Every check in overq that compares two coefficient sequences (identity sides,
-replayed steps, family progressions, oracle counts) finds where they differ
-with :func:`mismatches`.
+replayed steps, family progressions) finds where they differ with
+:func:`mismatches`; the oracle's counts are compared in packed form, by
+``eta.gf_mismatch``.
 
 Values are immutable after construction and every operation is a pure
 function, so series can be shared freely across threads.
