@@ -64,6 +64,12 @@ FIXED_CONFIG = {"jobs": 1, "seed": 0}
 # out of memory.
 MAX_EXACT_ORDER = 10_000
 
+# Largest oracle tuple size times (upto + 1).  Both the counts and the packed
+# check grow with each: at upto 600, --t 256 took 1.2 s and --t 1000 12.7 s,
+# and at upto 10000, --t 16 took 11 s.  The default sizes 0..6 stay admitted
+# at every upto.
+MAX_ORACLE_WORK = 70_000
+
 
 class UsageError(Exception):
     pass
@@ -355,6 +361,12 @@ def cmd_oracle(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
     default = range(7) if args.t is None and args.opt is None else []
     sizes = [("overpartition-tuples", t) for t in args.t or default]
     sizes += [("opt-tuples", k) for k in args.opt or default]
+    for family, param in sizes:
+        if param * (upto + 1) > MAX_ORACLE_WORK:
+            raise BudgetError(
+                f"{family} size {param} at upto {upto} exceeds budget: "
+                f"size * (upto + 1) > {MAX_ORACLE_WORK}"
+            )
 
     results = []
     lines = [f"{'FAMILY':24} {'PARAM':>5} {'UPTO':>5} STATUS"]

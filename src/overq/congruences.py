@@ -29,9 +29,9 @@ from .series import EXACT, Series, Zmod, _pack_slots, _reduce_slots, mismatches,
 from .eta import family_gf
 from .expr import (
     DissectRecipe,
-    GfRecipe,
     Recipe,
     eta_series,
+    gf_series,
     qshift,
 )
 from .identities import IdentityCase, IdentityReport, _Params, verify_identity
@@ -60,18 +60,33 @@ __all__ = [
 # Hard cap on series length; progressions needing more are configuration errors.
 MAX_WORKING_ORDER = 2_000_000
 
+# Largest verify grid: the product of each selected family's axis lengths,
+# summed over the families, before the domain filter.  On a 2-vCPU host
+# `verify all --t-max 6400` (160,729 points) took 3.1-3.7 s and 52 MB, and
+# --t-max 7958 (199,999 points, all 27 families) 4.9 s and 60 MB; both grow
+# linearly in the caps.  The default grid of all 27 families has 2,649.
+MAX_GRID_POINTS = 200_000
+
+# Largest value of a dissection-step parameter (t, i or r).  opt-2n+1 works
+# mod 2^(i+4) on the GF of 2^i r-tuples: at order 500, i = 64 took 0.5-0.8 s,
+# i = 100 2.4 s and i = 400 45 s, while t and r cost only the bits of the
+# tuple size.
+MAX_STEP_PARAMETER = 64
+
 # The most witnesses a family report keeps; its failure count counts them all.
 WITNESS_CAP = 10
 
 
 class BudgetError(ValueError):
-    """A run refused up front because its order is over a budget.
+    """A run refused up front because its size is over a budget.
 
-    Three budgets raise it: a ``verify`` working order over
-    ``MAX_WORKING_ORDER``, a dissection-step order over an eighth of that,
-    and ``cli.MAX_EXACT_ORDER`` for ``identities --order`` and
-    ``oracle --upto``.  ``cli.main`` prints each as ``error: ...`` and
-    exits 2.
+    Six budgets raise it: a ``verify`` working order over
+    ``MAX_WORKING_ORDER``, a ``verify`` grid over ``MAX_GRID_POINTS``, a
+    dissection-step order over an eighth of ``MAX_WORKING_ORDER``, a step
+    parameter over ``MAX_STEP_PARAMETER``, ``cli.MAX_EXACT_ORDER`` for
+    ``identities --order`` and ``oracle --upto``, and ``cli.MAX_ORACLE_WORK``
+    for an ``oracle`` tuple size times ``--upto`` + 1.  ``cli.main`` prints
+    each as ``error: ...`` and exits 2.
     """
 
 
@@ -604,17 +619,21 @@ def default_grid(family: CongruenceFamily, config: RunConfig) -> list[dict[str, 
     """
     axes = []
     for name in family.params:
-        if name in GRID_CAPS:
-            values = range(getattr(config, GRID_CAPS[name]) + 1)
-        elif name in ("r", "k", "l"):
-            values = range(ODD_MULTIPLIER_CAP + 1)
-        else:
-            raise ValueError(f"parameter {name!r} of {family.key} has no grid axis")
+        values = _axis(family, name, config)
         if name == "t" and config.primes_only and "prime-scan" in family.tags:
             values = filter(_is_prime, values)
         axes.append(values)
     points = (dict(zip(family.params, point)) for point in product(*axes))
     return [point for point in points if family.point(point) is not None]
+
+
+def _axis(family: CongruenceFamily, name: str, config: RunConfig) -> range:
+    """The values 0..cap of one grid axis of a family."""
+    if name in GRID_CAPS:
+        return range(getattr(config, GRID_CAPS[name]) + 1)
+    if name in ("r", "k", "l"):
+        return range(ODD_MULTIPLIER_CAP + 1)
+    raise ValueError(f"parameter {name!r} of {family.key} has no grid axis")
 
 
 def check_family(
@@ -697,14 +716,21 @@ def run_families(
 ) -> list[FamilyReport]:
     """Check many families against their default grids, sharing one provider.
 
-    Every order the grids need is planned first, and a run whose order would
-    exceed ``MAX_WORKING_ORDER`` is refused with ``BudgetError`` before any
-    series is built.  Buckets are pre-sized to the largest order any selected
-    family needs, so interleaved families reuse built buckets instead of
-    rebuilding.  They are reserved in descending modulus, so a modulus that
+    A run whose grids would try more than ``MAX_GRID_POINTS`` points is
+    refused with ``BudgetError`` before any grid is built.  Every order the
+    grids need is planned next, and a run whose order would exceed
+    ``MAX_WORKING_ORDER`` is refused before any series is built.  Buckets
+    are pre-sized to the largest order any selected family needs, so
+    interleaved families reuse built buckets instead of rebuilding.  They are reserved in descending modulus, so a modulus that
     divides one built before it, at an order at least its own, expands
     nothing and is served from that bucket, reduced.
     """
+    points = sum(
+        math.prod(len(_axis(family, name, config)) for name in family.params)
+        for family in families
+    )
+    if points > MAX_GRID_POINTS:
+        raise BudgetError(f"grid of {points} points exceeds budget {MAX_GRID_POINTS}")
     provider = provider or SeriesProvider()
     grids = [default_grid(family, config) for family in families]
     needed: dict[tuple[str, int], int] = {}
@@ -868,7 +894,7 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
         DissectionStep(
             key="M1",
             modulus=lambda p: 4,
-            lhs=lambda p: GfRecipe("overpartition", p["t"]),
+            lhs=lambda p: gf_series("overpartition", p["t"]),
             rhs=lambda p: _gf_reduced(p["t"]),
             domain=lambda p: p["t"] >= 0,
             default_params=tuple((("t", t),) for t in range(0, 7)),
@@ -899,7 +925,7 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
         DissectionStep(
             key="G16",
             modulus=lambda p: 16,
-            lhs=lambda p: GfRecipe("overpartition", p["t"]),
+            lhs=lambda p: gf_series("overpartition", p["t"]),
             rhs=lambda p: _expansion_rhs(p["t"], 16),
             domain=lambda p: p["t"] >= 0,
             default_params=tuple((("t", t),) for t in range(0, 9)),
@@ -909,7 +935,7 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
         DissectionStep(
             key="G32",
             modulus=lambda p: 32,
-            lhs=lambda p: GfRecipe("overpartition", p["t"]),
+            lhs=lambda p: gf_series("overpartition", p["t"]),
             rhs=lambda p: _expansion_rhs(p["t"], 32),
             domain=lambda p: p["t"] >= 0,
             default_params=tuple((("t", t),) for t in range(0, 17)),
@@ -919,7 +945,7 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
         DissectionStep(
             key="opt-2n+1-i1",
             modulus=lambda p: 32,
-            lhs=lambda p: DissectRecipe(2, 1, GfRecipe("opt", 2 * p["r"])),
+            lhs=lambda p: DissectRecipe(2, 1, gf_series("opt", 2 * p["r"])),
             rhs=lambda p: (-28 * p["r"])
             * eta_series(((1, 4 * p["r"]), (4, 2 * p["r"] + 2), (2, -(6 * p["r"] - 2))))
             + (-16 * _odd_divided_by_3(7 * p["r"] * (14 * p["r"] - 1) * (7 * p["r"] - 1)))
@@ -932,7 +958,7 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
         DissectionStep(
             key="opt-2n+1",
             modulus=lambda p: 2 ** (p["i"] + 4),
-            lhs=lambda p: DissectRecipe(2, 1, GfRecipe("opt", 2 ** p["i"] * p["r"])),
+            lhs=lambda p: DissectRecipe(2, 1, gf_series("opt", 2 ** p["i"] * p["r"])),
             rhs=lambda p: (-(2 ** (p["i"] + 1)) * 7 * p["r"]) * eta_series("f2^2 * f4^2")
             + (
                 -(2 ** (p["i"] + 3))
@@ -952,7 +978,7 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
         DissectionStep(
             key="opt-4n+3-i1",
             modulus=lambda p: 32,
-            lhs=lambda p: DissectRecipe(4, 3, GfRecipe("opt", 2 * p["r"])),
+            lhs=lambda p: DissectRecipe(4, 3, gf_series("opt", 2 * p["r"])),
             rhs=lambda p: (16 * 7 * p["r"]) * eta_series("f2 * f4^4")
             + (-16 * _odd_divided_by_3(7 * p["r"] * (14 * p["r"] - 1) * (7 * p["r"] - 1)))
             * eta_series("f2^9"),
@@ -987,6 +1013,11 @@ def verify_dissection_step(
         raise ValueError(f"step {step_key} needs --{missing[0]}")
     if not step.domain(params):
         raise ValueError(f"parameters {dict(params)} outside the domain of {step_key}")
+    for name in step.param_names:
+        if params[name] > MAX_STEP_PARAMETER:
+            raise BudgetError(
+                f"step {step_key}: --{name} {params[name]} exceeds budget {MAX_STEP_PARAMETER}"
+            )
     if order > MAX_WORKING_ORDER // 8:
         # dissection sides evaluate their inner series at a multiple of `order`
         raise BudgetError(f"order {order} exceeds the step working budget")

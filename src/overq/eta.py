@@ -17,7 +17,8 @@ shared rungs g^(2^k), g = f_1 or 1/f_1, memoized per (ring, order), so
 scattered exponents pay the inverse and the squarings once.  The exact
 identity checks never ask for a negative power: they multiply both sides by
 an eta quotient D that clears every negative exponent, merged into each
-leaf's quotient (``theta_component`` and ``family_gf`` take D as ``unit``).
+leaf's quotient (``theta_component`` takes D as ``unit``; a generating
+function in a recipe is an eta leaf).
 
 A counting generating function's base (``family_gf`` at tuple size 1) over
 Z/mZ is built instead from Gauss's theta series phi(-q) = f1^2/f2 = 1 +
@@ -363,26 +364,25 @@ def _expand_thetas(thetas: tuple[tuple[int, int], ...], ring: Ring, order: int) 
     return reduce(mul, parts) if parts else one(ring, order)
 
 
-def family_gf(
-    kind: str, t: int, ring: Ring, order: int, unit: EtaQuotient = EtaQuotient()
-) -> Series:
-    """The ``GF_BASE[kind]`` quotient raised to the tuple size t, times
-    ``unit``, expanded.
+def family_gf(kind: str, t: int, ring: Ring, order: int) -> Series:
+    """The ``GF_BASE[kind]`` quotient raised to the tuple size t, expanded.
 
-    The base itself (t = 1) over Z/mZ, with the empty unit, is built from
-    phi(-q) when the quotient is a product of powers of phi(-q^s), as both
-    bases are.  Other tuple sizes, and the exact ring, which the cross-checks
-    compare against, are expanded as eta quotients: there the f_1 rungs are
-    shared across t.
+    The base itself (t = 1) over Z/mZ, which is all the congruence scan's
+    provider asks for, is built from phi(-q) when the quotient is a product
+    of powers of phi(-q^s), as both bases are.  Other tuple sizes, and the
+    exact ring, which the cross-checks compare against, are expanded as eta
+    quotients: there the f_1 rungs are shared across t.  A recipe states a
+    GF as its eta quotient (``expr.gf_series``), so it takes the eta route
+    at every t.
     """
     thetas = _base_thetas(kind)
     if t < 0:
         raise ValueError(f"tuple size must be >= 0, got {t}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if t == 1 and ring.is_modular and not unit.factors and thetas is not None:
+    if t == 1 and ring.is_modular and thetas is not None:
         return _expand_thetas(thetas, ring, order)
-    return expand_eta_quotient(GF_BASE[kind] ** t * unit, ring, order)
+    return expand_eta_quotient(GF_BASE[kind] ** t, ring, order)
 
 
 def gf_mismatch(kind: str, t: int, counts: Sequence[int]) -> int | None:

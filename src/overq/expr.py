@@ -28,7 +28,6 @@ from .eta import (
     _times,
     component_quotient,
     expand_eta_quotient,
-    family_gf,
     jacobi_triangular,
     theta_component,
 )
@@ -38,13 +37,13 @@ __all__ = [
     "EtaRecipe",
     "ThetaRecipe",
     "JacobiRecipe",
-    "GfRecipe",
     "SumRecipe",
     "ScaleRecipe",
     "ShiftRecipe",
     "SubstRecipe",
     "DissectRecipe",
     "eta_series",
+    "gf_series",
     "theta_series",
     "jacobi_series",
     "qshift",
@@ -64,13 +63,13 @@ class Recipe:
         return ScaleRecipe(scalar, self)
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
-        """The eta quotient of each eta, theta-component and GF leaf, with
-        its scales multiplied through every substitution above it.
+        """The eta quotient of each eta and theta-component leaf, with its
+        scales multiplied through every substitution above it.
 
         Opaque leaves (the Jacobi series, ``A``, a dissection) have none.
         Nothing here raises: a node that ``evaluate`` refuses, such as a
-        substitution step below 1 or an unknown kind, adds nothing to clear,
-        so ``evaluate`` reports it as it would with no unit.
+        substitution step below 1 or an unknown component, adds nothing to
+        clear, so ``evaluate`` reports it as it would with no unit.
         """
         return iter(())
 
@@ -101,22 +100,6 @@ class ThetaRecipe(Recipe):
 class JacobiRecipe(Recipe):
     def __str__(self) -> str:
         return "sum (-1)^k (2k+1) q^(k(k+1)/2)"
-
-
-@dataclass(frozen=True)
-class GfRecipe(Recipe):
-    """One of the two counting generating functions, by family kind."""
-
-    kind: str  # "overpartition" | "opt"
-    parameter: int
-
-    def eta_leaves(self) -> Iterator[EtaQuotient]:
-        if self.kind in GF_BASE:
-            yield GF_BASE[self.kind] ** self.parameter
-
-    def __str__(self) -> str:
-        name = "pbar" if self.kind == "overpartition" else self.kind
-        return f"{name}_gf({self.parameter})"
 
 
 @dataclass(frozen=True)
@@ -186,6 +169,16 @@ def eta_series(quotient: str | tuple) -> EtaRecipe:
     return EtaRecipe(EtaQuotient(tuple(quotient)))
 
 
+def gf_series(kind: str, t: int) -> EtaRecipe:
+    """Recipe for the counting generating function of t-tuples of a family
+    kind: its ``GF_BASE`` quotient with every exponent multiplied by t."""
+    if kind not in GF_BASE:
+        raise ValueError(f"unknown generating function kind {kind!r}")
+    if t < 0:
+        raise ValueError(f"tuple size must be >= 0, got {t}")
+    return EtaRecipe(GF_BASE[kind] ** t)
+
+
 def theta_series(name: str, step: int = 1) -> Recipe:
     """Recipe for a dissection component, optionally at q^step (e.g. a(q^3))."""
     inner: Recipe = ThetaRecipe(name)
@@ -205,7 +198,7 @@ def evaluate(recipe: Recipe, ring: Ring, order: int, unit: EtaQuotient = EtaQuot
     """Evaluate a recipe times the eta quotient ``unit`` to a truncated series
     over the given ring.
 
-    The unit is pushed into the leaves.  An eta, theta-component or GF leaf
+    The unit is pushed into the leaves.  An eta or theta-component leaf
     expands its quotient merged with it.  A substitution q -> q^step passes
     in the unit's factors whose scale ``step`` divides, scales divided by
     ``step``, and multiplies by the rest after spreading.  An opaque leaf
@@ -220,8 +213,6 @@ def evaluate(recipe: Recipe, ring: Ring, order: int, unit: EtaQuotient = EtaQuot
         return theta_component(recipe.name, ring, order, unit)
     if isinstance(recipe, JacobiRecipe):
         return _times(jacobi_triangular(ring, order), unit)
-    if isinstance(recipe, GfRecipe):
-        return family_gf(recipe.kind, recipe.parameter, ring, order, unit)
     if isinstance(recipe, SumRecipe):
         total = evaluate(recipe.terms[0], ring, order, unit)
         for term in recipe.terms[1:]:

@@ -5,8 +5,8 @@ equality, or congruence modulo a fixed m; a case built at a parameter point,
 such as a dissection step of ``congruences``, carries the point as ``params``.
 Checks run to a configurable truncation order and report the first
 mismatching exponent on failure.  Evaluation failures (for example a
-substitution step below 1, or an unknown generating-function kind) are
-reported in the result rather than raised.
+substitution step below 1, or an unknown theta component) are reported in
+the result rather than raised.
 
 An exact case is checked with its denominators cleared.  D = prod f_k^d_k is
 the least eta quotient that clears every negative exponent of every eta leaf

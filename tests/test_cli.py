@@ -1,11 +1,14 @@
+import importlib.util
 import io
 import json
 import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from overq import cli
+from overq import cli, congruences
 from overq.cli import main
 from overq.identities import IdentityCase
 from overq.expr import eta_series
@@ -628,3 +631,113 @@ def test_replay_over_the_step_budget_is_usage_error(tmp_path, capsys, source):
     code, text = run_cli(argv)
     assert code == 2 and text == ""
     assert capsys.readouterr().err == "error: order 250001 exceeds the step working budget\n"
+
+
+def _refuse_work(monkeypatch):
+    """Make every grid build, count and step check fail the test if it runs."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("work ran before the budget check")
+
+    monkeypatch.setattr(congruences, "default_grid", built)
+    monkeypatch.setattr(congruences, "verify_identity", built)
+    monkeypatch.setattr(cli, "count_overpartition_tuples", built)
+    monkeypatch.setattr(cli, "count_opt_tuples", built)
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (
+            ["verify", "all", "--t-max", "100000000"],
+            "grid of 2500000729 points exceeds budget 200000",
+        ),
+        (
+            ["replay", "--step", "opt-2n+1", "--i", "400", "--r", "1"],
+            "step opt-2n+1: --i 400 exceeds budget 64",
+        ),
+        (
+            ["oracle", "--upto", "600", "--t", "1000"],
+            "overpartition-tuples size 1000 at upto 600 exceeds budget: "
+            "size * (upto + 1) > 70000",
+        ),
+    ],
+)
+def test_over_budget_sizes_are_refused_before_any_work(monkeypatch, capsys, argv, err):
+    _refuse_work(monkeypatch)
+    start = time.process_time()
+    code, text = run_cli(argv)
+    assert time.process_time() - start < 1
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_verify_grid_budget_counts_axis_products(monkeypatch, capsys):
+    # pbar-n-mod2 has one axis, t = 0..9: 10 points, the budget's edge
+    monkeypatch.setattr(congruences, "MAX_GRID_POINTS", 10)
+    code, _ = run_cli(["verify", "pbar-n-mod2", "--t-max", "9", "--n-max", "5"])
+    assert code == 0
+    _refuse_work(monkeypatch)
+    code, text = run_cli(["verify", "pbar-n-mod2", "--t-max", "10", "--n-max", "5"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: grid of 11 points exceeds budget 10\n"
+    # summed over families, before the domain and prime filters: i = 0..1, r = 0..15
+    monkeypatch.setattr(congruences, "MAX_GRID_POINTS", 10 + 2 * 16 - 1)
+    code, _ = run_cli(
+        ["verify", "pbar-8n+7-mod32", "opt-8n+7-mod-2^{i+4}", "--t-max", "9", "--i-max", "1",
+         "--primes-only"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: grid of 42 points exceeds budget 41\n"
+
+
+def test_default_and_bench_grids_are_within_the_grid_budget(monkeypatch):
+    # every family on the default grid (the bench scan) tries 2,649 axis points
+    assert 2649 <= congruences.MAX_GRID_POINTS
+    monkeypatch.setattr(congruences, "MAX_GRID_POINTS", 2649)
+    monkeypatch.setattr(congruences, "default_grid", lambda family, config: [])
+    families = congruences.builtin_families()
+    assert congruences.run_families(families, congruences.RunConfig()) is not None
+    monkeypatch.setattr(congruences, "MAX_GRID_POINTS", 2648)
+    with pytest.raises(congruences.BudgetError, match="grid of 2649 points"):
+        congruences.run_families(families, congruences.RunConfig())
+
+
+def test_step_parameter_budget_edges(monkeypatch, capsys):
+    code, text = run_cli(["replay", "--step", "G32", "--t", "64"])
+    assert code == 0 and "PASS" in text
+    _refuse_work(monkeypatch)
+    for argv in (["--step", "G32", "--t", "65"], ["--step", "opt-2n+1-i1", "--r", "65"]):
+        code, text = run_cli(["replay", *argv])
+        assert code == 2 and text == ""
+        name, value = argv[2:]
+        assert capsys.readouterr().err == (
+            f"error: step {argv[1]}: {name} {value} exceeds budget 64\n"
+        )
+
+
+def _bench_expected():
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected.py"
+    spec = importlib.util.spec_from_file_location("bench_expected", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_size_budget_edges(monkeypatch, capsys):
+    # the default sizes 0..6 pass at every upto, and so do the bench sizes
+    assert 6 * (cli.MAX_EXACT_ORDER + 1) <= cli.MAX_ORACLE_WORK
+    bench = _bench_expected()
+    assert bench.ORACLE_MAX_SIZE * (bench.ORACLE_UPTO + 1) <= cli.MAX_ORACLE_WORK
+    monkeypatch.setattr(cli, "MAX_ORACLE_WORK", 30)
+    code, text = run_cli(["oracle", "--upto", "5", "--t", "5", "--opt", "5"])
+    assert code == 0 and text
+    _refuse_work(monkeypatch)
+    code, text = run_cli(["oracle", "--upto", "5", "--t", "5", "--opt", "6"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: opt-tuples size 6 at upto 5 exceeds budget: size * (upto + 1) > 30\n"
+    )
+    code, _ = run_cli(["oracle", "--upto", "0", "--t", "31"])  # upto 0 still counts one slot
+    assert code == 2
+    assert "size 31 at upto 0" in capsys.readouterr().err

@@ -32,7 +32,7 @@ from overq.eta import (
     family_gf,
     overpartition_gf,
 )
-from overq.expr import GfRecipe, evaluate
+from overq.expr import evaluate, gf_series
 from overq.identities import IdentityCase, verify_identity
 from overq.oracle import count_overpartition_tuples
 from overq.series import EXACT, Series, Zmod
@@ -622,7 +622,7 @@ def test_every_gf_consumer_reads_the_one_base(monkeypatch):
             want = expand_eta_quotient(EtaQuotient(((1, -t),)), EXACT, 30)
             assert provider.gf("overpartition", t, 8, 30) == want.reduce_ring(8), t
             assert SeriesProvider.gf_exact("overpartition", t, 30) == want, t
-            assert evaluate(GfRecipe("overpartition", t), EXACT, 30) == want, t
+            assert evaluate(gf_series("overpartition", t), EXACT, 30) == want, t
             assert overpartition_gf(t, EXACT, 30) == want, t
     finally:
         SeriesProvider.gf_exact.cache_clear()

@@ -9,17 +9,18 @@ from pathlib import Path
 import pytest
 from conftest import plain_check
 
+import overq.congruences as congruences
 import overq.identities as identities
 from overq.cli import _OPTIONS, main
 from overq.eta import EtaQuotient
 from overq.expr import (
     EtaRecipe,
-    GfRecipe,
     ScaleRecipe,
     SubstRecipe,
     SumRecipe,
     eta_series,
     evaluate,
+    gf_series,
     theta_series,
 )
 from overq.identities import (
@@ -173,20 +174,58 @@ def test_default_order_is_five_hundred():
     assert [row["order"] for row in doc["results"]] == [500]
 
 
-def test_gf_recipe_of_unknown_kind_is_an_error():
-    with pytest.raises(ValueError, match="unknown generating function kind"):
-        evaluate(GfRecipe("bogus", 2), Zmod(8), 6)
-    case = IdentityCase("BOGUS", GfRecipe("bogus", 2), GfRecipe("opt", 2), modulus=8)
-    report = verify_identity(case, 6)
-    assert not report.ok and "bogus" in report.error
+def test_gf_series_of_unknown_kind_is_refused_when_built():
+    # the recipe is refused with family_gf's own text, before any evaluation
+    with pytest.raises(ValueError) as built:
+        gf_series("bogus", 2)
+    with pytest.raises(ValueError) as expanded:
+        ETA.family_gf("bogus", 2, Zmod(8), 6)
+    assert str(built.value) == str(expanded.value) == "unknown generating function kind 'bogus'"
 
 
-def test_unknown_kind_is_named_in_an_exact_case():
-    # the exact case has a denominator, f1^2, and still reports the kind
-    case = IdentityCase("BOGUS", GfRecipe("bogus", 2), eta_series("f1^-2"))
-    assert denominator(case) == EtaQuotient(((1, 2),))
-    report = verify_identity(case, 6)
+def test_gf_series_of_negative_tuple_size_is_refused_when_built():
+    with pytest.raises(ValueError) as built:
+        gf_series("opt", -1)
+    with pytest.raises(ValueError) as expanded:
+        ETA.family_gf("opt", -1, Zmod(8), 6)
+    assert str(built.value) == str(expanded.value) == "tuple size must be >= 0, got -1"
+
+
+def test_unknown_kind_is_named_when_a_step_is_built(monkeypatch):
+    # a step whose side cannot be built is reported, with the kind named
+    bogus = congruences.DissectionStep(
+        key="BOGUS",
+        modulus=lambda p: 8,
+        lhs=lambda p: gf_series("bogus", p["t"]),
+        rhs=lambda p: gf_series("opt", p["t"]),
+        domain=lambda p: True,
+        default_params=((("t", 2),),),
+    )
+    monkeypatch.setattr(congruences, "builtin_steps", lambda: (bogus,))
+    report = congruences.verify_dissection_step("BOGUS", {"t": 2}, 6)
     assert not report.ok and report.error == "unknown generating function kind 'bogus'"
+
+
+def test_gf_leaves_are_cleared_in_an_exact_case(monkeypatch):
+    # GF leaves are eta leaves: the unit clears them, so no exact series is inverted
+    inverted = []
+    invert = Series.invert
+    monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
+    for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+        memo.cache_clear()
+    cases = [
+        IdentityCase("OPT2", gf_series("opt", 2), eta_series("f1^-4 * f2^6 * f4^-2")),
+        IdentityCase(
+            "SUM",
+            gf_series("overpartition", 3) + gf_series("opt", 1),
+            gf_series("opt", 1) + eta_series("f1^-6 * f2^3"),
+        ),
+    ]
+    assert str(denominator(cases[0])) == "f1^4 * f4^2"
+    assert str(denominator(cases[1])) == "f1^6 * f4"
+    for case in cases:
+        assert verify_identity(case, 400).ok, case.key
+    assert EXACT not in inverted
 
 
 def test_zero_substitution_step_is_reported_past_a_denominator():
@@ -272,8 +311,9 @@ def test_congruence_checks_keep_the_empty_unit(monkeypatch):
 
 
 def test_replay_modular_convolutions_are_pinned():
-    # a fresh interpreter, so no memo is warm: replay --order 500 makes 1,492
-    # modular convolutions, exactly as many as before exact checks were cleared
+    # a fresh interpreter, so no memo is warm: replay --order 500 makes 1,459
+    # modular convolutions; a GF leaf is an eta leaf, so at t = 1 it reuses the
+    # f_1 rungs the other tuple sizes built
     script = (
         "import io, overq.series as s, overq.cli as cli\n"
         "real, n = s._convolve_mod, [0]\n"
@@ -289,4 +329,4 @@ def test_replay_modular_convolutions_are_pinned():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.stderr == ""
-    assert done.stdout.split() == ["0", "1492"]
+    assert done.stdout.split() == ["0", "1459"]

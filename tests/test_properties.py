@@ -23,13 +23,13 @@ from overq.eta import (
 from overq.expr import (
     DissectRecipe,
     EtaRecipe,
-    GfRecipe,
     JacobiRecipe,
     ScaleRecipe,
     ShiftRecipe,
     SubstRecipe,
     SumRecipe,
     ThetaRecipe,
+    gf_series,
 )
 from overq.identities import IdentityCase, verify_identity
 from overq.series import (
@@ -519,7 +519,7 @@ _leaves = st.one_of(
     _quotients.map(EtaRecipe),
     st.sampled_from((*THETA_COMPONENT_NAMES, "z")).map(ThetaRecipe),  # "z" is unknown
     st.just(JacobiRecipe()),
-    st.builds(GfRecipe, st.sampled_from(["overpartition", "opt"]), st.integers(0, 2)),
+    st.builds(gf_series, st.sampled_from(["overpartition", "opt"]), st.integers(0, 2)),
 )
 
 

@@ -23,7 +23,7 @@
   ``family_gf`` call, over the exact ring).
 * Refusals reach the exit code in one place: in ``cli.py`` only ``main``
   catches ``BudgetError`` or ``UsageError``, and ``verify_dissection_step``
-  refuses an order over its budget with ``BudgetError``.
+  refuses an order or a parameter over its budget with ``BudgetError``.
 * Every name in an ``overq`` module's ``__all__`` is defined there: the bench
   tracer looks each one up by name.
 * A dissection step checked at one point is an identity case: no module
@@ -258,7 +258,7 @@ def test_step_order_budget_raises_budget_error():
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
         and any("budget" in ast.unparse(arg) for arg in node.exc.args)
     ]
-    assert raised == ["BudgetError"]
+    assert raised == ["BudgetError", "BudgetError"]  # a parameter, then the order
 
 
 def test_every_exported_name_is_defined():
