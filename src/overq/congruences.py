@@ -73,6 +73,12 @@ MAX_GRID_POINTS = 200_000
 # tuple size.
 MAX_STEP_PARAMETER = 64
 
+# Largest dissection-step work: modulus bits times the longest rung ladder of
+# either side (``Recipe.work``).  CPU s on a Xeon: opt-2n+1 i=64 r=1 order 500
+# (4.6M) 0.54, i=64 r=63 order 1000 (9.8M) 1.6 and 5000 (49M) 30; G16 t=64
+# order 250,000 (10M) 4.1; opt-4n+3-i1 r=63 order 80,000 (15M) 9.0.
+MAX_STEP_WORK = 10_000_000
+
 # The most witnesses a family report keeps; its failure count counts them all.
 WITNESS_CAP = 10
 
@@ -81,9 +87,9 @@ class BudgetError(ValueError):
     """A run refused up front because its size is over a budget.
 
     Six budgets raise it: a ``verify`` working order over
-    ``MAX_WORKING_ORDER``, a ``verify`` grid over ``MAX_GRID_POINTS``, a
-    dissection-step order over an eighth of ``MAX_WORKING_ORDER``, a step
-    parameter over ``MAX_STEP_PARAMETER``, ``cli.MAX_EXACT_ORDER`` for
+    ``MAX_WORKING_ORDER``, a ``verify`` grid over ``MAX_GRID_POINTS``, a step
+    order over an eighth of ``MAX_WORKING_ORDER`` or work over ``MAX_STEP_WORK``,
+    a step parameter over ``MAX_STEP_PARAMETER``, ``cli.MAX_EXACT_ORDER`` for
     ``identities --order`` and ``oracle --upto``, and ``cli.MAX_ORACLE_WORK``
     for an ``oracle`` tuple size times ``--upto`` + 1.  ``cli.main`` prints
     each as ``error: ...`` and exits 2.
@@ -332,12 +338,12 @@ class SeriesProvider:
     expanded.  ``run_families`` reserves in descending modulus, so a
     divisor's multiples are built before it is asked for.
 
-    A bucket of even modulus records whether its base is 1 + 2X: constant
-    term 1 and every other coefficient even, checked on the expansion.  Then
-    base^p = sum_j C(p, j) (2X)^j, and (2X)^j vanishes mod 2^k from j = k on.
-    So a power-of-2 modulus 2^k is served from the bucket's table N_j =
-    (base - 1)^j mod M, j < v2(M), built once by v2(M) - 2 multiplies: base^p
-    is sum_{j<k} C(p, j) N_j mod 2^k for every p, with no power stepped to.
+    A base, a product of powers of phi(-q^s), is 1 + 2X (``_bucket`` raises
+    ``RuntimeError`` on an even-modulus expansion that is not), so base^p =
+    sum_j C(p, j) (2X)^j, and (2X)^j vanishes mod 2^k from j = k on.  So a
+    power-of-2 modulus 2^k is served from the bucket's table N_j = (base -
+    1)^j mod M, j < v2(M), built once by v2(M) - 2 multiplies: base^p is
+    sum_{j<k} C(p, j) N_j mod 2^k for every p, with no power stepped to.
 
     Every other request steps by one ladder over the bucket's memo
     ``powers``, which holds every base^d computed so far: ``_power`` makes
@@ -377,12 +383,11 @@ class SeriesProvider:
             return self._buckets[kind, min(multiples)]
         ring = Zmod(modulus)
         base = family_gf(kind, 1, ring, order)
-        coeffs = base.coeffs
+        if modulus % 2 == 0 and (base.coeffs[0] != 1 or any(c & 1 for c in base.coeffs[1:])):
+            raise RuntimeError(f"the {kind} base mod {modulus} is not 1 + 2X")
         bucket = self._buckets[kind, modulus] = {
             "order": order,
             "powers": {0: one(ring, order), 1: base},
-            "one_plus_2x": modulus % 2 == 0 and coeffs[0] == 1
-            and not any(c & 1 for c in coeffs[1:]),
             "table": None,
             "slices": {},  # (2^k, start, stop, step) -> (slot width, size, packed N_j)
         }
@@ -425,7 +430,7 @@ class SeriesProvider:
         where = slice(offset, min(order, offset + step * count), step)
         with self._lock:
             bucket = self._bucket(kind, modulus, order)
-            if bucket["one_plus_2x"] and modulus & (modulus - 1) == 0:
+            if modulus & (modulus - 1) == 0:
                 return self._binomial(bucket, param, modulus, where)
             powers = bucket["powers"]
             series = powers.get(param)
@@ -1018,13 +1023,14 @@ def verify_dissection_step(
             raise BudgetError(
                 f"step {step_key}: --{name} {params[name]} exceeds budget {MAX_STEP_PARAMETER}"
             )
-    if order > MAX_WORKING_ORDER // 8:
-        # dissection sides evaluate their inner series at a multiple of `order`
-        raise BudgetError(f"order {order} exceeds the step working budget")
     modulus = step.modulus(params)
     point = tuple((name, params[name]) for name in step.param_names)
     try:
         case = IdentityCase(step_key, step.lhs(params), step.rhs(params), modulus, point)
     except ValueError as exc:
         return IdentityReport(step_key, modulus, order, ok=False, error=str(exc), params=point)
+    work = modulus.bit_length() * max(case.lhs.work(order), case.rhs.work(order))
+    if order > MAX_WORKING_ORDER // 8 or work > MAX_STEP_WORK:
+        # dissection sides evaluate their inner series at a multiple of `order`
+        raise BudgetError(f"order {order} exceeds the step working budget")
     return verify_identity(case, order)

@@ -17,18 +17,16 @@ shared rungs g^(2^k), g = f_1 or 1/f_1, memoized per (ring, order), so
 scattered exponents pay the inverse and the squarings once.  The exact
 identity checks never ask for a negative power: they multiply both sides by
 an eta quotient D that clears every negative exponent, merged into each
-leaf's quotient (``theta_component`` takes D as ``unit``; a generating
-function in a recipe is an eta leaf).
+leaf's quotient (``theta_component`` takes D as ``unit``).
 
-A counting generating function's base (``family_gf`` at tuple size 1) over
-Z/mZ is built instead from Gauss's theta series phi(-q) = f1^2/f2 = 1 +
-2 sum_{n>=1} (-1)^n q^(n^2), which has about sqrt(N) terms below q^N: f2/f1^2
-is 1/phi(-q) and f2^3/(f1^2 f4) is phi(-q^2)/phi(-q).  The positive powers of
-phi are multiplied and the negative ones inverted once, by Newton in q
-(``Series.invert``); over Z/4 the inverse of phi(-q) = 1 + 2X is a closed
-form.  ``gf_mismatch`` checks counts against the exact generating function
-of t-tuples, prod_s phi(-q^s)^(c_s t), without expanding it: each step
-multiplies a packed integer by one sparse phi(-q^s).
+The counting generating functions are stated once, as powers of Gauss's
+phi(-q^s), phi(-q) = f1^2/f2 = 1 + 2 sum_{n>=1} (-1)^n q^(n^2), which has
+about sqrt(N) terms below q^N.  ``GF_BASE``, each base as its eta quotient,
+is derived from them for recipes, where a GF is an eta leaf.  ``family_gf``
+multiplies the positive powers of phi and inverts the negative ones once
+(``Series.invert``; over Z/4 the inverse of phi(-q) = 1 + 2X is a closed
+form).  ``gf_mismatch`` checks counts against the exact GF without
+expanding it: each step multiplies a packed integer by one sparse phi(-q^s).
 """
 
 from __future__ import annotations
@@ -170,18 +168,18 @@ def _rung(ring: Ring, order: int, negative: bool, k: int) -> Series:
 def _f1_power(ring: Ring, order: int, exponent: int) -> Series:
     """f_1^exponent to the order, on every ring.
 
-    The product of the ``_rung`` series at the set bits of |exponent|,
-    lowest first: the same multiplies as a binary power, but the inverse
-    and the squarings are shared by every exponent asked for at one ring
-    and order, which pays off for the scattered exponents of the replay
-    recipes.  Kept memoized too: quotients that share a factor at one
-    order hit it.
+    The product of the ``_rung`` series at the set bits of |exponent|: the
+    same multiplies as a binary power, but the inverse and the squarings are
+    shared by every exponent asked for at one ring and order, which pays off
+    for the scattered exponents of the replay recipes.  The rungs are asked
+    for in ascending order, so each finds the one below memoized.  Kept
+    memoized too: quotients that share a factor at one order hit it.
     """
     if exponent == 0:
         return one(ring, order)
     e = abs(exponent)
-    rungs = [_rung(ring, order, exponent < 0, k) for k in range(e.bit_length()) if e >> k & 1]
-    return reduce(mul, rungs)
+    ladder = [_rung(ring, order, exponent < 0, k) for k in range(e.bit_length())]
+    return reduce(mul, (rung for k, rung in enumerate(ladder) if e >> k & 1))
 
 
 def expand_eta_quotient(quotient: EtaQuotient, ring: Ring, order: int) -> Series:
@@ -299,12 +297,30 @@ def _times(series: Series, unit: EtaQuotient) -> Series:
     return series * expand_eta_quotient(unit, series.ring, series.order)
 
 
-# The counting generating function of each family kind at tuple size 1; the
-# GF of t-tuples is this quotient with every exponent multiplied by t.
-GF_BASE = {
-    "overpartition": EtaQuotient(((2, 1), (1, -2))),  # f2 / f1^2
-    "opt": EtaQuotient(((2, 3), (1, -2), (4, -1))),  # f2^3 / (f1^2 f4)
+# The counting generating function of each family kind at tuple size 1, as
+# the (s, c_s) of prod_s phi(-q^s)^c_s; t-tuples multiply every c_s by t.
+_GF_THETAS = {
+    "overpartition": ((1, -1),),  # 1 / phi(-q)
+    "opt": ((1, -1), (2, 1)),  # phi(-q^2) / phi(-q)
 }
+
+
+def _gf_thetas(kind: str, t: int) -> tuple[tuple[int, int], ...]:
+    """The (s, c_s t), c_s t != 0, of the GF of t-tuples of a family kind."""
+    if kind not in _GF_THETAS:
+        raise ValueError(f"unknown generating function kind {kind!r}")
+    if t < 0:
+        raise ValueError(f"tuple size must be >= 0, got {t}")
+    return tuple((s, c * t) for s, c in _GF_THETAS[kind] if t)
+
+
+def _theta_quotient(thetas: tuple[tuple[int, int], ...]) -> EtaQuotient:
+    """prod_s phi(-q^s)^c_s as an eta quotient, by phi(-q^s) = f_s^2 / f_2s."""
+    return EtaQuotient(tuple(f for s, c in thetas for f in ((s, 2 * c), (2 * s, -c))))
+
+
+# Each base as its eta quotient: f2 / f1^2 and f2^3 / (f1^2 f4).
+GF_BASE = {kind: _theta_quotient(_gf_thetas(kind, 1)) for kind in _GF_THETAS}
 
 
 def _squares(order: int) -> Iterator[tuple[int, int]]:
@@ -326,33 +342,6 @@ def _theta(ring: Ring, order: int) -> Series:
     return Series(ring, coeffs)
 
 
-def _theta_exponents(quotient: EtaQuotient) -> tuple[tuple[int, int], ...] | None:
-    """The (s, c_s), c_s != 0, with quotient = prod_s phi(-q^s)^c_s, or None
-    when the quotient has no such form.
-
-    phi(-q^s) = f_s^2 / f_2s puts exponent e_s = 2 c_s - c_{s/2} on f_s, so
-    c_s = (e_s + c_{s/2}) / 2, solved from the smallest scale up; the form
-    exists when every c_s is whole and the phi's rebuild the quotient.
-    """
-    exponents = dict(quotient.factors)
-    c = [0] * (max(exponents, default=0) + 1)
-    for s in range(1, len(c)):
-        twice = exponents.get(s, 0) + (c[s // 2] if s % 2 == 0 else 0)
-        if twice % 2:
-            return None
-        c[s] = twice // 2
-    thetas = tuple((s, cs) for s, cs in enumerate(c) if cs)
-    rebuilt = EtaQuotient(tuple(f for s, cs in thetas for f in ((s, 2 * cs), (2 * s, -cs))))
-    return thetas if rebuilt == quotient else None
-
-
-def _base_thetas(kind: str) -> tuple[tuple[int, int], ...] | None:
-    """``_theta_exponents`` of the base of a family kind, read from ``GF_BASE``."""
-    if kind not in GF_BASE:
-        raise ValueError(f"unknown generating function kind {kind!r}")
-    return _theta_exponents(GF_BASE[kind])
-
-
 def _expand_thetas(thetas: tuple[tuple[int, int], ...], ring: Ring, order: int) -> Series:
     """prod_s phi(-q^s)^c_s: the positive powers multiplied, the negative
     ones multiplied and inverted once."""
@@ -365,37 +354,24 @@ def _expand_thetas(thetas: tuple[tuple[int, int], ...], ring: Ring, order: int) 
 
 
 def family_gf(kind: str, t: int, ring: Ring, order: int) -> Series:
-    """The ``GF_BASE[kind]`` quotient raised to the tuple size t, expanded.
-
-    The base itself (t = 1) over Z/mZ, which is all the congruence scan's
-    provider asks for, is built from phi(-q) when the quotient is a product
-    of powers of phi(-q^s), as both bases are.  Other tuple sizes, and the
-    exact ring, which the cross-checks compare against, are expanded as eta
-    quotients: there the f_1 rungs are shared across t.  A recipe states a
-    GF as its eta quotient (``expr.gf_series``), so it takes the eta route
-    at every t.
-    """
-    thetas = _base_thetas(kind)
-    if t < 0:
-        raise ValueError(f"tuple size must be >= 0, got {t}")
+    """The GF of t-tuples of a family kind, prod_s phi(-q^s)^(c_s t),
+    expanded to the order: ``GF_BASE[kind] ** t`` on every ring."""
+    thetas = _gf_thetas(kind, t)
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if t == 1 and ring.is_modular and thetas is not None:
-        return _expand_thetas(thetas, ring, order)
-    return expand_eta_quotient(GF_BASE[kind] ** t, ring, order)
+    return _expand_thetas(thetas, ring, order)
 
 
 def gf_mismatch(kind: str, t: int, counts: Sequence[int]) -> int | None:
     """The first n at which ``counts`` differs from ``family_gf(kind, t,
     EXACT, len(counts))``, or None where they agree; no series is expanded.
 
-    With the base's theta form, the GF of t-tuples is R / U mod q^N, N =
-    len(counts), where R is the product of phi(-q^s)^(c_s t) over the
-    c_s > 0 and U the product of phi(-q^s)^(-c_s t) over the c_s < 0.  U
-    has constant term 1, so it is a unit, and counts = R / U iff L =
-    counts * U equals R.  Better: if counts first differ from the GF at m,
-    by delta, then L - R = (counts - GF) * U first differs from 0 at m, by
-    delta too.
+    The GF of t-tuples is R / U mod q^N, N = len(counts), where R is the
+    product of phi(-q^s)^(c_s t) over the c_s > 0 and U the product of
+    phi(-q^s)^(-c_s t) over the c_s < 0.  U has constant term 1, so it is a
+    unit, and counts = R / U iff L = counts * U equals R.  Better: if counts
+    first differ from the GF at m, by delta, then L - R = (counts - GF) * U
+    first differs from 0 at m, by delta too.
 
     Both sides are evaluated at q = B = 2^(8 w): counts is packed into one
     integer (``series._pack``) and multiplied by one phi(-q^s) per step, a
@@ -413,17 +389,13 @@ def gf_mismatch(kind: str, t: int, counts: Sequence[int]) -> int | None:
     steps, sum |c_s| t, and w grow with t, so large tuple sizes cost more
     than an eta expansion would.
     """
-    thetas = _base_thetas(kind)
-    if thetas is None:
-        raise ValueError(f"the {kind} generating function has no theta form")
-    if t < 0:
-        raise ValueError(f"tuple size must be >= 0, got {t}")
+    thetas = _gf_thetas(kind, t)
     order = len(counts)
     if not order:
         return None
     lhs_bound, rhs_bound = max(max(map(abs, counts)), 1), 1
     for s, c in thetas:
-        growth = (1 + 2 * math.isqrt((order - 1) // s)) ** (abs(c) * t)
+        growth = (1 + 2 * math.isqrt((order - 1) // s)) ** abs(c)
         if c < 0:
             lhs_bound *= growth
         else:
@@ -436,7 +408,7 @@ def gf_mismatch(kind: str, t: int, counts: Sequence[int]) -> int | None:
         terms = list(_squares((order - 1) // s + 1))
         up = [slot * s * e for e, sign in terms if sign > 0]
         down = [slot * s * e for e, sign in terms if sign < 0]
-        for _ in range(abs(c) * t):
+        for _ in range(abs(c)):
             if c < 0:
                 lhs = _times_phi(lhs, up, down, mask)
             else:

@@ -23,8 +23,9 @@ from typing import Iterator
 
 from .series import Ring, Series, spread
 from .eta import (
-    GF_BASE,
     EtaQuotient,
+    _gf_thetas,
+    _theta_quotient,
     _times,
     component_quotient,
     expand_eta_quotient,
@@ -73,6 +74,11 @@ class Recipe:
         """
         return iter(())
 
+    def work(self, order: int) -> int:
+        """The longest rung ladder to the order: ceil(N/k) bits(e) for a factor
+        f_k^e of an eta leaf evaluated to order N, and N for another leaf."""
+        return order
+
 
 @dataclass(frozen=True)
 class EtaRecipe(Recipe):
@@ -80,6 +86,10 @@ class EtaRecipe(Recipe):
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         yield self.quotient
+
+    def work(self, order: int) -> int:
+        ladders = (((order - 1) // k + 1) * abs(e).bit_length() for k, e in self.quotient.factors)
+        return max(ladders, default=order)
 
     def __str__(self) -> str:
         return str(self.quotient)
@@ -110,6 +120,9 @@ class SumRecipe(Recipe):
         for term in self.terms:
             yield from term.eta_leaves()
 
+    def work(self, order: int) -> int:
+        return max(term.work(order) for term in self.terms)
+
     def __str__(self) -> str:
         return " + ".join(f"({t})" for t in self.terms)
 
@@ -122,6 +135,9 @@ class ScaleRecipe(Recipe):
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         return self.inner.eta_leaves()
 
+    def work(self, order: int) -> int:
+        return self.inner.work(order)
+
     def __str__(self) -> str:
         return f"{self.scalar}*({self.inner})"
 
@@ -133,6 +149,9 @@ class ShiftRecipe(Recipe):
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         return self.inner.eta_leaves()
+
+    def work(self, order: int) -> int:
+        return self.inner.work(order)
 
     def __str__(self) -> str:
         return f"q^{self.offset}*({self.inner})"
@@ -148,6 +167,9 @@ class SubstRecipe(Recipe):
             for leaf in self.inner.eta_leaves():
                 yield EtaQuotient(tuple((scale * self.step, e) for scale, e in leaf.factors))
 
+    def work(self, order: int) -> int:
+        return self.inner.work((order - 1) // max(self.step, 1) + 1)
+
     def __str__(self) -> str:
         return f"({self.inner})[q->q^{self.step}]"
 
@@ -157,6 +179,9 @@ class DissectRecipe(Recipe):
     modulus: int
     residue: int
     inner: Recipe
+
+    def work(self, order: int) -> int:
+        return self.inner.work(self.modulus * order + self.residue)
 
     def __str__(self) -> str:
         return f"({self.inner})[{self.modulus}n+{self.residue}]"
@@ -171,12 +196,8 @@ def eta_series(quotient: str | tuple) -> EtaRecipe:
 
 def gf_series(kind: str, t: int) -> EtaRecipe:
     """Recipe for the counting generating function of t-tuples of a family
-    kind: its ``GF_BASE`` quotient with every exponent multiplied by t."""
-    if kind not in GF_BASE:
-        raise ValueError(f"unknown generating function kind {kind!r}")
-    if t < 0:
-        raise ValueError(f"tuple size must be >= 0, got {t}")
-    return EtaRecipe(GF_BASE[kind] ** t)
+    kind, as an eta leaf: ``GF_BASE[kind] ** t``."""
+    return EtaRecipe(_theta_quotient(_gf_thetas(kind, t)))
 
 
 def theta_series(name: str, step: int = 1) -> Recipe:

@@ -10,7 +10,7 @@ import pytest
 
 from overq import cli, congruences
 from overq.cli import main
-from overq.identities import IdentityCase
+from overq.identities import IdentityCase, IdentityReport
 from overq.expr import eta_series
 from overq.series import EXACT
 
@@ -162,8 +162,8 @@ def test_oracle_default_runs_small_parameters():
 
 def test_oracle_counts_and_expands_a_repeated_size_once(monkeypatch):
     # Each distinct size is counted and checked once, by gf_mismatch, and a
-    # passing run expands no exact eta quotient: the GF is read only for the
-    # value reported at a failing size.
+    # passing run expands no exact series: the GF is read only for the value
+    # reported at a failing size.
     calls = []
 
     def counted(name):
@@ -177,14 +177,19 @@ def test_oracle_counts_and_expands_a_repeated_size_once(monkeypatch):
 
     for name in ("count_overpartition_tuples", "count_opt_tuples", "gf_mismatch", "family_gf"):
         counted(name)
-    expand = ETA.expand_eta_quotient
     expansions = []
 
-    def recorded(quotient, ring, order):
-        expansions.append((str(quotient), ring, order))
-        return expand(quotient, ring, order)
+    def recorded(name):
+        expand = getattr(ETA, name)
 
-    monkeypatch.setattr(ETA, "expand_eta_quotient", recorded)
+        def wrapper(factors, ring, order):
+            expansions.append((name, str(factors), ring, order))
+            return expand(factors, ring, order)
+
+        monkeypatch.setattr(ETA, name, wrapper)
+
+    for name in ("expand_eta_quotient", "_expand_thetas"):
+        recorded(name)
     argv = ["oracle", "--t", "2", "--t", "1", "--t", "2", "--opt", "3", "--opt", "3",
             "--upto", "8", "--format", "json"]
     code, text = run_cli(argv)
@@ -214,7 +219,8 @@ def test_oracle_counts_and_expands_a_repeated_size_once(monkeypatch):
     code, text = run_cli(argv)
     assert code == 1
     assert [call for call in calls if call[0] == "family_gf"] == [("family_gf", "overpartition", 2)]
-    assert expansions == [("f1^-4 * f2^2", EXACT, 6)]  # the value at n = 5, read once
+    # the value at n = 5, read once, as phi(-q)^-2
+    assert expansions == [("_expand_thetas", "((1, -2),)", EXACT, 6)]
     results = json.loads(text)["results"]
     assert [row["matches_gf"] for row in results] == [False, False, False, True, True]
 
@@ -661,6 +667,15 @@ def _refuse_work(monkeypatch):
             "overpartition-tuples size 1000 at upto 600 exceeds budget: "
             "size * (upto + 1) > 70000",
         ),
+        (
+            ["replay", "--step", "opt-2n+1", "--i", "64", "--r", "63", "--order", "5000"],
+            "order 5000 exceeds the step working budget",  # about 30 s of work
+        ),
+        (
+            # f1^-252 (8 bits) mod 32 (6 bits) to order 4 * 52083 + 3: work 10,000,080
+            ["replay", "--step", "opt-4n+3-i1", "--r", "63", "--order", "52083"],
+            "order 52083 exceeds the step working budget",
+        ),
     ],
 )
 def test_over_budget_sizes_are_refused_before_any_work(monkeypatch, capsys, argv, err):
@@ -670,6 +685,28 @@ def test_over_budget_sizes_are_refused_before_any_work(monkeypatch, capsys, argv
     assert time.process_time() - start < 1
     assert code == 2 and text == ""
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],  # every default point, to order 500
+        ["--step", "opt-2n+1", "--i", "64", "--r", "1", "--order", "500"],  # 0.54 s
+        ["--step", "opt-2n+1", "--i", "64", "--r", "63", "--order", "1000"],  # 1.6 s
+        ["--step", "G32", "--t", "16", "--order", "20000"],  # 0.23 s
+        ["--step", "M1", "--t", "6", "--order", "60000"],  # 0.64 s
+        ["--step", "G16", "--t", "64", "--order", "250000"],  # 4.1 s, work 10M exactly
+        ["--step", "opt-4n+3-i1", "--r", "63", "--order", "52082"],  # work 9,999,888, the edge
+    ],
+)
+def test_step_work_budget_admits_runs_of_seconds(monkeypatch, argv):
+    # the budget alone is under test: a step that passes it is not evaluated
+    def unchecked(case, order):
+        return IdentityReport(case.key, case.modulus, order, ok=True, params=case.params)
+
+    monkeypatch.setattr(congruences, "verify_identity", unchecked)
+    code, text = run_cli(["replay", *argv])
+    assert code == 0 and "PASS" in text
 
 
 def test_verify_grid_budget_counts_axis_products(monkeypatch, capsys):

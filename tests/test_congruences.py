@@ -291,7 +291,7 @@ def test_provider_period_matches_direct_expansion(kind, modulus):
     provider = SeriesProvider()
     for t in range(min(modulus + 3, 130) + 1):
         assert provider.gf(kind, t, modulus, 60) == _reference_gf(kind, t, modulus, 60), t
-    assert provider._buckets[(kind, modulus)]["one_plus_2x"]
+    assert provider._buckets[(kind, modulus)]["table"] is not None
     # no t was stepped to; base^1 is in every memo
     assert max(_powers(provider, kind, modulus)) < max(modulus // 2, 2)
 
@@ -316,23 +316,22 @@ def test_provider_period_serves_lower_orders_and_is_found_again_on_rebuild():
     for t in (5, 21, 37):
         assert provider.gf("opt", t, 32, 90) == _reference_gf("opt", t, 32, 90), t
     assert provider._buckets[("opt", 32)]["order"] == 90
-    assert provider._buckets[("opt", 32)]["one_plus_2x"]
+    assert provider._buckets[("opt", 32)]["table"] is not None
     assert max(_powers(provider, "opt", 32)) < 16  # 5, 21 and 37 came off the table
 
 
-def test_provider_gives_no_period_to_a_base_that_is_not_one_plus_2x(monkeypatch):
+def test_bucket_refuses_a_base_that_is_not_one_plus_2x(monkeypatch):
     # f1^-1 = 1 + q + 2q^2 + ...: a binomial table of its powers would be wrong
-    monkeypatch.setitem(GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
-    for modulus in (8, 16):
-        provider = SeriesProvider()
-        for t in range(11):
-            want = _reference_gf("overpartition", t, modulus, 40)
-            got = provider.gf("overpartition", t, modulus, 40)
-            assert got == want, (modulus, t)
-            got = provider.values("overpartition", t, modulus, 40, 3, 2, 12)
-            assert tuple(got) == want.coeffs[2::3][:12], (modulus, t)
-        assert not provider._buckets[("overpartition", modulus)]["one_plus_2x"]
-        assert provider._buckets[("overpartition", modulus)]["table"] is None
+    def base(kind, t, ring, order):
+        return expand_eta_quotient(EtaQuotient(((1, -t),)), ring, order)
+
+    monkeypatch.setattr(congruences, "family_gf", base)
+    for modulus in (8, 16, 2592):
+        with pytest.raises(RuntimeError, match=f"overpartition base mod {modulus} is not 1 \\+ 2X"):
+            SeriesProvider().gf("overpartition", 3, modulus, 40)
+    # an odd modulus has no binomial table, so any base steps by the ladder
+    want = expand_eta_quotient(EtaQuotient(((1, -3),)), Zmod(9), 40)
+    assert SeriesProvider().gf("overpartition", 3, 9, 40) == want
 
 
 @pytest.mark.parametrize("kind", ["overpartition", "opt"])
@@ -497,7 +496,7 @@ def test_bucket_is_expanded_when_no_multiple_serves_it(monkeypatch):
         for t in (1, 3, 20, 45):
             got = provider.gf("opt", t, modulus, 80)
             assert got == _reference_gf("opt", t, modulus, 80), (modulus, t)
-        assert provider._buckets[("opt", modulus)]["one_plus_2x"]
+        assert provider._buckets[("opt", modulus)]["table"] is not None
     assert calls == [
         ("opt", 1024, 40), ("opt", 96, 100), ("overpartition", 64, 100),
         ("opt", 64, 80), ("opt", 256, 80),
@@ -612,14 +611,15 @@ def test_provider_exact_rejects_bad_kind_and_negative_parameter():
 
 
 def test_every_gf_consumer_reads_the_one_base(monkeypatch):
-    # Swap the overpartition base for f1^-1: the provider, the exact-ring GF,
-    # recipes and the public builder must all follow, as they read GF_BASE.
-    monkeypatch.setitem(GF_BASE, "overpartition", EtaQuotient(((1, -1),)))
+    # Swap the overpartition base for phi(-q)^-2 = f2^2 / f1^4: the provider,
+    # the exact-ring GF, recipes and the public builder must all follow, as
+    # they read the phi table.
+    monkeypatch.setitem(sys.modules["overq.eta"]._GF_THETAS, "overpartition", ((1, -2),))
     SeriesProvider.gf_exact.cache_clear()
     try:
         provider = SeriesProvider()
         for t in (0, 1, 3):
-            want = expand_eta_quotient(EtaQuotient(((1, -t),)), EXACT, 30)
+            want = expand_eta_quotient(EtaQuotient(((1, -4 * t), (2, 2 * t))), EXACT, 30)
             assert provider.gf("overpartition", t, 8, 30) == want.reduce_ring(8), t
             assert SeriesProvider.gf_exact("overpartition", t, 30) == want, t
             assert evaluate(gf_series("overpartition", t), EXACT, 30) == want, t

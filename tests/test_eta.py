@@ -231,11 +231,17 @@ def test_family_gf_scales_each_base_and_rejects_bad_input():
         family_gf("opt", -1, EXACT, 5)
 
 
-# --- bases from phi(-q) ------------------------------------------------------
+# --- GFs from phi(-q) --------------------------------------------------------
+
+
+def test_gf_bases_read_as_the_paper_states_them():
+    # derived from the phi table by phi(-q^s) = f_s^2 / f_2s
+    assert str(GF_BASE["overpartition"]) == "f1^-2 * f2"
+    assert str(GF_BASE["opt"]) == "f1^-2 * f2^3 * f4^-1"
 
 
 def _eta_only(monkeypatch):
-    """Make family_gf fail if it expands an eta quotient, so a base it returns
+    """Make family_gf fail if it expands an eta quotient, so a GF it returns
     came from phi(-q)."""
 
     def refuse(*args):
@@ -245,12 +251,19 @@ def _eta_only(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(GF_BASE))
-@pytest.mark.parametrize("ring", [r for r in RING_POOL if r.is_modular], ids=str)
+@pytest.mark.parametrize("ring", RING_POOL, ids=str)
 def test_base_from_theta_matches_eta_expansion(kind, ring, monkeypatch):
-    want = {n: expand_eta_quotient(GF_BASE[kind], ring, n) for n in (1, 2, 70, 3001)}
+    # the eta expansion is the independent reference for the phi route; an
+    # exact 7-tuple GF to order 3001 takes seconds, so the exact ring stops at 601
+    orders = (1, 2, 70, 3001) if ring.is_modular else (1, 2, 70, 601)
+    want = {
+        (t, n): expand_eta_quotient(GF_BASE[kind] ** t, ring, n)
+        for t in (0, 1, 2, 7)
+        for n in orders
+    }
     _eta_only(monkeypatch)
-    for order, series in want.items():
-        assert family_gf(kind, 1, ring, order) == series, order
+    for (t, order), series in want.items():
+        assert family_gf(kind, t, ring, order) == series, (t, order)
 
 
 @pytest.mark.parametrize(
@@ -280,36 +293,6 @@ def test_mod_4_bases_convolve_at_most_once(monkeypatch):
         assert len(calls) == want, kind
 
 
-def test_theta_exponents_are_read_off_the_quotient(monkeypatch):
-    assert ETA._theta_exponents(GF_BASE["overpartition"]) == ((1, -1),)  # 1 / phi(-q)
-    assert ETA._theta_exponents(GF_BASE["opt"]) == ((1, -1), (2, 1))  # phi(-q^2) / phi(-q)
-    # phi(-q)^2 phi(-q^2) = f1^4 / f4: the scale-2 phi leaves no f2
-    assert ETA._theta_exponents(eta("f1^4 * f4^-1")) == ((1, 2), (2, 1))
-    for text in ("f1^-1", "f2 * f1^-1", "f1^2", "f1^2 * f2^-1 * f3"):
-        assert ETA._theta_exponents(eta(text)) is None, text
-    # the route follows GF_BASE: a base phi(-q)^-2 = f2^2 / f1^4 is built from phi too
-    monkeypatch.setitem(GF_BASE, "overpartition", eta("f2^2 * f1^-4"))
-    want = expand_eta_quotient(eta("f2^2 * f1^-4"), Zmod(64), 90)
-    _eta_only(monkeypatch)
-    assert family_gf("overpartition", 1, Zmod(64), 90) == want
-
-
-def test_bases_without_a_theta_form_and_other_sizes_stay_eta_quotients(monkeypatch):
-    monkeypatch.setitem(GF_BASE, "overpartition", eta("f1^-1"))
-    calls = []
-    expand = ETA.expand_eta_quotient
-
-    def recorded(quotient, ring, order):
-        calls.append(str(quotient))
-        return expand(quotient, ring, order)
-
-    monkeypatch.setattr(ETA, "expand_eta_quotient", recorded)
-    family_gf("overpartition", 1, Zmod(8), 20)
-    family_gf("opt", 2, Zmod(8), 20)
-    family_gf("opt", 1, EXACT, 20)
-    assert calls == ["f1^-1", "f1^-4 * f2^6 * f4^-2", "f1^-2 * f2^3 * f4^-1"]
-
-
 def test_prime_power_reduction_instances():
     f1_exact = euler_product(1, EXACT, 500)
     for p in (2, 3):
@@ -318,6 +301,13 @@ def test_prime_power_reduction_instances():
             lhs = (f1_exact ** (p**k)).reduce_ring(modulus)
             rhs = (f1_exact.substitute_power(p) ** (p ** (k - 1))).reduce_ring(modulus)
             assert lhs == rhs, (p, k)
+
+
+def test_a_long_rung_ladder_does_not_recurse():
+    # f1^(2^k) == f_(2^k) (mod 2), which is 1 below q^10 for k = 600
+    for memo in (ETA._f1_power, ETA._rung):
+        memo.cache_clear()
+    assert expand_eta_quotient(EtaQuotient(((1, 2**600),)), Zmod(2), 10) == one(Zmod(2), 10)
 
 
 def test_replay_multiply_count_stays_under_the_rung_ladder_ceiling(monkeypatch):

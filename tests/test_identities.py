@@ -14,6 +14,7 @@ import overq.identities as identities
 from overq.cli import _OPTIONS, main
 from overq.eta import EtaQuotient
 from overq.expr import (
+    DissectRecipe,
     EtaRecipe,
     ScaleRecipe,
     SubstRecipe,
@@ -21,6 +22,8 @@ from overq.expr import (
     eta_series,
     evaluate,
     gf_series,
+    jacobi_series,
+    qshift,
     theta_series,
 )
 from overq.identities import (
@@ -189,6 +192,18 @@ def test_gf_series_of_negative_tuple_size_is_refused_when_built():
     with pytest.raises(ValueError) as expanded:
         ETA.family_gf("opt", -1, Zmod(8), 6)
     assert str(built.value) == str(expanded.value) == "tuple size must be >= 0, got -1"
+
+
+def test_recipe_work_is_its_longest_rung_ladder():
+    # f1^-4 has a 3-bit exponent; a 2-dissection to order 10 expands it to order 21
+    assert DissectRecipe(2, 1, eta_series("f1^-4")).work(10) == 21 * 3
+    # under q -> q^3, f1^-7 is expanded to order 10 of 30
+    assert SubstRecipe(3, eta_series("f1^-7")).work(30) == 10 * 3
+    # a sum takes its longest term: f8^5 is 10 * 3, f2 is 40 * 1, an opaque leaf its order
+    assert (eta_series("f8^5 * f2") + 2 * qshift(eta_series("f1^9"), 1)).work(80) == 80 * 4
+    assert (eta_series("f8^5 * f2") - jacobi_series()).work(80) == 80
+    assert eta_series("f8^5 * f2").work(80) == 40
+    assert gf_series("opt", 2).work(50) == 50 * 3  # f1^-4 f2^6 f4^-2
 
 
 def test_unknown_kind_is_named_when_a_step_is_built(monkeypatch):

@@ -502,7 +502,7 @@ def test_expand_eta_quotient_runs_once_per_quotient(monkeypatch):
 
     monkeypatch.setattr(ETA, "expand_eta_quotient", counted)
     # f2^6 f1^-4 f4^-2: the gcd-1 split leaves f2^6 f4^-2, whose gcd is 2.
-    ETA.family_gf("opt", 2, EXACT, 50)
+    ETA.expand_eta_quotient(GF_BASE["opt"] ** 2, EXACT, 50)
     ETA.theta_component("g", Zmod(8), 50)
     assert calls == ["f1^-4 * f2^6 * f4^-2", "f1 * f2^-1 * f3^-1 * f6^2"]
 

@@ -6,11 +6,13 @@
   coefficients in a Python loop: a ``for`` over ``range(...)``, or over a
   ``zip(...)`` of coefficient sequences, whose body tests ``!=``.  Such
   comparisons go through ``series.mismatches``.
-* The two counting generating functions are stated once, in ``eta.GF_BASE``:
-  ``congruences.py`` takes nothing from ``eta`` but ``family_gf``, and
-  ``expr.evaluate`` names no family kind.  In ``eta.py`` a family kind is
-  named only as a ``GF_BASE`` key or a ``family_gf`` argument, and the
-  phi(-q) exponents of a base are derived from ``GF_BASE[kind]``.
+* The two counting generating functions are stated once, as the phi(-q^s)
+  exponents of ``eta._GF_THETAS``: ``congruences.py`` takes nothing from
+  ``eta`` but ``family_gf``, and ``expr.evaluate`` names no family kind.  In
+  ``eta.py`` a family kind is named only as a ``_GF_THETAS`` key or a
+  ``family_gf`` argument.  Only ``_gf_thetas`` and the derived ``GF_BASE``
+  read the table, and ``GF_BASE``, ``family_gf``, ``gf_mismatch`` and
+  ``expr.gf_series`` all take the exponents from ``_gf_thetas``.
 * ``SeriesProvider`` raises no series to a power (no ``**``, ``pow`` or
   ``__pow__``), and ``_bucket`` multiplies nothing and defines no inner
   function, so its ladder ``_power`` is the one path that steps between
@@ -138,25 +140,43 @@ def test_gf_bases_are_read_only_through_family_gf():
     assert not any(isinstance(n, ast.Constant) and n.value in kinds for n in ast.walk(evaluate))
 
 
+def _top_level_uses(path, name):
+    """The names of the top-level functions and assignments of a module that
+    read ``name``."""
+    tree = ast.parse(path.read_text())
+    return {
+        node.name if isinstance(node, ast.FunctionDef) else ast.unparse(node.targets[0])
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.Assign))
+        and any(
+            isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+            for n in ast.walk(node)
+        )
+    }
+
+
 def test_eta_states_the_bases_once():
-    # the phi(-q) exponents of a base are derived from GF_BASE, not tabulated
+    # the phi table is the one literal table keyed by kind
     tree = ast.parse((SOURCE / "eta.py").read_text())
     kinds = {"overpartition", "opt"}
     (table,) = [
         node.value for node in ast.walk(tree)
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "GF_BASE"
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_GF_THETAS"
     ]
+    assert isinstance(table, ast.Dict)
     allowed = {id(key) for key in table.keys} | {
         id(node.args[0]) for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "family_gf"
     }
     named = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and n.value in kinds]
     assert named and all(id(n) in allowed for n in named)  # no second table keyed by kind
-    derived = [
-        ast.unparse(node.args[0]) for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_theta_exponents"
-    ]
-    assert derived == ["GF_BASE[kind]"]
+    # _gf_thetas reads it, and GF_BASE and every consumer derive from _gf_thetas
+    assert _top_level_uses(SOURCE / "eta.py", "_GF_THETAS") == {"_gf_thetas", "GF_BASE"}
+    assert _top_level_uses(SOURCE / "eta.py", "_gf_thetas") == {
+        "GF_BASE", "family_gf", "gf_mismatch"
+    }
+    assert _top_level_uses(SOURCE / "expr.py", "_gf_thetas") == {"gf_series"}
+    assert _top_level_uses(SOURCE / "expr.py", "GF_BASE") == set()
 
 
 def test_provider_steps_by_its_ladder_and_expands_in_one_place():
