@@ -425,6 +425,8 @@ class SeriesProvider:
         """The residues at q^(offset + step n), n < ``count``, of the GF over
         Z/modulus to the order: ``gf(...).coeffs[offset::step][:count]``, so
         fewer than ``count`` where the order ends first."""
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
         if param < 0:
             raise ValueError(f"tuple parameter must be >= 0, got {param}")
         where = slice(offset, min(order, offset + step * count), step)

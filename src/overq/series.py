@@ -8,16 +8,22 @@ or in Z/mZ with canonical representatives 0 <= c < m.
 
 Each ring multiplies by Kronecker substitution: both operands become one
 big integer, one coefficient per fixed-width slot, and a single integer
-product yields the convolution.
+product yields the convolution.  A square (``x * x``, as in every power
+ladder) packs its operand once and multiplies the packed value by itself,
+which takes the squaring paths of CPython's integer product and libmpdec.
 
-* exact ring: :func:`_convolve_packed`, at every order, with a sign pass.
-* Z/mZ: :func:`_convolve_mod`, whose canonical residues need no sign pass.
-  Its slots are binary, packed and unpacked in C (``array``, ``bytes``
-  slicing and ``translate``) when they fit 8 bytes on a little-endian host
-  and byte by byte otherwise; or, for m <= 256 from order
-  ``_DECIMAL_CUTOFF`` on, zero-padded decimal digit fields multiplied by
-  libmpdec (the C ``decimal`` module), whose number-theoretic transform
-  beats CPython's Karatsuba on long operands.
+* Binary slots are packed and unpacked in C (``struct``, ``array``,
+  ``bytes`` slicing and ``translate``) by :func:`_pack_slots` and
+  :func:`_slot_values` when they fit 8 bytes, with unpacking byte by byte
+  on a big-endian host, and by :func:`_pack` and byte by byte when wider.
+* exact ring: :func:`_convolve_packed`, at every order.  Signed values
+  pack as two's complement slots with one borrow, and the product is read
+  back with half the base added to each slot.
+* Z/mZ: :func:`_convolve_mod`, whose canonical residues fill unsigned
+  slots; or, for m <= 256 from order ``_DECIMAL_CUTOFF`` on, zero-padded
+  decimal digit fields multiplied by libmpdec (the C ``decimal`` module),
+  whose number-theoretic transform beats CPython's Karatsuba on long
+  operands.
 
 The double loop :func:`_convolve_schoolbook` is the reference only: every
 path is bit-identical to it, reduced mod m, and the randomized kernel tests
@@ -40,6 +46,7 @@ function, so series can be shared freely across threads.
 from __future__ import annotations
 
 import operator
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -124,32 +131,6 @@ def _pack(vals: Sequence[int], width: int) -> int:
     return packed
 
 
-def _convolve_packed(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Truncated Cauchy product via Kronecker substitution.
-
-    Both polynomials are evaluated at 2^(8*width) and multiplied as Python
-    integers; the product's base-2^(8*width) digits are the convolution.
-    ``width`` is chosen so every product coefficient fits a signed digit,
-    and adding half the base to each digit makes the split borrow-free.
-    """
-    a = list(a[:n])
-    b = list(b[:n])
-    abound = max(map(abs, a))
-    bbound = max(map(abs, b))
-    if abound == 0 or bbound == 0:
-        return [0] * n
-    cbound = min(len(a), len(b)) * abound * bbound
-    width = cbound.bit_length() // 8 + 1  # guarantees |c_k| < 2^(8*width - 1)
-    half = 1 << (8 * width - 1)
-    length = len(a) + len(b) - 1
-    offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
-    data = (_pack(a, width) * _pack(b, width) + offset).to_bytes(length * width, "little")
-    return [
-        int.from_bytes(data[k * width : (k + 1) * width], "little") - half
-        for k in range(min(n, length))
-    ] + [0] * (n - length)
-
-
 @cache
 def _residue_table(m: int) -> bytes:
     """Byte -> byte mod m: for m dividing 256 a slot's low byte fixes its residue."""
@@ -163,6 +144,9 @@ def _digit_tables() -> tuple[bytes, bytes, bytes]:
 
 
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+# Top byte of a signed little-endian 8-byte lane -> 1 if the lane is negative, else 0.
+_SIGN_BITS = bytes(v >> 7 for v in range(256))
 
 
 @cache
@@ -180,27 +164,77 @@ def _decimal_context():
 
 
 def _pack_slots(vals: Sequence[int], width: int) -> int:
-    """sum(vals[i] * 2^(8*width*i)) for 0 <= vals[i] < 2^(8*width)."""
-    if width > 8 or sys.byteorder != "little":
+    """sum(vals[i] * 2^(8*width*i)) for |vals[i]| < 2^(8*width).
+
+    The values are written as signed little-endian 8-byte lanes by
+    ``struct``, the fastest C packer of signed integers (``array("q")`` took
+    three times as long on CPython 3.11), so the layout does not depend on
+    the host.  Each
+    slot gathers its value's low ``width`` bytes, which leaves a negative
+    value at vals[i] + 2^(8*width): one integer holding a 1 in the slot
+    above each negative one is the borrow that corrects them all.
+    """
+    if width > 8:
         return _pack(vals, width)
-    raw = array("Q", vals).tobytes()
+    try:
+        raw = struct.pack(f"<{len(vals)}q", *vals)
+    except struct.error:  # past the signed 8-byte range: 8-byte slots only
+        return _pack(vals, width)
     buf = bytearray(len(vals) * width)
     for j in range(width):
         buf[j::width] = raw[j::8]
-    return int.from_bytes(buf, "little")
+    packed = int.from_bytes(buf, "little")
+    tops = raw[7::8]
+    if not tops.isascii():  # some lane's sign bit is set
+        borrow = bytearray(len(buf) + width)
+        borrow[width::width] = tops.translate(_SIGN_BITS)
+        packed -= int.from_bytes(borrow, "little")
+    return packed
+
+
+def _slot_values(data: bytes, width: int, n: int) -> Sequence[int]:
+    """The first n little-endian ``width``-byte slots of ``data``, unsigned."""
+    if width > 8 or sys.byteorder != "little":
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, n * width, width)]
+    lanes = bytearray(8 * n)
+    for j in range(width):
+        lanes[j::8] = data[j : n * width : width]
+    return array("Q", lanes)
 
 
 def _reduce_slots(data: bytes, width: int, n: int, m: int) -> list[int]:
     """Residues mod m of the first n little-endian ``width``-byte slots of ``data``."""
     if 256 % m == 0:
         return list(data[0 : n * width : width].translate(_residue_table(m)))
-    if width > 8 or sys.byteorder != "little":
-        slots = range(0, n * width, width)
-        return [int.from_bytes(data[i : i + width], "little") % m for i in slots]
-    lanes = bytearray(8 * n)
-    for j in range(width):
-        lanes[j::8] = data[j : n * width : width]
-    return list(map(m.__rmod__, array("Q", lanes)))
+    return list(map(m.__rmod__, _slot_values(data, width, n)))
+
+
+def _convolve_packed(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Truncated Cauchy product of exact integers via Kronecker substitution.
+
+    Both polynomials are evaluated at 2^(8*width) and multiplied as Python
+    integers; the product's base-2^(8*width) digits are the convolution.
+    ``width`` is chosen so every product coefficient fits a signed digit,
+    and adding half the base to each digit makes the split borrow-free.  A
+    square (``a is b``) is packed once and multiplied by itself.
+    """
+    square = a is b
+    a = a[:n]
+    b = a if square else b[:n]
+    abound = max(map(abs, a))
+    bbound = abound if square else max(map(abs, b))
+    if abound == 0 or bbound == 0:
+        return [0] * n
+    cbound = min(len(a), len(b)) * abound * bbound
+    width = cbound.bit_length() // 8 + 1  # guarantees |c_k| < 2^(8*width - 1)
+    half = 1 << (8 * width - 1)
+    length = len(a) + len(b) - 1
+    offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+    packed = _pack_slots(a, width)
+    product = packed * (packed if square else _pack_slots(b, width))
+    data = (product + offset).to_bytes(length * width, "little")
+    digits = _slot_values(data, width, min(n, length))
+    return list(map(operator.sub, digits, repeat(half))) + [0] * (n - length)
 
 
 def _decimal_slots(vals: Sequence[int], digits: int, ctx):
@@ -217,20 +251,25 @@ def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[in
 
     A product coefficient is a sum of at most min(len(a), len(b), n) terms
     below m^2, so it fits ``width`` unsigned bytes with no offset.  The slot
-    helpers alone decide the byte layout: slots wider than 8 bytes and
-    big-endian hosts go byte by byte there.
+    helpers alone decide the byte layout: slots wider than 8 bytes go byte
+    by byte there, and so does unpacking on a big-endian host.  A square
+    (``a is b``) is packed once and multiplied by itself, on the binary and
+    the decimal path alike.
     """
+    square = a is b
     a = a[:n]
-    b = b[:n]
+    b = a if square else b[:n]
     cbound = min(len(a), len(b)) * (m - 1) ** 2
     width = (cbound.bit_length() + 7) // 8
     ctx = _decimal_context() if m <= 256 and n >= _DECIMAL_CUTOFF else None
     if ctx is None:
-        product = _pack_slots(a, width) * _pack_slots(b, width)
+        packed = _pack_slots(a, width)
+        product = packed * (packed if square else _pack_slots(b, width))
         data = product.to_bytes(max(n, len(a) + len(b)) * width, "little")
         return _reduce_slots(data, width, n, m)
     digits = len(str(cbound))
-    product = ctx.multiply(_decimal_slots(a, digits, ctx), _decimal_slots(b, digits, ctx))
+    packed = _decimal_slots(a, digits, ctx)
+    product = ctx.multiply(packed, packed if square else _decimal_slots(b, digits, ctx))
     size = n * digits
     rev = str(product)[-size:].rjust(size, "0").encode("ascii")[::-1]
     # Gather each digit position into width-byte lanes; every coefficient is

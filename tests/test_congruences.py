@@ -429,6 +429,18 @@ def test_values_is_the_slice_of_gf(kind, modulus):
     assert (table is not None) == (modulus & (modulus - 1) == 0)
 
 
+@pytest.mark.parametrize("modulus", [1, 0, -4])
+def test_values_rejects_a_modulus_below_2_before_any_bucket(modulus):
+    # Once with no bucket of the kind, and once after one is built (a power
+    # of 2, so a modulus of 1 would otherwise reach the binomial table).
+    provider = SeriesProvider()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {modulus}"):
+            provider.values("opt", 3, modulus, 10, 1, 0, 10)
+        provider.reserve("opt", 32, 10)
+    assert set(provider._buckets) == {("opt", 32)}
+
+
 def _expansions(monkeypatch):
     """Record the (kind, modulus, order) of every base the provider expands."""
     calls = []

@@ -1,6 +1,8 @@
+import inspect
 import math
 import random
 import sys
+import textwrap
 from dataclasses import replace
 
 import pytest
@@ -43,6 +45,7 @@ from overq.series import (
     _invert_recurrence,
     _pack_slots,
     _reduce_slots,
+    _slot_values,
     make_series,
     mismatches,
     one,
@@ -265,6 +268,137 @@ def test_slot_helpers_round_trip_at_every_width(host, monkeypatch):
         for m in (2, 256, 1000, 2**64 + 13):
             assert _reduce_slots(data, width, 40, m) == [v % m for v in vals], (width, m)
             assert _reduce_slots(data, width, 7, m) == [v % m for v in vals[:7]], (width, m)
+
+
+@pytest.mark.parametrize("host", ["as is", "big-endian"])
+def test_signed_slots_round_trip_at_every_width(host, monkeypatch):
+    # The exact kernel packs signed values |v| < 2^(8*width - 1) and reads
+    # its slots back offset by half the base.
+    if host == "big-endian":
+        monkeypatch.setattr(sys, "byteorder", "big")
+    rng = random.Random(12)
+    for width in range(1, 9):
+        top = 2 ** (8 * width - 1) - 1
+        mixed = [rng.choice([0, 1, -1, top, -top, rng.randint(-top, top)]) for _ in range(40)]
+        rows = (mixed, [top, -top] * 20, [abs(v) for v in mixed], [-abs(v) or -top for v in mixed])
+        half = top + 1
+        offset = sum(half << (8 * width * i) for i in range(40))
+        for vals in rows:
+            packed = _pack_slots(vals, width)
+            assert packed == sum(v << (8 * width * i) for i, v in enumerate(vals)), width
+            data = (packed + offset).to_bytes(40 * width, "little")
+            assert [v - half for v in _slot_values(data, width, 40)] == vals, width
+
+
+def _sparse_signed(rng, span, length, nonzeros=12):
+    """Mostly-zero integers in [-span, span], the extremes among them."""
+    vals = [0] * length
+    for i in rng.sample(range(length), min(nonzeros, length)):
+        vals[i] = rng.choice([span, -span, rng.randint(-span, span)])
+    return vals
+
+
+# At n = 33 a square of coefficients up to 2^25 needs 8-byte slots, and up to
+# 2^29 9-byte slots, which ``_pack_slots`` hands to ``_pack``.
+_EXACT_SPANS = (1, 9, 10**6, 2**25, 2**29)
+
+
+def _check_exact_squares():
+    """Exact squares (``a is b``) with negative coefficients against the
+    schoolbook, at every kernel order."""
+    rng = random.Random(5)
+    for n in _KERNEL_ORDERS:
+        for span in _EXACT_SPANS:
+            operands = (
+                _sparse_signed(rng, span, n),
+                _sparse_signed(rng, span, n // 3 + 1),  # product shorter than n
+                _sparse_signed(rng, span, n + 5),
+                [rng.randint(-span, span) for _ in range(min(n, 40))],
+            )
+            for a in map(tuple, operands):
+                expected = _convolve_schoolbook(a, a, n)
+                assert _convolve_packed(a, a, n) == expected, (n, span, len(a))
+
+
+@pytest.mark.parametrize("host", ["as is", "big-endian"])
+def test_exact_kernel_squares_match_schoolbook(host, monkeypatch):
+    if host == "big-endian":
+        monkeypatch.setattr(sys, "byteorder", "big")
+    pack, widths = series_module._pack_slots, set()
+
+    def recorded(vals, width):
+        widths.add(width)
+        return pack(vals, width)
+
+    monkeypatch.setattr(series_module, "_pack_slots", recorded)
+    _check_exact_squares()
+    assert set(range(1, 10)) <= widths
+
+
+@pytest.mark.parametrize("m", _KERNEL_MODULI)
+def test_modular_kernel_squares_match_schoolbook(m, decimal_available, monkeypatch):
+    for byteorder in (sys.byteorder, "big"):
+        monkeypatch.setattr(sys, "byteorder", byteorder)
+        rng = random.Random(m)
+        for n in _KERNEL_ORDERS:
+            operands = (
+                _sparse(rng, m, n),
+                _sparse(rng, m, n // 3 + 1),
+                _sparse(rng, m, n + 5),
+                [rng.randrange(m) for _ in range(min(n, 40))],
+                [m - 1] * min(n, 40),
+            )
+            for a in map(tuple, operands):
+                expected = [c % m for c in _convolve_schoolbook(a, a, n)]
+                assert _convolve_mod(a, a, n, m) == expected, (byteorder, n, len(a))
+
+
+# The borrow line of ``_pack_slots`` and two wrong versions of it.
+_BORROW = 'packed -= int.from_bytes(borrow, "little")'
+
+
+@pytest.mark.parametrize(
+    "mutant", ["pass", _BORROW + " >> (8 * width)"], ids=["no borrow", "borrow one slot low"]
+)
+def test_a_wrong_borrow_fails_the_exact_square_check(mutant, monkeypatch):
+    source = textwrap.dedent(inspect.getsource(series_module._pack_slots))
+    assert source.count(_BORROW) == 1
+    namespace = dict(vars(series_module))
+    exec(source.replace(_BORROW, mutant), namespace)
+    monkeypatch.setattr(series_module, "_pack_slots", namespace["_pack_slots"])
+    # A wrong product, or one too big for its slots
+    with pytest.raises((AssertionError, OverflowError)):
+        _check_exact_squares()
+
+
+@pytest.mark.parametrize(
+    "ring, order, packer",
+    [
+        (Zmod(97), 60, "_pack_slots"),
+        (EXACT, 60, "_pack_slots"),
+        (Zmod(32), _DECIMAL_CUTOFF, "_decimal_slots"),
+    ],
+    ids=["mod", "exact", "decimal"],
+)
+def test_a_square_packs_its_operand_once(ring, order, packer, monkeypatch):
+    if packer == "_decimal_slots" and series_module._decimal_context() is None:
+        pytest.skip("the C decimal module is not available")
+    rng = random.Random(order)
+    x, y = (random_unit_series(rng, ring, order) for _ in range(2))
+    pack, calls = getattr(series_module, packer), []
+
+    def counted(*args):
+        calls.append(None)
+        return pack(*args)
+
+    monkeypatch.setattr(series_module, packer, counted)
+    square = x * x
+    assert len(calls) == 1
+    product = x * y
+    assert len(calls) == 3
+    for got, a, b in ((square, x, x), (product, x, y)):
+        expected = _convolve_schoolbook(a.coeffs, b.coeffs, order)
+        assert got.coeffs == tuple(map(ring.canon, expected))
 
 
 def test_newton_inverse_above_decimal_cutoff(decimal_available):

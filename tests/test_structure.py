@@ -34,7 +34,8 @@
 * A step's point is checked in one place, ``verify_dissection_step``:
   ``cli.cmd_replay`` calls no ``step_registry`` and reads no ``param_names``.
 * The slot byte layout is decided in the slot helpers only:
-  ``series._convolve_mod`` reads no ``sys.byteorder``.
+  ``series._convolve_mod`` and ``series._convolve_packed`` read no
+  ``sys.byteorder``.
 * A congruence family's formulas are one compiled point expression:
   ``congruences.py`` calls ``compile`` once, in ``_point_code``, and
   ``eval`` once, in ``CongruenceFamily.point``, so no per-formula
@@ -312,10 +313,14 @@ def test_replay_leaves_the_step_point_check_to_the_library():
 
 
 def test_only_the_slot_helpers_read_the_byte_order():
-    kernel = next(f for f in _functions(SOURCE / "series.py") if f.name == "_convolve_mod")
-    assert not any(
-        isinstance(n, ast.Attribute) and n.attr == "byteorder" for n in ast.walk(kernel)
-    )
+    kernels = [
+        f for f in _functions(SOURCE / "series.py") if f.name in ("_convolve_mod", "_convolve_packed")
+    ]
+    assert len(kernels) == 2
+    for kernel in kernels:
+        assert not any(
+            isinstance(n, ast.Attribute) and n.attr == "byteorder" for n in ast.walk(kernel)
+        ), kernel.name
 
 
 def _builtin_calls(path, builtin):
