@@ -18,7 +18,9 @@ else evaluates with the empty unit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
 from .series import Ring, Series, spread
@@ -63,6 +65,10 @@ class Recipe:
     def __rmul__(self, scalar: int) -> "Recipe":
         return ScaleRecipe(scalar, self)
 
+    def summands(self) -> Iterator["Recipe"]:
+        """The recipes this one is the sum of: itself, unless it is a sum."""
+        yield self
+
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         """The eta quotient of each eta and theta-component leaf, with its
         scales multiplied through every substitution above it.
@@ -79,6 +85,12 @@ class Recipe:
         f_k^e of an eta leaf evaluated to order N, and N for another leaf."""
         return order
 
+    def takes(self, scale: int) -> bool:
+        """Whether ``evaluate`` merges a unit factor f_scale^e into every
+        leaf of this recipe, so that it costs no product.  Opaque leaves
+        take none."""
+        return False
+
 
 @dataclass(frozen=True)
 class EtaRecipe(Recipe):
@@ -91,6 +103,9 @@ class EtaRecipe(Recipe):
         ladders = (((order - 1) // k + 1) * abs(e).bit_length() for k, e in self.quotient.factors)
         return max(ladders, default=order)
 
+    def takes(self, scale: int) -> bool:
+        return True
+
     def __str__(self) -> str:
         return str(self.quotient)
 
@@ -101,6 +116,9 @@ class ThetaRecipe(Recipe):
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         yield component_quotient(self.name)
+
+    def takes(self, scale: int) -> bool:
+        return self.name != "A"
 
     def __str__(self) -> str:
         return self.name if self.name == "A" else f"{self.name}(q)"
@@ -123,6 +141,14 @@ class SumRecipe(Recipe):
     def work(self, order: int) -> int:
         return max(term.work(order) for term in self.terms)
 
+    def takes(self, scale: int) -> bool:
+        return all(term.takes(scale) for term in self.terms)
+
+    def summands(self) -> Iterator[Recipe]:
+        """The terms, with those of every sum among them in its place."""
+        for term in self.terms:
+            yield from term.summands()
+
     def __str__(self) -> str:
         return " + ".join(f"({t})" for t in self.terms)
 
@@ -138,6 +164,9 @@ class ScaleRecipe(Recipe):
     def work(self, order: int) -> int:
         return self.inner.work(order)
 
+    def takes(self, scale: int) -> bool:
+        return self.inner.takes(scale)
+
     def __str__(self) -> str:
         return f"{self.scalar}*({self.inner})"
 
@@ -152,6 +181,9 @@ class ShiftRecipe(Recipe):
 
     def work(self, order: int) -> int:
         return self.inner.work(order)
+
+    def takes(self, scale: int) -> bool:
+        return self.inner.takes(scale)
 
     def __str__(self) -> str:
         return f"q^{self.offset}*({self.inner})"
@@ -169,6 +201,9 @@ class SubstRecipe(Recipe):
 
     def work(self, order: int) -> int:
         return self.inner.work((order - 1) // max(self.step, 1) + 1)
+
+    def takes(self, scale: int) -> bool:
+        return self.step >= 1 and scale % self.step == 0 and self.inner.takes(scale // self.step)
 
     def __str__(self) -> str:
         return f"({self.inner})[q->q^{self.step}]"
@@ -224,7 +259,12 @@ def evaluate(recipe: Recipe, ring: Ring, order: int, unit: EtaQuotient = EtaQuot
     in the unit's factors whose scale ``step`` divides, scales divided by
     ``step``, and multiplies by the rest after spreading.  An opaque leaf
     (the Jacobi series, ``A``, a dissection) is multiplied by the unit's
-    expansion.  The empty unit (the default) multiplies nothing.
+    expansion.  A sum passes each summand the factors it takes in at every
+    leaf (``Recipe.takes``), and the summands that leave the same factors
+    untaken are added first and multiplied by those once: for ``D4``'s
+    a(q^3) + 3q b(q^3) + 9q^2 c(q^3) times f1^3 f3^12, one product by f1^3
+    after the sum, not one per term.  The empty unit (the default)
+    multiplies nothing.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -235,10 +275,14 @@ def evaluate(recipe: Recipe, ring: Ring, order: int, unit: EtaQuotient = EtaQuot
     if isinstance(recipe, JacobiRecipe):
         return _times(jacobi_triangular(ring, order), unit)
     if isinstance(recipe, SumRecipe):
-        total = evaluate(recipe.terms[0], ring, order, unit)
-        for term in recipe.terms[1:]:
-            total = total + evaluate(term, ring, order, unit)
-        return total
+        # summands that leave the same unit factors untaken share one product by them
+        parts: dict[EtaQuotient, Series] = {}
+        for term in recipe.summands():
+            inside = EtaQuotient(tuple(f for f in unit.factors if term.takes(f[0])))
+            outside = EtaQuotient(tuple(f for f in unit.factors if not term.takes(f[0])))
+            value = evaluate(term, ring, order, inside)
+            parts[outside] = parts[outside] + value if outside in parts else value
+        return reduce(operator.add, (_times(part, outside) for outside, part in parts.items()))
     if isinstance(recipe, ScaleRecipe):
         return evaluate(recipe.inner, ring, order, unit).scale(recipe.scalar)
     if isinstance(recipe, ShiftRecipe):

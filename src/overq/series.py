@@ -23,7 +23,9 @@ which takes the squaring paths of CPython's integer product and libmpdec.
   slots; or, for m <= 256 from order ``_DECIMAL_CUTOFF`` on, zero-padded
   decimal digit fields multiplied by libmpdec (the C ``decimal`` module),
   whose number-theoretic transform beats CPython's Karatsuba on long
-  operands.
+  operands.  :func:`_slot_residues` reduces the product's slots in C for
+  a power of 2 up to 2^16 (one or two low bytes each, by ``translate``),
+  and one by one for any other modulus.
 
 The double loop :func:`_convolve_schoolbook` is the reference only: every
 path is bit-identical to it, reduced mod m, and the randomized kernel tests
@@ -31,7 +33,7 @@ enforce this on every test ring, on both sides of each cutoff.
 
 :meth:`Series.invert` doubles the order by Newton steps in q.  Over Z/2
 and Z/4 a series a0 + 2X, such as the theta series phi(-q) that the family
-bases are built from, is inverted in closed form with no convolution.  Both
+bases are built from, is its own inverse, so it costs no convolution.  Both
 are bit-identical to the recurrence :func:`_invert_recurrence`.
 
 Every check in overq that compares two coefficient sequences (identity sides,
@@ -202,11 +204,30 @@ def _slot_values(data: bytes, width: int, n: int) -> Sequence[int]:
     return array("Q", lanes)
 
 
+def _slot_residues(data: bytes, width: int, n: int, m: int) -> Sequence[int]:
+    """Residues mod m of the first n little-endian ``width``-byte slots of
+    ``data``, kept compact where C can reduce them.
+
+    When m divides 256 a slot's low byte fixes its residue: the result is
+    those bytes, translated.  When m is a larger power of 2 up to 2^16 the
+    low two bytes do, the upper one masked by a translate: on a
+    little-endian host the result is an ``array("H")`` of them.  Any other
+    modulus reduces each slot's value, into a list.
+    """
+    if 256 % m == 0:
+        return data[0 : n * width : width].translate(_residue_table(m))
+    if m & (m - 1) == 0 and m <= 1 << 16 and sys.byteorder == "little":
+        lanes = bytearray(2 * n)
+        lanes[0::2] = data[0 : n * width : width]
+        if width > 1:
+            lanes[1::2] = data[1 : n * width : width].translate(_residue_table(m >> 8))
+        return array("H", lanes)
+    return list(map(m.__rmod__, _slot_values(data, width, n)))
+
+
 def _reduce_slots(data: bytes, width: int, n: int, m: int) -> list[int]:
     """Residues mod m of the first n little-endian ``width``-byte slots of ``data``."""
-    if 256 % m == 0:
-        return list(data[0 : n * width : width].translate(_residue_table(m)))
-    return list(map(m.__rmod__, _slot_values(data, width, n)))
+    return list(_slot_residues(data, width, n, m))
 
 
 def _convolve_packed(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -395,16 +416,17 @@ class Series:
         inverse to order h, then a*b = 1 + e*q^h and b' = b - b*e*q^h is the
         inverse to order 2h.  So each step keeps b and appends the low
         coefficients of -b*e.  Over Z/2 and Z/4 a series a0 + 2X, every
-        coefficient past the constant even, has the closed form a0^-1 - 2X
-        instead: a0^-1 == a0 mod 2 and (2X)^2 == 0 mod 4.
+        coefficient past the constant even, is its own inverse instead:
+        (a0 + 2X)^2 = a0^2 + 4 a0 X + 4 X^2 == 1 mod 4.  Its parity test
+        reads each distinct coefficient once, from a set built in C.
         """
         ring = self.ring
         m = ring.modulus
         inv0 = ring.unit_inverse(self._coeffs[0])
         n = self.order
         a = self._coeffs
-        if m in (2, 4) and not any(c & 1 for c in a[1:]):
-            return Series._from_canonical(ring, [inv0] + [-c % m for c in a[1:]])
+        if m in (2, 4) and not any(c & 1 for c in set(a[1:])):
+            return self
         b = [ring.canon(inv0)]
         k = 1
         while k < n:

@@ -16,6 +16,7 @@ RING_POOL = (
     Zmod(16),
     Zmod(32),
     Zmod(97),
+    Zmod(1024),
     Zmod(2592),
 )
 

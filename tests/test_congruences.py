@@ -1,7 +1,9 @@
+import inspect
 import itertools
 import math
 import random
 import sys
+import textwrap
 import threading
 
 import pytest
@@ -35,7 +37,7 @@ from overq.eta import (
 from overq.expr import evaluate, gf_series
 from overq.identities import IdentityCase, verify_identity
 from overq.oracle import count_overpartition_tuples
-from overq.series import EXACT, Series, Zmod
+from overq.series import EXACT, Series, Zmod, one
 
 EXPECTED_FAMILY_KEYS = [
     "opt-3n+1-mod-3^i2",
@@ -441,6 +443,66 @@ def test_values_rejects_a_modulus_below_2_before_any_bucket(modulus):
     assert set(provider._buckets) == {("opt", 32)}
 
 
+def _check_class_memo(kind, modulus):
+    """Every t = 0..4m mod m, read off the binomial table of a bucket mod
+    1024, against base^t stepped to by one multiply each; the slice's memo."""
+    order = 48
+    provider = SeriesProvider()
+    provider.reserve(kind, 1024, order)
+    base = family_gf(kind, 1, Zmod(modulus), order)
+    power = one(Zmod(modulus), order)
+    for t in range(4 * modulus + 1):
+        got = provider.values(kind, t, modulus, order, 2, 1, 24)
+        assert got == list(power.coeffs[1::2]), (kind, modulus, t)
+        got[0] += 1  # a copy: the memo keeps its own
+        power = power * base
+    (entry,) = provider._buckets[kind, 1024]["slices"].values()
+    return entry[3]
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+@pytest.mark.parametrize("modulus", [2**k for k in range(1, 11)])
+def test_class_memo_matches_stepped_powers(kind, modulus):
+    # t = 0..4m runs through every class of t mod m/2 eight times or more
+    assert len(_check_class_memo(kind, modulus)) == modulus // 2
+
+
+@pytest.mark.parametrize("kind", ["overpartition", "opt"])
+@pytest.mark.parametrize("modulus", [2**k for k in range(1, 11)])
+def test_base_has_period_half_the_modulus(kind, modulus):
+    # So t mod m/2 is the coarsest class of t to key the memo by; t mod m,
+    # or the weight vector (C(t, j) mod m)_j, is right too but keeps more.
+    base = family_gf(kind, 1, Zmod(modulus), 200)
+    assert base ** (modulus // 2) == one(Zmod(modulus), 200)
+    if modulus >= 4:
+        assert base ** (modulus // 4) != one(Zmod(modulus), 200)
+
+
+@pytest.mark.parametrize("modulus", [8, 1024])
+def test_a_memo_keyed_by_too_coarse_a_class_fails(modulus, monkeypatch):
+    source = textwrap.dedent(inspect.getsource(SeriesProvider._binomial))
+    assert source.count("param % (modulus >> 1)") == 1
+    namespace = dict(vars(congruences))
+    exec(source.replace("param % (modulus >> 1)", "param % (modulus >> 2)"), namespace)
+    monkeypatch.setattr(SeriesProvider, "_binomial", namespace["_binomial"])
+    with pytest.raises(AssertionError):
+        _check_class_memo("opt", modulus)
+
+
+def test_a_smaller_multiple_serves_once_it_is_built():
+    # _bucket remembers which bucket serves a request; building one forgets
+    # that, so the smallest-multiple rule still holds.
+    provider = SeriesProvider()
+    provider.reserve("opt", 1024, 40)
+    assert provider._bucket("opt", 4, 40) is provider._buckets["opt", 1024]
+    provider.reserve("opt", 8, 100)  # the bucket mod 1024 is too short to serve it
+    assert provider._bucket("opt", 4, 40) is provider._buckets["opt", 8]
+    assert provider._bucket("opt", 8, 100) is provider._buckets["opt", 8]
+    assert provider._bucket("opt", 1024, 40) is provider._buckets["opt", 1024]
+    want = _reference_gf("opt", 5, 4, 40)
+    assert provider.values("opt", 5, 4, 40, 1, 0, 40) == list(want.coeffs)
+
+
 def _expansions(monkeypatch):
     """Record the (kind, modulus, order) of every base the provider expands."""
     calls = []
@@ -572,6 +634,31 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
             assert set(bucket["powers"]) == {0, 1}, (kind, modulus)
         if bucket["table"] is not None:  # N_j for j < v2(M)
             assert len(bucket["table"]) == (modulus & -modulus).bit_length() - 1, (kind, modulus)
+
+
+def test_scan_sums_once_per_class(monkeypatch):
+    # The default grid of every family (the bench `scan` job) asks for 1,689
+    # power-of-2 slices.  They fall in 372 weight vectors (C(t, j) mod 2^k)_j
+    # and in 148 classes of t mod 2^(k-1): only those make a sum and reduce it.
+    requests, sums = [], []
+    binomial, residues = SeriesProvider._binomial, congruences._slot_residues
+
+    def counted(self, bucket, param, modulus, where):
+        requests.append(modulus)
+        return binomial(self, bucket, param, modulus, where)
+
+    def summed(data, width, n, m):
+        sums.append(m)
+        return residues(data, width, n, m)
+
+    monkeypatch.setattr(SeriesProvider, "_binomial", counted)
+    monkeypatch.setattr(congruences, "_slot_residues", summed)
+    provider = SeriesProvider()
+    run_families(builtin_families(), RunConfig(), provider=provider)
+    assert len(requests) == 1689
+    assert len(sums) == 148
+    slices = [entry for bucket in provider._buckets.values() for entry in bucket["slices"].values()]
+    assert sum(len(entry[3]) for entry in slices) == len(sums)
 
 
 def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch):

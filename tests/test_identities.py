@@ -309,6 +309,45 @@ def test_exact_checks_run_no_power_recurrence(monkeypatch):
     assert EXACT not in inverted
 
 
+def test_a_cleared_sum_multiplies_by_its_untaken_factors_once(monkeypatch):
+    # D4's rhs a(q^3) + 3q b(q^3) + 9q^2 c(q^3) takes the f3^12 of its unit
+    # f1^3 f3^12 into every leaf, and f1^3 into none, so the three summands
+    # are added first and multiplied by f1^3 once.  With cold memos the check
+    # at order 2000 makes 3 full-order products: 2 expand f1^3 and 1
+    # multiplies the sum (5 when each summand was multiplied by f1^3).
+    for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+        memo.cache_clear()
+    orders = []
+    product = Series.__mul__
+
+    def counted(a, b):
+        orders.append(min(a.order, b.order))
+        return product(a, b)
+
+    monkeypatch.setattr(Series, "__mul__", counted)
+    assert verify_identity(identity_registry()["D4"], 2000).ok
+    assert orders.count(2000) == 3
+
+
+def test_summands_keep_the_unit_factors_they_take(monkeypatch):
+    # The eta leaf takes the whole unit, the Jacobi series none of it and
+    # a(q^3) its f3^10: each is evaluated with what it takes, and the sum is
+    # the plain one times the unit.
+    unit = EtaQuotient(((1, 3), (3, 10)))  # clears f1^-3 and a(q^3) = A(q^3)^2 f9^3 / f3^10
+    recipe = eta_series("f1^-3") + jacobi_series() + 2 * qshift(theta_series("a", 3), 1)
+    inverted = []
+    invert = Series.invert
+    monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
+    for ring, order in ((EXACT, 60), (Zmod(9), 40)):
+        want = evaluate(recipe, ring, order) * evaluate(eta_series(str(unit)), ring, order)
+        assert ring in inverted  # the plain sum expands f1^-3
+        for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+            memo.cache_clear()
+        inverted.clear()
+        assert evaluate(recipe, ring, order, unit) == want, ring
+        assert inverted == [], ring
+
+
 def test_congruence_checks_keep_the_empty_unit(monkeypatch):
     units = []
     real = identities.evaluate

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import textwrap
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -45,6 +46,7 @@ from overq.series import (
     _invert_recurrence,
     _pack_slots,
     _reduce_slots,
+    _slot_residues,
     _slot_values,
     make_series,
     mismatches,
@@ -265,9 +267,13 @@ def test_slot_helpers_round_trip_at_every_width(host, monkeypatch):
         packed = _pack_slots(vals, width)
         assert packed == sum(v << (8 * width * i) for i, v in enumerate(vals)), width
         data = packed.to_bytes(len(vals) * width, "little")
-        for m in (2, 256, 1000, 2**64 + 13):
+        for m in (2, 256, 512, 1000, 1024, 2**16, 2**64 + 13):
             assert _reduce_slots(data, width, 40, m) == [v % m for v in vals], (width, m)
             assert _reduce_slots(data, width, 7, m) == [v % m for v in vals[:7]], (width, m)
+        # from 512 to 2^16 the low two bytes, read as an array("H") where the host allows
+        for m in (512, 1024, 2**16):
+            residues = _slot_residues(data, width, 40, m)
+            assert isinstance(residues, array) == (sys.byteorder == "little"), (width, m)
 
 
 @pytest.mark.parametrize("host", ["as is", "big-endian"])
