@@ -22,7 +22,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import fields
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -115,13 +114,13 @@ def _boolean(text: str) -> bool:
 # order: each family works at the order its progression needs to reach --n-max.
 _OPTIONS = {
     "order": (_positive_int, 500, ("identities", "replay")),
-    "n_max": (_nonneg_int, RunConfig.n_max, ("verify",)),
-    "t_max": (_nonneg_int, RunConfig.t_max, ("verify",)),
-    "i_max": (_positive_int, RunConfig.i_max, ("verify",)),
-    "j_max": (_positive_int, RunConfig.j_max, ("verify",)),
-    "alpha_max": (_nonneg_int, RunConfig.alpha_max, ("verify",)),
+    "n_max": (_nonneg_int, RunConfig._field_defaults["n_max"], ("verify",)),
+    "t_max": (_nonneg_int, RunConfig._field_defaults["t_max"], ("verify",)),
+    "i_max": (_positive_int, RunConfig._field_defaults["i_max"], ("verify",)),
+    "j_max": (_positive_int, RunConfig._field_defaults["j_max"], ("verify",)),
+    "alpha_max": (_nonneg_int, RunConfig._field_defaults["alpha_max"], ("verify",)),
     "include_conjectures": (_boolean, False, ("verify",)),
-    "primes_only": (_boolean, RunConfig.primes_only, ("verify",)),
+    "primes_only": (_boolean, RunConfig._field_defaults["primes_only"], ("verify",)),
     "upto": (_nonneg_int, 60, ("oracle",)),
     "format": (_format, "table", COMMANDS),
 }
@@ -310,7 +309,7 @@ def cmd_verify(args: argparse.Namespace, settings: dict[str, object]) -> _Views:
         if getattr(args, dest) is not None and dest not in read:
             raise UsageError(f"--{dest.replace('_', '-')} {does}, and none is selected")
     families.sort(key=lambda f: f.key)
-    config = RunConfig(**{f.name: settings[f.name] for f in fields(RunConfig)})
+    config = RunConfig(**{name: settings[name] for name in RunConfig._fields})
     reports = run_families(families, config)
 
     results = []

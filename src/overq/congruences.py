@@ -19,8 +19,7 @@ import ast
 import math
 import re
 import threading
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import accumulate, count, product, takewhile
 from types import CodeType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -34,7 +33,7 @@ from .expr import (
     gf_series,
     qshift,
 )
-from .identities import IdentityCase, IdentityReport, _Params, verify_identity
+from .identities import IdentityCase, IdentityReport, _mode, _params_text, verify_identity
 
 __all__ = [
     "RunConfig",
@@ -96,8 +95,7 @@ class BudgetError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The settings of a batch verification run: the last n it checks on each
     progression A n + B, the caps of the grid axes (``GRID_CAPS``), and
     whether the prime-scan families take prime tuple sizes t only.  Each
@@ -117,8 +115,7 @@ GRID_CAPS = {"t": "t_max", "a": "alpha_max", "i": "i_max", "j": "j_max"}
 ODD_MULTIPLIER_CAP = 15
 
 
-@dataclass(frozen=True)
-class Witness(_Params):
+class Witness(NamedTuple):
     """A violated coefficient: value != expected (mod modulus)."""
 
     params: tuple[tuple[str, int], ...]
@@ -127,9 +124,11 @@ class Witness(_Params):
     modulus: int
     expected: int
 
+    params_text = _params_text
+    mode = property(_mode)
 
-@dataclass(frozen=True)
-class FamilyReport:
+
+class FamilyReport(NamedTuple):
     key: str
     family_status: str  # theorem | conjecture
     params_tried: int
@@ -251,36 +250,57 @@ def _point_code(
     return compile(ast.fix_missing_locations(ast.Expression(tree)), progression, "eval")
 
 
-@dataclass(frozen=True, eq=False)
 class CongruenceFamily:
     """A parameterized claim: coefficient at A*n+B of the family GF is
     congruent to an expected residue mod m, for all parameters in a domain.
 
     The tuple size, progression, modulus and domain are stated once, as the
     texts the report prints, and compiled together into one point
-    expression, which ``point`` evaluates."""
+    expression, which ``point`` evaluates.  The texts are compiled when the
+    family is made, so a malformed text fails the registry build.  A family
+    is immutable, and equal only to itself."""
 
-    key: str
-    kind: str  # "overpartition" | "opt"
-    status: str  # "theorem" | "conjecture"
-    statement: str
-    params: tuple[str, ...]  # parameter names
-    size_text: str  # tuple size, the parameter of the family GF
-    progression_text: str
-    modulus_text: str
-    domain_text: str
-    expected: Callable[[Mapping[str, int], int], list[int]] | None = None  # (params, n_max)
-    tags: tuple[str, ...] = ()
+    __slots__ = (
+        "key",
+        "kind",  # "overpartition" | "opt"
+        "status",  # "theorem" | "conjecture"
+        "statement",
+        "params",  # parameter names
+        "size_text",  # tuple size, the parameter of the family GF
+        "progression_text",
+        "modulus_text",
+        "domain_text",
+        "expected",  # (params, n_max) -> residues, or None for zeros
+        "tags",
+        "_code",
+    )
 
-    def __post_init__(self) -> None:
-        self._code  # compile now, so a malformed text fails the registry build
+    def __init__(
+        self,
+        key: str,
+        kind: str,
+        status: str,
+        statement: str,
+        params: tuple[str, ...],
+        size_text: str,
+        progression_text: str,
+        modulus_text: str,
+        domain_text: str,
+        expected: Callable[[Mapping[str, int], int], list[int]] | None = None,
+        tags: tuple[str, ...] = (),
+    ) -> None:
+        code = _point_code(size_text, progression_text, modulus_text, domain_text, params)
+        for name, value in zip(self.__slots__, (
+            key, kind, status, statement, params, size_text, progression_text, modulus_text,
+            domain_text, expected, tags, code,
+        )):
+            object.__setattr__(self, name, value)
 
-    @cached_property
-    def _code(self) -> CodeType:
-        return _point_code(
-            self.size_text, self.progression_text, self.modulus_text, self.domain_text,
-            self.params,
-        )
+    def __setattr__(self, name, value):
+        raise AttributeError("CongruenceFamily values are immutable")
+
+    def __repr__(self) -> str:
+        return f"CongruenceFamily(key={self.key!r})"
 
     def point(self, p: Mapping[str, int]) -> _Point | None:
         """The formulas at p, or None outside the domain."""
@@ -427,10 +447,13 @@ class SeriesProvider:
 
     @staticmethod
     def _table(bucket: dict) -> list[Series]:
-        """N_j = (base - 1)^j over the bucket's ring, j < v2(M), by v2(M) - 2 multiplies."""
+        """N_j = (base - 1)^j over the bucket's ring, j < v2(M), by v2(M) - 2 multiplies.
+
+        The base of an even modulus has constant term 1 (``_bucket`` checks
+        it), so base - 1 is the base with its constant term zeroed."""
         if bucket["table"] is None:
             unit, base = bucket["powers"][0], bucket["powers"][1]
-            x = base - unit
+            x = Series._from_canonical(base.ring, (0,) + base.coeffs[1:])
             modulus = base.ring.modulus
             size = (modulus & -modulus).bit_length() - 1
             table = [unit, x][:size]
@@ -654,14 +677,20 @@ def default_grid(family: CongruenceFamily, config: RunConfig) -> list[dict[str, 
     With ``primes_only`` a prime-scan family keeps prime t only.
     ``check_family`` treats an out-of-domain point as a caller error.
     """
+    return [params for params, _ in _grid_points(family, config)]
+
+
+def _grid_points(family: CongruenceFamily, config: RunConfig) -> list[tuple[dict, _Point]]:
+    """``default_grid``'s points, each with its formulas from ``family.point``."""
     axes = []
     for name in family.params:
         values = _axis(family, name, config)
         if name == "t" and config.primes_only and "prime-scan" in family.tags:
             values = filter(_is_prime, values)
         axes.append(values)
-    points = (dict(zip(family.params, point)) for point in product(*axes))
-    return [point for point in points if family.point(point) is not None]
+    candidates = (dict(zip(family.params, values)) for values in product(*axes))
+    pairs = ((params, family.point(params)) for params in candidates)
+    return [(params, point) for params, point in pairs if point is not None]
 
 
 def _axis(family: CongruenceFamily, name: str, config: RunConfig) -> range:
@@ -760,12 +789,13 @@ def run_families(
 
     A run whose grids would try more than ``MAX_GRID_POINTS`` points is
     refused with ``BudgetError`` before any grid is built.  Every order the
-    grids need is planned next, and a run whose order would exceed
-    ``MAX_WORKING_ORDER`` is refused before any series is built.  Buckets
-    are pre-sized to the largest order any selected family needs, so
-    interleaved families reuse built buckets instead of rebuilding.  They are reserved in descending modulus, so a modulus that
-    divides one built before it, at an order at least its own, expands
-    nothing and is served from that bucket, reduced.
+    grids need is planned next, from the formulas the grids evaluated, and a
+    run whose order would exceed ``MAX_WORKING_ORDER`` is refused before any
+    series is built.  Buckets are pre-sized to the largest order any
+    selected family needs, so interleaved families reuse built buckets
+    instead of rebuilding.  They are reserved in descending modulus, so a
+    modulus that divides one built before it, at an order at least its own,
+    expands nothing and is served from that bucket, reduced.
     """
     points = sum(
         math.prod(len(_axis(family, name, config)) for name in family.params)
@@ -774,11 +804,10 @@ def run_families(
     if points > MAX_GRID_POINTS:
         raise BudgetError(f"grid of {points} points exceeds budget {MAX_GRID_POINTS}")
     provider = provider or SeriesProvider()
-    grids = [default_grid(family, config) for family in families]
+    grids = [_grid_points(family, config) for family in families]
     needed: dict[tuple[str, int], int] = {}
     for family, grid in zip(families, grids):
-        for params in grid:
-            point = family.point(params)
+        for _, point in grid:
             order = point.order(config.n_max)
             if order > MAX_WORKING_ORDER:
                 raise BudgetError(
@@ -791,7 +820,7 @@ def run_families(
     for (kind, modulus), order in sorted(needed.items(), reverse=True):
         provider.reserve(kind, modulus, order)
     return [
-        check_family(family, grid, config.n_max, provider=provider)
+        check_family(family, [params for params, _ in grid], config.n_max, provider=provider)
         for family, grid in zip(families, grids)
     ]
 
@@ -845,8 +874,7 @@ def _strength(width: int) -> int:
     return width // 2 - 1
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     width: int
     rows_checked: int
     entries_checked: int
@@ -882,16 +910,32 @@ def replay_binomial_tables(width: int) -> TableReport:
 # --- dissection-step replays -------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class DissectionStep:
-    """A congruence-level series rewrite: LHS == RHS (mod modulus) as series."""
+    """A congruence-level series rewrite: LHS == RHS (mod modulus) as series.
 
-    key: str
-    modulus: Callable[[Mapping[str, int]], int]
-    lhs: Callable[[Mapping[str, int]], Recipe]
-    rhs: Callable[[Mapping[str, int]], Recipe]
-    domain: Callable[[Mapping[str, int]], bool]
-    default_params: tuple[tuple[tuple[str, int], ...], ...]
+    Each part but the key is a function of the parameter point, and
+    ``default_params`` lists the points ``replay`` checks.  A step is
+    immutable, and equal only to itself."""
+
+    __slots__ = ("key", "modulus", "lhs", "rhs", "domain", "default_params")
+
+    def __init__(
+        self,
+        key: str,
+        modulus: Callable[[Mapping[str, int]], int],
+        lhs: Callable[[Mapping[str, int]], Recipe],
+        rhs: Callable[[Mapping[str, int]], Recipe],
+        domain: Callable[[Mapping[str, int]], bool],
+        default_params: tuple[tuple[tuple[str, int], ...], ...],
+    ) -> None:
+        for name, value in zip(self.__slots__, (key, modulus, lhs, rhs, domain, default_params)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DissectionStep values are immutable")
+
+    def __repr__(self) -> str:
+        return f"DissectionStep(key={self.key!r})"
 
     @property
     def param_names(self) -> tuple[str, ...]:

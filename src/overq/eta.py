@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterator, Sequence
@@ -58,26 +57,39 @@ __all__ = [
 _FACTOR_RE = re.compile(r"^f(\d+)(?:\^(-?\d+))?$")
 
 
-@dataclass(frozen=True)
 class EtaQuotient:
     """A formal product of Euler-product factors f_scale^exponent.
 
     Duplicate scales are merged by summing exponents and zero exponents are
     dropped, so equal quotients compare equal.  The textual form is
     ``"f1^-2 * f2^3"`` with factors in increasing scale order; the bare
-    constant quotient prints as ``"1"``.
+    constant quotient prints as ``"1"``.  Immutable and hashable.
     """
 
-    factors: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple[tuple[int, int], ...] = ()) -> None:
         merged: dict[int, int] = {}
-        for scale, exponent in self.factors:
+        for scale, exponent in factors:
             if scale < 1:
                 raise ValueError(f"eta factor scale must be >= 1, got {scale}")
             merged[scale] = merged.get(scale, 0) + exponent
         canon = tuple(sorted((s, e) for s, e in merged.items() if e != 0))
         object.__setattr__(self, "factors", canon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EtaQuotient values are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EtaQuotient:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    def __repr__(self) -> str:
+        return f"EtaQuotient(factors={self.factors!r})"
 
     @classmethod
     def parse(cls, text: str) -> "EtaQuotient":

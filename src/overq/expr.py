@@ -19,7 +19,6 @@ else evaluates with the empty unit.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
 
@@ -54,8 +53,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Recipe:
+    """A node of a recipe tree: immutable, with its fields in ``__slots__``.
+
+    Two nodes are equal when they are of one class and their fields are
+    equal, and hash alike; ``repr`` names the class and its fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} values are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
     def __add__(self, other: "Recipe") -> "Recipe":
         return SumRecipe((self, other))
 
@@ -92,9 +116,11 @@ class Recipe:
         return False
 
 
-@dataclass(frozen=True)
 class EtaRecipe(Recipe):
-    quotient: EtaQuotient
+    __slots__ = ("quotient",)
+
+    def __init__(self, quotient: EtaQuotient) -> None:
+        object.__setattr__(self, "quotient", quotient)
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         yield self.quotient
@@ -110,9 +136,11 @@ class EtaRecipe(Recipe):
         return str(self.quotient)
 
 
-@dataclass(frozen=True)
 class ThetaRecipe(Recipe):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         yield component_quotient(self.name)
@@ -124,15 +152,18 @@ class ThetaRecipe(Recipe):
         return self.name if self.name == "A" else f"{self.name}(q)"
 
 
-@dataclass(frozen=True)
 class JacobiRecipe(Recipe):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "sum (-1)^k (2k+1) q^(k(k+1)/2)"
 
 
-@dataclass(frozen=True)
 class SumRecipe(Recipe):
-    terms: tuple[Recipe, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Recipe, ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         for term in self.terms:
@@ -153,10 +184,12 @@ class SumRecipe(Recipe):
         return " + ".join(f"({t})" for t in self.terms)
 
 
-@dataclass(frozen=True)
 class ScaleRecipe(Recipe):
-    scalar: int
-    inner: Recipe
+    __slots__ = ("scalar", "inner")
+
+    def __init__(self, scalar: int, inner: Recipe) -> None:
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "inner", inner)
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         return self.inner.eta_leaves()
@@ -171,10 +204,12 @@ class ScaleRecipe(Recipe):
         return f"{self.scalar}*({self.inner})"
 
 
-@dataclass(frozen=True)
 class ShiftRecipe(Recipe):
-    offset: int
-    inner: Recipe
+    __slots__ = ("offset", "inner")
+
+    def __init__(self, offset: int, inner: Recipe) -> None:
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "inner", inner)
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         return self.inner.eta_leaves()
@@ -189,10 +224,12 @@ class ShiftRecipe(Recipe):
         return f"q^{self.offset}*({self.inner})"
 
 
-@dataclass(frozen=True)
 class SubstRecipe(Recipe):
-    step: int
-    inner: Recipe
+    __slots__ = ("step", "inner")
+
+    def __init__(self, step: int, inner: Recipe) -> None:
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "inner", inner)
 
     def eta_leaves(self) -> Iterator[EtaQuotient]:
         if self.step >= 1:
@@ -209,11 +246,13 @@ class SubstRecipe(Recipe):
         return f"({self.inner})[q->q^{self.step}]"
 
 
-@dataclass(frozen=True)
 class DissectRecipe(Recipe):
-    modulus: int
-    residue: int
-    inner: Recipe
+    __slots__ = ("modulus", "residue", "inner")
+
+    def __init__(self, modulus: int, residue: int, inner: Recipe) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "inner", inner)
 
     def work(self, order: int) -> int:
         return self.inner.work(self.modulus * order + self.residue)

@@ -25,8 +25,8 @@ unit: their coefficients cannot grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .eta import EtaQuotient
 from .series import EXACT, Zmod, mismatches
@@ -42,29 +42,30 @@ __all__ = [
 ]
 
 
-class _Params:
-    """A check at a parameter point: ``params`` are (name, value) pairs, as
-    reports print them, and ``modulus`` is None for exact equality."""
-
-    def params_text(self) -> str:
-        return ";".join(f"{name}={value}" for name, value in self.params)
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.modulus is None else f"mod {self.modulus}"
+def _params_text(record) -> str:
+    """A check's parameter point, as reports print it: its ``params``, the
+    (name, value) pairs, joined.  ``IdentityCase``, ``IdentityReport`` and
+    ``congruences.Witness`` share it as their ``params_text``."""
+    return ";".join(f"{name}={value}" for name, value in record.params)
 
 
-@dataclass(frozen=True)
-class IdentityCase(_Params):
+def _mode(record) -> str:
+    """A check's mode: its ``modulus`` is None for exact equality."""
+    return "exact" if record.modulus is None else f"mod {record.modulus}"
+
+
+class IdentityCase(NamedTuple):
     key: str
     lhs: Recipe
     rhs: Recipe
     modulus: int | None = None  # None: exact equality
     params: tuple[tuple[str, int], ...] = ()
 
+    params_text = _params_text
+    mode = property(_mode)
 
-@dataclass(frozen=True)
-class IdentityReport(_Params):
+
+class IdentityReport(NamedTuple):
     key: str
     modulus: int | None
     order: int
@@ -72,6 +73,9 @@ class IdentityReport(_Params):
     mismatch: tuple[int, int, int] | None = None  # exponent, lhs, rhs
     error: str | None = None
     params: tuple[tuple[str, int], ...] = ()
+
+    params_text = _params_text
+    mode = property(_mode)
 
     @property
     def status(self) -> str:

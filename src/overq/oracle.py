@@ -42,10 +42,10 @@ B*max(block)*max(w): about upto/B integer products in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from operator import add, mul
+from typing import NamedTuple
 
 __all__ = [
     "CountTable",
@@ -58,9 +58,11 @@ ENUMERATE_MAX_N = 14
 ENUMERATE_MAX_T = 3
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Counts of a tuple family for 0 <= n <= upto."""
+class CountTable(NamedTuple):
+    """Counts of a tuple family for 0 <= n <= upto.
+
+    ``count`` is the count at one n, in place of the tuple method of that
+    name."""
 
     family: str  # "overpartition-tuples" | "opt-tuples"
     parameter: int

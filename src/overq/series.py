@@ -51,7 +51,6 @@ import operator
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, count, repeat
 from typing import Iterable, Iterator, Sequence
@@ -62,15 +61,33 @@ __all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "mismatches", "one"
 _DECIMAL_CUTOFF = 3000
 
 
-@dataclass(frozen=True)
 class Ring:
-    """Coefficient domain: exact integers (``modulus=None``) or Z/mZ."""
+    """Coefficient domain: exact integers (``modulus=None``) or Z/mZ.
 
-    modulus: int | None = None
+    Immutable, and equal to a ring of the same modulus, with its hash; a
+    ring is part of every cached expansion's key, so both are hand-written.
+    """
 
-    def __post_init__(self) -> None:
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+    __slots__ = ("modulus",)
+
+    def __init__(self, modulus: int | None = None) -> None:
+        if modulus is not None and modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Ring values are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Ring:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash(self.modulus)
+
+    def __repr__(self) -> str:
+        return f"Ring(modulus={self.modulus!r})"
 
     @property
     def is_modular(self) -> bool:
@@ -509,8 +526,11 @@ def make_series(ring: Ring, coeffs: Iterable[int], order: int) -> Series:
 
 
 def one(ring: Ring, order: int) -> Series:
-    """The constant series 1."""
-    return make_series(ring, [1], order)
+    """The constant series 1, built with no canonicalising pass: 1 and 0 are
+    canonical in every ring."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return Series._from_canonical(ring, (1,) + (0,) * (order - 1))
 
 
 def spread(s: Series, step: int, order: int) -> Series:

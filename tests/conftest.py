@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -41,6 +42,12 @@ def plain_check(case, order):
         return False, None, str(exc)
     n = next(mismatches(lhs.coeffs, rhs.coeffs), None)
     return n is None, None if n is None else (n, lhs.coeffs[n], rhs.coeffs[n]), None
+
+
+def family_variant(family, **changes):
+    """A congruence family with the given fields changed, for mutants."""
+    names = inspect.signature(congruences.CongruenceFamily).parameters
+    return congruences.CongruenceFamily(**{name: getattr(family, name) for name in names} | changes)
 
 
 def corrupt_mod16_row(monkeypatch) -> None:

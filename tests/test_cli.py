@@ -3,7 +3,6 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -212,7 +211,7 @@ def test_oracle_counts_and_expands_a_repeated_size_once(monkeypatch):
 
     def corrupted(t, upto):
         table = count(t, upto)
-        return replace(table, counts=table.counts[:5] + (table.counts[5] + 1,) + table.counts[6:])
+        return table._replace(counts=table.counts[:5] + (table.counts[5] + 1,) + table.counts[6:])
 
     monkeypatch.setattr(cli, "count_overpartition_tuples", corrupted)
     calls.clear()

@@ -7,11 +7,12 @@ import textwrap
 import threading
 
 import pytest
-from conftest import corrupt_mod16_row
+from conftest import corrupt_mod16_row, family_variant
 
 import overq.congruences as congruences
 from overq.congruences import (
     BudgetError,
+    CongruenceFamily,
     RunConfig,
     SeriesProvider,
     Witness,
@@ -140,9 +141,7 @@ def test_check_family_exact_cross_check():
 def test_failing_family_produces_witnesses():
     registry = family_registry()
     base = registry["pbar-8n+7-mod32"]
-    from dataclasses import replace
-
-    wrong = replace(base, key="pbar-wrong", modulus_text="128")
+    wrong = family_variant(base, key="pbar-wrong", modulus_text="128")
     report = check_family(wrong, [{"t": 1}], 10)
     assert not report.ok
     assert report.failures > 0
@@ -199,9 +198,9 @@ def test_check_family_rejects_out_of_domain_points():
 
 
 def test_run_families_evaluates_each_point_once(monkeypatch):
-    # default_grid evaluates the point expression at every candidate on the
-    # axes; run_families evaluates it again at each point it plans, and
-    # check_family at each point it scans.
+    # The grid evaluates the point expression at every candidate on the
+    # axes, and run_families plans the orders from those formulas; only
+    # check_family evaluates it again, at each point it scans.
     config = RunConfig(n_max=5, t_max=6, alpha_max=1, i_max=2, j_max=1)
     families = builtin_families()
     evaluated = []
@@ -221,7 +220,7 @@ def test_run_families_evaluates_each_point_once(monkeypatch):
         for family in families
     )
     points = sum(report.params_tried for report in reports)
-    assert len(evaluated) == candidates + 2 * points
+    assert len(evaluated) == candidates + points
     # a point handed straight to check_family is still checked against the domain
     family = next(family for family in families if family.key == "pbar-4n+3-mod16")
     evaluated.clear()
@@ -229,6 +228,25 @@ def test_run_families_evaluates_each_point_once(monkeypatch):
     assert len(evaluated) == 3  # one evaluation per point handed in
     with pytest.raises(ValueError, match="outside the domain"):
         check_family(family, [{"t": 2}, {"t": 5}], 5)
+
+
+def test_default_run_evaluates_4482_points(monkeypatch):
+    # All 27 families on the default grid: 2,649 candidates, of which 1,833
+    # are in their domains and scanned (6,315 evaluations when the orders
+    # were planned from a third pass).
+    calls = []
+    point = CongruenceFamily.point
+
+    def counted(self, params):
+        calls.append(self.key)
+        return point(self, params)
+
+    monkeypatch.setattr(CongruenceFamily, "point", counted)
+    families = builtin_families()
+    reports = run_families(families, RunConfig())
+    assert len(families) == 27
+    assert sum(report.params_tried for report in reports) == 1833
+    assert len(calls) == 4482
 
 
 def test_mod_two_families_mean_the_gf_is_one():
@@ -373,10 +391,8 @@ def test_default_grid_is_each_axis_as_the_paper_states_it(config):
 
 
 def test_a_parameter_with_no_grid_axis_is_an_error():
-    from dataclasses import replace
-
-    family = replace(family_registry()["opt-8n+7-mod-2^{i+4}"], key="opt-s",
-                     params=("i", "s"), size_text="2^i * s", domain_text="i >= 1, s odd")
+    family = family_variant(family_registry()["opt-8n+7-mod-2^{i+4}"], key="opt-s",
+                            params=("i", "s"), size_text="2^i * s", domain_text="i >= 1, s odd")
     assert family.point({"i": 1, "s": 3}) is not None
     with pytest.raises(ValueError, match="parameter 's' of opt-s has no grid axis"):
         default_grid(family, RunConfig())
@@ -661,6 +677,24 @@ def test_scan_sums_once_per_class(monkeypatch):
     assert sum(len(entry[3]) for entry in slices) == len(sums)
 
 
+def test_bucket_unit_and_table_step_are_the_plain_series():
+    # A bucket's base^0 (``one``) and its table's N_1 are built with no
+    # canonicalising pass; they must be the series 1 and base - 1 that the
+    # canonicalising constructor and subtraction give.
+    provider = SeriesProvider()
+    run_families(builtin_families(), RunConfig(), provider=provider)
+    tables = 0
+    for (kind, modulus), bucket in provider._buckets.items():
+        unit, base = bucket["powers"][0], bucket["powers"][1]
+        plain = Series(Zmod(modulus), [1] + [0] * (bucket["order"] - 1))
+        assert unit.ring == plain.ring and unit.coeffs == plain.coeffs, (kind, modulus)
+        if bucket["table"] is not None:
+            tables += 1
+            step = bucket["table"][1]
+            assert step.ring == base.ring and step.coeffs == (base - plain).coeffs, (kind, modulus)
+    assert tables == 4  # every bucket of a power-of-2 modulus
+
+
 def test_run_families_refuses_an_over_budget_order_before_any_build(monkeypatch):
     calls = _expansions(monkeypatch)
     registry = family_registry()
@@ -880,8 +914,6 @@ def _walk_family(family, grid, n_max, provider, witness_cap):
 
 
 def _wrong_families():
-    from dataclasses import replace
-
     def twos_at_triangular_for_every_t(p, n_max):
         return [2 if _is_triangular(n) else 0 for n in range(n_max + 1)]
 
@@ -889,10 +921,10 @@ def _wrong_families():
     tri = registry["pbar-2^{2a+3}n+2^{2a}-mod4-tri"]
     return {
         # Zero residue, modulus too large: most coefficients fail.
-        "zero": (replace(registry["pbar-8n+7-mod32"], modulus_text="128"),
+        "zero": (family_variant(registry["pbar-8n+7-mod32"], modulus_text="128"),
                  [{"t": t} for t in range(6)]),
         # The -tri rule without its "t odd" condition: even t fail at triangular n.
-        "tri": (replace(tri, expected=twos_at_triangular_for_every_t),
+        "tri": (family_variant(tri, expected=twos_at_triangular_for_every_t),
                 [{"t": t, "a": a} for t in range(4) for a in range(2)]),
     }
 

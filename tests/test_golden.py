@@ -22,11 +22,10 @@ the files only when a report change is intended.
 
 import contextlib
 import io
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from conftest import corrupt_mod16_row
+from conftest import corrupt_mod16_row, family_variant
 
 import overq.cli as cli
 import overq.congruences as congruences
@@ -110,14 +109,14 @@ def _corrupted_oracle_count(monkeypatch):
         table = count(t, upto)
         if t != 2:
             return table
-        return replace(table, counts=table.counts[:5] + (table.counts[5] + 1,) + table.counts[6:])
+        return table._replace(counts=table.counts[:5] + (table.counts[5] + 1,) + table.counts[6:])
 
     monkeypatch.setattr(cli, "count_overpartition_tuples", corrupted)
 
 
 def _blocking_family(monkeypatch):
     registry = congruences.family_registry()
-    wrong = replace(registry["pbar-8n+7-mod32"], key="pbar-wrong", modulus_text="128")
+    wrong = family_variant(registry["pbar-8n+7-mod32"], key="pbar-wrong", modulus_text="128")
     monkeypatch.setattr(cli, "family_registry", lambda: {**registry, wrong.key: wrong})
 
 

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -127,10 +126,10 @@ def test_binomial_mutants_fail(p, k):
     # f1^(p^k) is a plain power of f1, so a B1 case one step off the
     # congruence fails at its first differing coefficient.
     case = identity_registry()[f"B1-p{p}-k{k}"]
-    wrong_exponent = replace(case, rhs=eta_series(((p, p ** (k - 1) + 1),)))
+    wrong_exponent = case._replace(rhs=eta_series(((p, p ** (k - 1) + 1),)))
     report = verify_identity(wrong_exponent, order=200)
     assert not report.ok and report.mismatch[0] == p  # f_p^(p^(k-1)) * f_p gains -q^p
-    wrong_modulus = replace(case, modulus=p ** (k + 1))
+    wrong_modulus = case._replace(modulus=p ** (k + 1))
     report = verify_identity(wrong_modulus, order=200)
     assert not report.ok and report.mismatch == (1, p ** (k + 1) - p**k, 0)
 
@@ -273,12 +272,12 @@ def _mutants(case):
     terms = _terms(case.rhs)
     for i in range(len(terms)):
         flipped = terms[:i] + [ScaleRecipe(-1, terms[i])] + terms[i + 1 :]
-        yield f"sign-{i}", replace(case, rhs=SumRecipe(tuple(flipped)))
+        yield f"sign-{i}", case._replace(rhs=SumRecipe(tuple(flipped)))
     factors = case.lhs.quotient.factors
     for i, (scale, exponent) in enumerate(factors):
         for delta in (1, -1):
             bumped = factors[:i] + ((scale, exponent + delta),) + factors[i + 1 :]
-            yield f"f{scale}{delta:+d}", replace(case, lhs=EtaRecipe(EtaQuotient(bumped)))
+            yield f"f{scale}{delta:+d}", case._replace(lhs=EtaRecipe(EtaQuotient(bumped)))
 
 
 @pytest.mark.parametrize("key", ["D1", "D1SQ", "D3", "D4"])

@@ -4,7 +4,6 @@ import random
 import sys
 import textwrap
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -718,7 +717,10 @@ def _one_exponent_apart(recipe, delta):
         return None
     if isinstance(recipe, (ScaleRecipe, ShiftRecipe, SubstRecipe, DissectRecipe)):
         moved = _one_exponent_apart(recipe.inner, delta)
-        return None if moved is None else replace(recipe, inner=moved)
+        if moved is None:
+            return None
+        # ``inner`` is the last field of each of these nodes
+        return type(recipe)(*(getattr(recipe, name) for name in recipe.__slots__[:-1]), moved)
     return None
 
 

@@ -245,9 +245,9 @@ def test_provider_reads_power_of_2_moduli_off_one_table():
         for node in ast.walk(table)
         if isinstance(node, ast.Assign) and len(node.targets) == 1
     }
-    assert len(factors) == 1, factors  # one factor, bound to base^1 - base^0
+    assert len(factors) == 1, factors  # one factor, base^1 - base^0: the base, constant zeroed
     (factor,) = factors
-    assert steps[factor] == "base - unit"
+    assert steps[factor] == "Series._from_canonical(base.ring, (0,) + base.coeffs[1:])"
     assert steps["(unit, base)"] == "(bucket['powers'][0], bucket['powers'][1])"
 
 
