@@ -24,7 +24,7 @@ from itertools import accumulate, count, product, takewhile
 from types import CodeType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .series import EXACT, Series, Zmod, _pack_slots, _slot_residues, mismatches, one
+from .series import EXACT, Series, Zmod, _ladder, _pack_slots, _slot_residues, mismatches, one
 from .eta import family_gf
 from .expr import (
     DissectRecipe,
@@ -72,10 +72,11 @@ MAX_GRID_POINTS = 200_000
 # tuple size.
 MAX_STEP_PARAMETER = 64
 
-# Largest dissection-step work: modulus bits times the longest rung ladder of
-# either side (``Recipe.work``).  CPU s on a Xeon: opt-2n+1 i=64 r=1 order 500
-# (4.6M) 0.54, i=64 r=63 order 1000 (9.8M) 1.6 and 5000 (49M) 30; G16 t=64
-# order 250,000 (10M) 4.1; opt-4n+3-i1 r=63 order 80,000 (15M) 9.0.
+# Largest dissection-step work: modulus bits times the longest power ladder of
+# either side (``Recipe.work``, bits(e) squarings per f_1^e).  CPU s on a
+# Xeon: opt-2n+1 i=64 r=1 order 500 (4.6M) 0.54, i=64 r=63 order 1000 (9.8M)
+# 1.6 and 5000 (49M) 30; G16 t=64 order 250,000 (10M) 4.1; opt-4n+3-i1 r=63
+# order 80,000 (15M) 9.0.
 MAX_STEP_WORK = 10_000_000
 
 # The most witnesses a family report keeps; its failure count counts them all.
@@ -377,14 +378,15 @@ class SeriesProvider:
     grid of every family fall in 372 weight vectors and 148 classes, so
     they make 148 sums.
 
-    Every other request steps by one ladder over the bucket's memo
-    ``powers``, which holds every base^d computed so far: ``_power`` makes
-    base^d = (base^(d//2))^2, times the base when d is odd, each rung read
-    from the memo when it is there.  A parameter not yet cached is the
-    nearest cached power below it times base^d for the difference d.  So the
-    tuple sizes c*k, k = 1, 5, 7, 11, 13, of one odd-part grid step from c to
-    5c by base^(4c) = ((base^c)^2)^2, and on to 7c, 11c and 13c by one
-    multiply each.
+    Every other request steps by ``series._ladder`` over the bucket's memo
+    ``powers``, which holds every base^d computed so far: a parameter not
+    yet cached is the largest cached power base^p below it, p > 1, times
+    base^d for the difference d (or d is the parameter, when there is no
+    such p), and base^d is built bottom up from d, d // 2, ... down to a
+    cached power, squaring back up with a product by the base at each odd
+    step.  So the tuple sizes c*k, k = 1, 5, 7, 11, 13, of one odd-part grid
+    step from c to 5c by base^(4c) = ((base^c)^2)^2, and on to 7c, 11c and
+    13c by one multiply each.
 
     ``values`` serves the residues on one progression, which is all
     ``check_family`` reads; ``gf`` serves the whole series.  All methods are
@@ -434,18 +436,6 @@ class SeriesProvider:
         return bucket
 
     @staticmethod
-    def _power(powers: dict[int, Series], d: int) -> Series:
-        """base^d by the ladder over the memo ``powers``, which holds base^0 and base^1."""
-        series = powers.get(d)
-        if series is None:
-            half = SeriesProvider._power(powers, d // 2)
-            series = half * half
-            if d & 1:
-                series = series * powers[1]
-            powers[d] = series
-        return series
-
-    @staticmethod
     def _table(bucket: dict) -> list[Series]:
         """N_j = (base - 1)^j over the bucket's ring, j < v2(M), by v2(M) - 2 multiplies.
 
@@ -477,12 +467,7 @@ class SeriesProvider:
             bucket = self._bucket(kind, modulus, order)
             if modulus & (modulus - 1) == 0:
                 return self._binomial(bucket, param, modulus, where)
-            powers = bucket["powers"]
-            series = powers.get(param)
-            if series is None:
-                # The memo holds base^0 and base^1: a miss has 1 <= nearest < param.
-                nearest = max(p for p in powers if p <= param)
-                series = powers[param] = powers[nearest] * self._power(powers, param - nearest)
+            series = _ladder(bucket["powers"], param)  # the memo holds base^0 too
         coeffs = series.coeffs[where]
         return list(coeffs) if series.ring.modulus == modulus else [c % modulus for c in coeffs]
 

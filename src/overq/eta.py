@@ -12,9 +12,10 @@ each factor is f_1^e at order ceil(N/k), memoized per (ring, order, e), and
 spread onto every k-th exponent.  A quotient whose scales share a gcd g > 1
 is expanded with its scales divided by g at order ceil(N/g) and spread by g,
 so each product runs at the order its factors need: f4^-4 f8^10 f16^-4 to
-order 2000 multiplies at order 500.  Every power of f_1 is a product of
-shared rungs g^(2^k), g = f_1 or 1/f_1, memoized per (ring, order), so
-scattered exponents pay the inverse and the squarings once.  The exact
+order 2000 multiplies at order 500.  Every power of f_1 is stepped to by
+the one power ladder, ``series._ladder``, over a memo of the powers of g,
+g = f_1 or 1/f_1, kept per (ring, order), so scattered exponents pay the
+inverse once and each builds on the largest power made before it.  The exact
 identity checks never ask for a negative power: they multiply both sides by
 an eta quotient D that clears every negative exponent, merged into each
 leaf's quotient (``theta_component`` takes D as ``unit``).
@@ -37,7 +38,7 @@ from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterator, Sequence
 
-from .series import Ring, Series, _pack, one, spread
+from .series import Ring, Series, _ladder, _pack, one, spread
 
 __all__ = [
     "EtaQuotient",
@@ -162,36 +163,26 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
     return Series(ring, coeffs)
 
 
-@lru_cache(maxsize=256)
-def _rung(ring: Ring, order: int, negative: bool, k: int) -> Series:
-    """Rung k of the f_1 power ladder: g^(2^k) to the order, g = 1/f_1 if negative else f_1.
-
-    Plain squaring of the rung below, so no congruence between Euler
-    products (such as the ``B1`` identities the registry checks) is built in.
-    """
-    if k:
-        below = _rung(ring, order, negative, k - 1)
-        return below * below
+@lru_cache(maxsize=64)
+def _f1_powers(ring: Ring, order: int, negative: bool) -> dict[int, Series]:
+    """The memo of powers of g to the order, g = 1/f_1 if negative else f_1,
+    that ``_f1_power`` steps over; it starts as {1: g}.  The 64 most recent
+    are kept: ``identities`` and ``replay`` ask for 38 and 35."""
     f1 = euler_product(1, ring, order)
-    return f1.invert() if negative else f1
+    return {1: f1.invert() if negative else f1}
 
 
-@lru_cache(maxsize=128)
 def _f1_power(ring: Ring, order: int, exponent: int) -> Series:
     """f_1^exponent to the order, on every ring.
 
-    The product of the ``_rung`` series at the set bits of |exponent|: the
-    same multiplies as a binary power, but the inverse and the squarings are
-    shared by every exponent asked for at one ring and order, which pays off
-    for the scattered exponents of the replay recipes.  The rungs are asked
-    for in ascending order, so each finds the one below memoized.  Kept
-    memoized too: quotients that share a factor at one order hit it.
+    ``series._ladder`` over one memo per ring, order and sign, so the
+    inverse and every power made are shared by all the exponents asked for
+    there, which pays off for the scattered exponents of the replay
+    recipes, and quotients that share a factor at one order hit it.
     """
     if exponent == 0:
         return one(ring, order)
-    e = abs(exponent)
-    ladder = [_rung(ring, order, exponent < 0, k) for k in range(e.bit_length())]
-    return reduce(mul, (rung for k, rung in enumerate(ladder) if e >> k & 1))
+    return _ladder(_f1_powers(ring, order, exponent < 0), abs(exponent))
 
 
 def expand_eta_quotient(quotient: EtaQuotient, ring: Ring, order: int) -> Series:

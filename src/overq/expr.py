@@ -105,8 +105,9 @@ class Recipe:
         return iter(())
 
     def work(self, order: int) -> int:
-        """The longest rung ladder to the order: ceil(N/k) bits(e) for a factor
-        f_k^e of an eta leaf evaluated to order N, and N for another leaf."""
+        """The longest power ladder to the order: ceil(N/k) bits(e) for a
+        factor f_k^e of an eta leaf evaluated to order N, the bits(e)
+        squarings of a cold ``series._ladder``, and N for another leaf."""
         return order
 
     def takes(self, scale: int) -> bool:

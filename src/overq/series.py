@@ -8,9 +8,10 @@ or in Z/mZ with canonical representatives 0 <= c < m.
 
 Each ring multiplies by Kronecker substitution: both operands become one
 big integer, one coefficient per fixed-width slot, and a single integer
-product yields the convolution.  A square (``x * x``, as in every power
-ladder) packs its operand once and multiplies the packed value by itself,
-which takes the squaring paths of CPython's integer product and libmpdec.
+product yields the convolution.  A square (``x * x``, as in the power
+ladder :func:`_ladder`) packs its operand once and multiplies the packed
+value by itself, which takes the squaring paths of CPython's integer
+product and libmpdec.
 
 * Binary slots are packed and unpacked in C (``struct``, ``array``,
   ``bytes`` slicing and ``translate``) by :func:`_pack_slots` and
@@ -242,11 +243,6 @@ def _slot_residues(data: bytes, width: int, n: int, m: int) -> Sequence[int]:
     return list(map(m.__rmod__, _slot_values(data, width, n)))
 
 
-def _reduce_slots(data: bytes, width: int, n: int, m: int) -> list[int]:
-    """Residues mod m of the first n little-endian ``width``-byte slots of ``data``."""
-    return list(_slot_residues(data, width, n, m))
-
-
 def _convolve_packed(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Truncated Cauchy product of exact integers via Kronecker substitution.
 
@@ -304,7 +300,7 @@ def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[in
         packed = _pack_slots(a, width)
         product = packed * (packed if square else _pack_slots(b, width))
         data = product.to_bytes(max(n, len(a) + len(b)) * width, "little")
-        return _reduce_slots(data, width, n, m)
+        return list(_slot_residues(data, width, n, m))
     digits = len(str(cbound))
     packed = _decimal_slots(a, digits, ctx)
     product = ctx.multiply(packed, packed if square else _decimal_slots(b, digits, ctx))
@@ -317,7 +313,7 @@ def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[in
     for i in range(digits):
         lane[0::width] = rev[i::digits].translate(_DIGIT_VALUES)
         total += int.from_bytes(lane, "little") * 10**i
-    return _reduce_slots(total.to_bytes(n * width, "little"), width, n, m)
+    return list(_slot_residues(total.to_bytes(n * width, "little"), width, n, m))
 
 
 def _ring_convolve(ring: Ring, a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -454,20 +450,12 @@ class Series:
         return Series._from_canonical(ring, b)
 
     def __pow__(self, exponent: int) -> "Series":
-        """Integer power by binary exponentiation; negative powers invert first."""
+        """Integer power by the one power ladder, :func:`_ladder`, over a
+        memo of this series alone: bits(e) - 1 squarings and a product by
+        the base at each further set bit.  Negative powers invert first."""
         if exponent == 0:
             return one(self.ring, self.order)
-        base = self if exponent > 0 else self.invert()
-        e = abs(exponent)
-        result: Series | None = None
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        assert result is not None
-        return result
+        return _ladder({1: self if exponent > 0 else self.invert()}, abs(exponent))
 
     # -- reindexing ---------------------------------------------------------
 
@@ -512,6 +500,39 @@ class Series:
         if self.ring.is_modular:
             raise ValueError("series is already modular; reduce from the exact ring")
         return Series(Zmod(modulus), self._coeffs)
+
+
+def _ladder(memo: dict[int, Series], e: int) -> Series:
+    """base^e, e >= 1, over ``memo``, which maps exponents to powers of one
+    base and holds base^1; every power made is stored in it.
+
+    The one way overq steps between powers of a series.  A miss takes the
+    largest stored power p, 1 < p < e, and makes base^p * base^(e - p).
+    The rest d = e - p (d = e when there is no such p) is built bottom
+    up: walk d, d // 2, ... down to a stored power, then square back up,
+    with one more product by the base at each odd d.  So a cold memo costs bits(e) - 1
+    squarings and a product per further set bit, as a binary power does,
+    and no call recurses.  Plain products only: no congruence between
+    Euler products (such as the ``B1`` identities check) is built in.
+    """
+    power = memo.get(e)
+    if power is not None:
+        return power
+    p = max((p for p in memo if 1 < p < e), default=0)
+    d = e - p
+    chain = []
+    while d not in memo:
+        chain.append(d)
+        d //= 2
+    power = memo[d]
+    for d in reversed(chain):
+        power = power * power
+        if d & 1:
+            power = power * memo[1]
+        memo[d] = power
+    if p:
+        power = memo[e] = memo[p] * power
+    return power
 
 
 def make_series(ring: Ring, coeffs: Iterable[int], order: int) -> Series:

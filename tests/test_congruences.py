@@ -603,7 +603,7 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     # 8n+7 share 1608 and opt mod 512 and 128 read the mod-1024 bucket.
     eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
     series = sys.modules["overq.series"]
-    for memo in (euler_product, eta._f1_power, eta._rung):
+    for memo in (euler_product, eta._f1_powers):
         memo.cache_clear()
     calls = _expansions(monkeypatch)
     products, lengths = [], []

@@ -1,4 +1,5 @@
 import io
+import math
 import sys
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import RING_POOL
 from hypothesis import given, strategies as st
 
 from overq.cli import main
+from overq.congruences import SeriesProvider
 from overq.series import EXACT, Series, Zmod, one
 from overq.eta import (
     GF_BASE,
@@ -305,16 +307,31 @@ def test_prime_power_reduction_instances():
 
 def test_a_long_rung_ladder_does_not_recurse():
     # f1^(2^k) == f_(2^k) (mod 2), which is 1 below q^10 for k = 600
-    for memo in (ETA._f1_power, ETA._rung):
-        memo.cache_clear()
+    ETA._f1_powers.cache_clear()
     assert expand_eta_quotient(EtaQuotient(((1, 2**600),)), Zmod(2), 10) == one(Zmod(2), 10)
 
 
+def test_every_power_ladder_runs_bottom_up():
+    # Exponents of thousands of bits through each caller of the one ladder,
+    # past where a ladder recursing once per bit raises RecursionError.  Mod 2
+    # the opt base 1 + 2X is 1, and mod 3 every unit 1 + qY to order 10 has
+    # (1 + qY)^27 = 1 + q^27 Y^27 = 1, so mod 6 base^(2^1100) is
+    # base^(2^1100 mod 27).
+    values = SeriesProvider().values("opt", 2**1100, 6, 10, 1, 0, 10)
+    assert values == list(family_gf("opt", pow(2, 1100, 27), Zmod(6), 10).coeffs)
+    x = Series(Zmod(6), [1, 1] + [0] * 8)
+    assert (x ** 2**3000).coeffs == tuple(math.comb(2**3000, j) % 6 for j in range(10))
+    ETA._f1_powers.cache_clear()
+    assert expand_eta_quotient(EtaQuotient(((1, 2**3000),)), Zmod(2), 10) == one(Zmod(2), 10)
+
+
 def test_replay_multiply_count_stays_under_the_rung_ladder_ceiling(monkeypatch):
-    # A cold in-process `replay --order 500` made 1,163 multiplies with f1
-    # powers served from shared rungs, against 2,998 with each power built
-    # from f1 afresh; the ceiling is about 10% above the former.
-    for memo in (euler_product, ETA._f1_power, ETA._rung):
+    # A cold in-process `replay --order 500` makes 726 multiplies with f1
+    # powers stepped over one memo per ring, order and sign, against 1,163
+    # with shared rungs g^(2^k) multiplied at the set bits of each exponent
+    # and 2,998 with each power built from f1 afresh; the ceiling is about
+    # 10% above the first.
+    for memo in (euler_product, ETA._f1_powers):
         memo.cache_clear()
     calls = []
     product = Series.__mul__
@@ -325,4 +342,4 @@ def test_replay_multiply_count_stays_under_the_rung_ladder_ceiling(monkeypatch):
 
     monkeypatch.setattr(Series, "__mul__", counted)
     assert main(["replay", "--order", "500", "--format", "json"], out=io.StringIO()) == 0
-    assert len(calls) <= 1280
+    assert len(calls) <= 800

@@ -225,7 +225,7 @@ def test_gf_leaves_are_cleared_in_an_exact_case(monkeypatch):
     inverted = []
     invert = Series.invert
     monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
-    for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+    for memo in (ETA.euler_product, ETA._f1_powers):
         memo.cache_clear()
     cases = [
         IdentityCase("OPT2", gf_series("opt", 2), eta_series("f1^-4 * f2^6 * f4^-2")),
@@ -299,7 +299,7 @@ def test_exact_checks_run_no_power_recurrence(monkeypatch):
     inverted = []
     invert = Series.invert
     monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
-    for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+    for memo in (ETA.euler_product, ETA._f1_powers):
         memo.cache_clear()
     exact = [case for case in builtin_identities() if case.modulus is None]
     assert {case.key for case in exact} >= {"D1", "D1SQ", "D3", "D4"}
@@ -314,7 +314,7 @@ def test_a_cleared_sum_multiplies_by_its_untaken_factors_once(monkeypatch):
     # are added first and multiplied by f1^3 once.  With cold memos the check
     # at order 2000 makes 3 full-order products: 2 expand f1^3 and 1
     # multiplies the sum (5 when each summand was multiplied by f1^3).
-    for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+    for memo in (ETA.euler_product, ETA._f1_powers):
         memo.cache_clear()
     orders = []
     product = Series.__mul__
@@ -340,7 +340,7 @@ def test_summands_keep_the_unit_factors_they_take(monkeypatch):
     for ring, order in ((EXACT, 60), (Zmod(9), 40)):
         want = evaluate(recipe, ring, order) * evaluate(eta_series(str(unit)), ring, order)
         assert ring in inverted  # the plain sum expands f1^-3
-        for memo in (ETA.euler_product, ETA._f1_power, ETA._rung):
+        for memo in (ETA.euler_product, ETA._f1_powers):
             memo.cache_clear()
         inverted.clear()
         assert evaluate(recipe, ring, order, unit) == want, ring
@@ -364,9 +364,9 @@ def test_congruence_checks_keep_the_empty_unit(monkeypatch):
 
 
 def test_replay_modular_convolutions_are_pinned():
-    # a fresh interpreter, so no memo is warm: replay --order 500 makes 1,459
+    # a fresh interpreter, so no memo is warm: replay --order 500 makes 1,022
     # modular convolutions; a GF leaf is an eta leaf, so at t = 1 it reuses the
-    # f_1 rungs the other tuple sizes built
+    # f_1 powers the other tuple sizes built
     script = (
         "import io, overq.series as s, overq.cli as cli\n"
         "real, n = s._convolve_mod, [0]\n"
@@ -382,4 +382,4 @@ def test_replay_modular_convolutions_are_pinned():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.stderr == ""
-    assert done.stdout.split() == ["0", "1459"]
+    assert done.stdout.split() == ["0", "1022"]

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from overq import oracle
+from overq import series as series_module
 from overq.series import EXACT, mismatches
 from overq.eta import GF_BASE, family_gf, gf_mismatch, opt_gf, overpartition_gf
 from overq.oracle import (
@@ -309,6 +310,7 @@ def test_gf_mismatch_expands_no_series(monkeypatch):
 
     for name in ("expand_eta_quotient", "_expand_thetas", "_f1_power"):
         monkeypatch.setattr(ETA, name, refuse)
+    monkeypatch.setattr(series_module, "_ladder", refuse)  # no power of any series
     assert gf_mismatch("opt", 5, counts) is None
     assert gf_mismatch("opt", 5, counts[:50] + (0,) + counts[51:]) == 50
 

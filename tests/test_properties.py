@@ -15,7 +15,7 @@ from overq.eta import (
     THETA_COMPONENT_NAMES,
     EtaQuotient,
     _f1_power,
-    _rung,
+    _f1_powers,
     component_quotient,
     euler_product,
     expand_eta_quotient,
@@ -43,8 +43,8 @@ from overq.series import (
     _convolve_packed,
     _convolve_schoolbook,
     _invert_recurrence,
+    _ladder,
     _pack_slots,
-    _reduce_slots,
     _slot_residues,
     _slot_values,
     make_series,
@@ -125,6 +125,36 @@ def test_newton_matches_recurrence(s):
 )
 def test_pow_is_additive_in_the_exponent(s, e1, e2):
     assert s ** (e1 + e2) == (s**e1) * (s**e2)
+
+
+@settings(deadline=None)
+@given(unit_series(max_order=12), st.lists(st.integers(min_value=1, max_value=40), max_size=8))
+def test_ladder_over_a_shared_memo_matches_repeated_products(s, exponents):
+    # one memo across scattered exponents, as the eta memos and the provider
+    # buckets keep it: each power read from it is s times itself e - 1 times
+    memo = {1: s}
+    for e in exponents:
+        want = s
+        for _ in range(e - 1):
+            want = want * s
+        assert _ladder(memo, e) == want, e
+    assert all(memo[d] == _binary_power(s, d) for d in memo)
+
+
+def test_cold_ladder_costs_a_binary_power(monkeypatch):
+    # bits(e) - 1 squarings and one product per further set bit, as the
+    # step budget's cost model assumes, and no recursion at 3000 bits
+    calls = []
+    product = Series.__mul__
+    monkeypatch.setattr(Series, "__mul__", lambda a, b: calls.append(a is b) or product(a, b))
+    s = make_series(Zmod(9), [1, 1, 2], 5)
+    for e in (1, 2, 3, 12, 255, 256, 3 << 3000):
+        calls.clear()
+        power = _ladder({1: s}, e)
+        assert calls.count(True) == e.bit_length() - 1, e
+        assert calls.count(False) == bin(e).count("1") - 1, e
+        if e < 300:
+            assert power == _binary_power(s, e), e
 
 
 @settings(deadline=None)
@@ -267,8 +297,8 @@ def test_slot_helpers_round_trip_at_every_width(host, monkeypatch):
         assert packed == sum(v << (8 * width * i) for i, v in enumerate(vals)), width
         data = packed.to_bytes(len(vals) * width, "little")
         for m in (2, 256, 512, 1000, 1024, 2**16, 2**64 + 13):
-            assert _reduce_slots(data, width, 40, m) == [v % m for v in vals], (width, m)
-            assert _reduce_slots(data, width, 7, m) == [v % m for v in vals[:7]], (width, m)
+            assert list(_slot_residues(data, width, 40, m)) == [v % m for v in vals], (width, m)
+            assert list(_slot_residues(data, width, 7, m)) == [v % m for v in vals[:7]], (width, m)
         # from 512 to 2^16 the low two bytes, read as an array("H") where the host allows
         for m in (512, 1024, 2**16):
             residues = _slot_residues(data, width, 40, m)
@@ -517,23 +547,40 @@ def test_eta_expansion_does_not_depend_on_the_memo():
     )]
     orders = [200, 37, 200, 1, 64, 37, 5, 200, 64]
     for ring in (Zmod(32), EXACT):
-        _f1_power.cache_clear()
-        _rung.cache_clear()
+        _f1_powers.cache_clear()
         warm = [expand_eta_quotient(q, ring, n) for n in orders for q in quotients]
         cold = []
         for n in orders:
             for q in quotients:
-                _f1_power.cache_clear()
-                _rung.cache_clear()
+                _f1_powers.cache_clear()
                 euler_product.cache_clear()
                 cold.append(expand_eta_quotient(q, ring, n))
         assert warm == cold, ring
         assert warm == [_direct_eta(q, ring, n) for n in orders for q in quotients], ring
 
 
+def _binary_power(s, e):
+    """Reference power s^e, e >= 1, by the right-to-left binary loop, with no memo."""
+    result = None
+    while e:
+        if e & 1:
+            result = s if result is None else result * s
+        e >>= 1
+        if e:
+            s = s * s
+    return result
+
+
+def _reference_f1_power(ring, order, exponent):
+    if exponent == 0:
+        return one(ring, order)
+    f1 = euler_product(1, ring, order)
+    return _binary_power(f1 if exponent > 0 else f1.invert(), abs(exponent))
+
+
 def test_f1_power_ladder_matches_binary_power():
-    # Scattered exponents, shuffled across every ring and order, so the rung
-    # memo evicts and later requests rebuild rungs it dropped.
+    # Scattered exponents, shuffled across every ring and order, so the memo
+    # cache evicts and later requests rebuild memos it dropped.
     rng = random.Random(0x1AD)
     requests = [
         (ring, order, exponent)
@@ -542,14 +589,16 @@ def test_f1_power_ladder_matches_binary_power():
         for exponent in [0, 1, -1, 600, -600] + rng.sample(range(-600, 601), 7)
     ]
     rng.shuffle(requests)
-    _rung.cache_clear()
+    _f1_powers.cache_clear()
     after_eviction = 0
     for ring, order, exponent in requests:
-        after_eviction += _rung.cache_info().misses > _rung.cache_info().maxsize
-        assert _f1_power.__wrapped__(ring, order, exponent) == (
-            euler_product(1, ring, order) ** exponent
-        ), (ring, order, exponent)
+        after_eviction += _f1_powers.cache_info().misses > _f1_powers.cache_info().maxsize
+        assert _f1_power(ring, order, exponent) == _reference_f1_power(ring, order, exponent), (
+            ring, order, exponent,
+        )
     assert after_eviction > len(requests) // 2
+    memos = {(ring, order, exponent < 0) for ring, order, exponent in requests if exponent}
+    assert _f1_powers.cache_info().misses > len(memos)  # some memo was dropped and rebuilt
 
 
 # --- exact negative powers of f1, from the ladder's Newton inverse ----------
@@ -559,15 +608,17 @@ def test_f1_power_ladder_matches_binary_power():
 def test_exact_f1_power_recurrence_matches_binary_power(order):
     f1 = euler_product(1, EXACT, order)
     for exponent in range(-1, -25, -1):
-        assert _f1_power.__wrapped__(EXACT, order, exponent) == f1**exponent, exponent
+        assert _f1_power(EXACT, order, exponent) == _reference_f1_power(EXACT, order, exponent), (
+            exponent
+        )
 
 
 def test_exact_f1_power_recurrence_matches_binary_power_at_order_2000():
-    assert _f1_power.__wrapped__(EXACT, 2000, -3) == euler_product(1, EXACT, 2000) ** -3
+    assert _f1_power(EXACT, 2000, -3) == _reference_f1_power(EXACT, 2000, -3)
 
 
 def test_f1_power_recurrence_runs_only_on_exact_negative_powers(monkeypatch):
-    # Every ring, the exact one included, takes the one ladder path: rung 0
+    # Every ring, the exact one included, takes the one ladder path: the memo
     # of the negative powers inverts f1 once per ring and order.
     exponents = (-5, -1, 0, 1, 4)
     want = {
@@ -578,10 +629,10 @@ def test_f1_power_recurrence_runs_only_on_exact_negative_powers(monkeypatch):
     inverted = []
     invert = Series.invert
     monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
-    _rung.cache_clear()
+    _f1_powers.cache_clear()
     for ring in RING_POOL:
         for exponent in exponents:
-            assert _f1_power.__wrapped__(ring, 40, exponent) == want[ring, exponent], (
+            assert _f1_power(ring, 40, exponent) == want[ring, exponent], (
                 ring, exponent,
             )
     assert inverted == list(RING_POOL)

@@ -13,9 +13,15 @@
   ``family_gf`` argument.  Only ``_gf_thetas`` and the derived ``GF_BASE``
   read the table, and ``GF_BASE``, ``family_gf``, ``gf_mismatch`` and
   ``expr.gf_series`` all take the exponents from ``_gf_thetas``.
+* One function steps between series powers, ``series._ladder``: it is
+  the only function in ``overq`` that squares (an assignment, augmented
+  assignment or return of a product ``x * x`` of one operand), and
+  ``eta.py`` and ``congruences.py`` define no ``_rung`` or ``_power``.
+  ``Series.__pow__``, ``eta._f1_power`` and ``SeriesProvider.values`` all
+  call it.
 * ``SeriesProvider`` raises no series to a power (no ``**``, ``pow`` or
   ``__pow__``), and ``_bucket`` multiplies nothing and defines no inner
-  function, so its ladder ``_power`` is the one path that steps between
+  function, so the ladder over its memo is the one path that steps between
   powers.  No method reduces the tuple parameter in place (no ``param %=``):
   a power-of-2 modulus is served from the binomial table, which one method,
   ``_table``, builds, multiplying by nothing but base - 1.  The provider
@@ -207,11 +213,48 @@ def test_provider_steps_by_its_ladder_and_expands_in_one_place():
         if isinstance(method, ast.FunctionDef) and method.name == "_bucket"
     )
     inner = list(ast.walk(bucket))[1:]
-    assert not any(isinstance(node, ast.Mult) for node in inner)  # it squares only by _power
+    assert not any(isinstance(node, ast.Mult) for node in inner)  # squaring is the ladder's
     assert not any(isinstance(node, (ast.FunctionDef, ast.Lambda)) for node in inner)
     assert not any(
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Series" for node in inner
     )  # a divisor is served from its multiple's powers, not from a copy of them
+
+
+def _squares(function):
+    """Whether ``function`` steps a power by squaring: an assignment,
+    augmented assignment or return whose value is a product x * x of one
+    operand."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            if ast.unparse(node.target) == ast.unparse(node.value):
+                return True
+        if isinstance(node, (ast.Assign, ast.Return, ast.NamedExpr)):
+            value = node.value
+            if isinstance(value, ast.BinOp) and isinstance(value.op, ast.Mult):
+                if ast.unparse(value.left) == ast.unparse(value.right):
+                    return True
+    return False
+
+
+def test_one_ladder_steps_between_powers():
+    squarers = [
+        (path.name, function.name)
+        for path in sorted(SOURCE.glob("*.py"))
+        for function in _functions(path)
+        if _squares(function)
+    ]
+    assert squarers == [("series.py", "_ladder")]
+    for module in ("eta.py", "congruences.py"):
+        names = {function.name for function in _functions(SOURCE / module)}
+        assert not names & {"_rung", "_power"}, module
+    callers = {
+        function.name
+        for path in sorted(SOURCE.glob("*.py"))
+        for function in _functions(path)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ladder"
+    }
+    assert callers == {"__pow__", "_f1_power", "values"}
 
 
 def test_provider_reads_power_of_2_moduli_off_one_table():
