@@ -42,7 +42,7 @@ print("\nodd-part pairs of 4:", 32, "- and 32 mod 64 =", 32 % 64)
 # along 8n+1 the single-tuple counts leave residue 2 mod 4 exactly at
 # triangular n.  Compare the verifier's verdict with the raw counts.
 family = registry["pbar-2^{2a+3}n+2^{2a}-mod4-tri"]
-result = check_family(family, [{"t": 1, "a": 0}], 12, provider=provider)
+result = check_family(family, [family.point({"t": 1, "a": 0})], 12, provider=provider)
 counts = count_overpartition_tuples(1, 8 * 12 + 1)
 residues = [(n, counts.count(8 * n + 1) % 4) for n in range(13)]
 print("\ntriangular-residue family:", result.verdict)

@@ -5,12 +5,14 @@ Every divisibility claim is encoded as data: a tuple size, a parameterized
 arithmetic progression A*n + B, a modulus expression and a parameter domain,
 each written once as the text reports print, the four compiled together
 into one point expression, and the expected residues (zero unless stated
-otherwise), one list for n = 0..n_max per grid point.  ``check_family``
-scans a parameter grid over Z/mZ and reports witnesses for every violated
-coefficient.  Families carry a status: ``theorem`` families must pass,
-``conjecture`` families are scanned and reported but never fail a run.  A
-dissection step checked at one parameter point is an identity case, and its
-result is an ``IdentityReport``.
+otherwise), one list for n = 0..n_max per grid point.  ``default_grid``
+evaluates the expression once at each candidate of a family's grid and
+keeps the points in its domain; ``check_family`` scans those points over
+Z/mZ and reports witnesses for every violated coefficient.  Families carry
+a status: ``theorem`` families must pass, ``conjecture`` families are
+scanned and reported but never fail a run.  A dissection step checked at
+one parameter point is an identity case, and its result is an
+``IdentityReport``.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ class FamilyReport(NamedTuple):
 # with juxtaposition as multiplication ("2a", "2^(2a+2) n").  A progression is
 # A n + B in the variable n.  A domain is a list of clauses separated by
 # commas outside brackets, optionally ending in a "(wide reading: ...)" note.
-# A family's four texts are parsed, checked and compiled into one point
-# expression, once per distinct tuple of texts.
+# Each arithmetic text is parsed and checked on its own, then written back,
+# bracketed, into one Python source string, the family's point expression,
+# which is compiled once per distinct tuple of texts.
 
 _JUXTAPOSED = re.compile(r"(?<=[\d)])\s*(?=[A-Za-z(])")
 _CLAUSE_SEP = re.compile(r",\s*(?![^(){}]*[)}])")
@@ -167,8 +170,9 @@ _WIDE_NOTE = re.compile(r"\s*\(wide reading: [^()]*\)$")
 _ARITH_NODES = (ast.BinOp, ast.Add, ast.Mult, ast.Pow, ast.Name, ast.Load, ast.Constant)
 
 
-def _arith(text: str, names: tuple[str, ...]) -> ast.expr:
-    """Parse an arithmetic text; anything but +, *, ^, ints and names is an error."""
+def _arith(text: str, names: tuple[str, ...]) -> str:
+    """Check an arithmetic text and return it as parenthesised source;
+    anything but +, *, ^, ints and names is an error."""
     source = _JUXTAPOSED.sub("*", text).replace("^", "**").strip()
     try:
         body = ast.parse(source, mode="eval").body
@@ -181,52 +185,45 @@ def _arith(text: str, names: tuple[str, ...]) -> ast.expr:
             raise ValueError(f"formula {text!r} uses {type(node).__name__}")
         if isinstance(node, ast.Name) and node.id not in names:
             raise ValueError(f"formula {text!r} names {node.id!r}, not a parameter")
-    return body
+    # the text parses alone, so its brackets balance; the newline ends a comment
+    return f"({source}\n)"
 
 
-def _progression(text: str, names: tuple[str, ...]) -> list[ast.expr]:
-    """A n + B  ->  [A, B]."""
+def _progression(text: str, names: tuple[str, ...]) -> str:
+    """A n + B  ->  "A, B"."""
     m = re.fullmatch(r"(.*?)\s*n\s*\+(.+)", text)
     if m is None:
         raise ValueError(f"progression {text!r} is not of the form A n + B")
-    return [_arith(m[1] or "1", names), _arith(m[2], names)]
+    return f"{_arith(m[1] or '1', names)}, {_arith(m[2], names)}"
 
 
-def _clause(text: str, names: tuple[str, ...]) -> ast.expr:
-    def arith(part: str) -> ast.expr:
+def _clause(text: str, names: tuple[str, ...]) -> str:
+    def arith(part: str) -> str:
         return _arith(part, names)
 
-    def residue(x: str, c: str) -> ast.expr:
-        return ast.BinOp(arith(x), ast.Mod(), arith(c))
-
     if m := re.fullmatch(r"(.+) (>=|!=) (.+)", text):
-        op = ast.GtE() if m[2] == ">=" else ast.NotEq()
-        return ast.Compare(arith(m[1]), [op], [arith(m[3])])
+        return f"{arith(m[1])} {m[2]} {arith(m[3])}"
     if m := re.fullmatch(r"(.+) odd", text):
-        return ast.Compare(residue(m[1], "2"), [ast.Eq()], [ast.Constant(1)])
+        return f"{arith(m[1])} % 2 == 1"
     if m := re.fullmatch(r"(.+) does not divide (.+)", text):
-        return ast.Compare(residue(m[2], m[1]), [ast.NotEq()], [ast.Constant(0)])
+        return f"{arith(m[2])} % {arith(m[1])} != 0"
     if m := re.fullmatch(r"gcd\((.+), (.+)\) = 1", text):
-        gcd = ast.Call(ast.Name("gcd", ast.Load()), [arith(m[1]), arith(m[2])], [])
-        return ast.Compare(gcd, [ast.Eq()], [ast.Constant(1)])
+        return f"gcd({arith(m[1])}, {arith(m[2])}) == 1"
     if m := re.fullmatch(r"(.+) % (.+) in \{(.+)\}", text):
-        members = ast.Set([arith(member) for member in m[3].split(",")])
-        return ast.Compare(residue(m[1], m[2]), [ast.In()], [members])
+        members = ", ".join(map(arith, m[3].split(",")))
+        return f"{arith(m[1])} % {arith(m[2])} in {{{members}}}"
     raise ValueError(f"unknown domain clause {text!r}")
 
 
-def _domain(text: str, names: tuple[str, ...]) -> ast.expr:
-    clauses = [_clause(part, names) for part in _CLAUSE_SEP.split(_WIDE_NOTE.sub("", text))]
-    return clauses[0] if len(clauses) == 1 else ast.BoolOp(ast.And(), clauses)
-
-
 class _Point(NamedTuple):
-    """A family's progression A n + B, modulus and tuple size at one point of its domain."""
+    """A family's progression A n + B, modulus and tuple size at one point
+    of its domain, and the parameters of that point."""
 
     step: int
     offset: int
     modulus: int
     size: int
+    params: Mapping[str, int]
 
     def order(self, n_max: int) -> int:
         """The order reaching n = n_max, in whole blocks of A, so the
@@ -234,21 +231,18 @@ class _Point(NamedTuple):
         return self.step * (n_max + 1 + self.offset // self.step)
 
 
-_SCOPE = {"__builtins__": {}, "gcd": math.gcd, "_Point": _Point}
+_SCOPE = {"__builtins__": {}, "gcd": math.gcd}
 
 
 @lru_cache(maxsize=None)
 def _point_code(
     size: str, progression: str, modulus: str, domain: str, names: tuple[str, ...]
 ) -> CodeType:
-    """The texts as one expression: ``_Point(A, B, modulus, size) if domain else None``."""
-    point = ast.Call(
-        ast.Name("_Point", ast.Load()),
-        [*_progression(progression, names), _arith(modulus, names), _arith(size, names)],
-        [],
-    )
-    tree = ast.IfExp(_domain(domain, names), point, ast.Constant(None))
-    return compile(ast.fix_missing_locations(ast.Expression(tree)), progression, "eval")
+    """The texts as one expression: ``(A, B, modulus, size) if domain else None``."""
+    clauses = _CLAUSE_SEP.split(_WIDE_NOTE.sub("", domain))
+    condition = " and ".join(_clause(clause, names) for clause in clauses)
+    formulas = [_progression(progression, names), _arith(modulus, names), _arith(size, names)]
+    return compile(f"({', '.join(formulas)}) if {condition} else None", progression, "eval")
 
 
 class CongruenceFamily:
@@ -304,8 +298,9 @@ class CongruenceFamily:
         return f"CongruenceFamily(key={self.key!r})"
 
     def point(self, p: Mapping[str, int]) -> _Point | None:
-        """The formulas at p, or None outside the domain."""
-        return eval(self._code, _SCOPE, p)
+        """The formulas at p, with p, or None outside the domain."""
+        formulas = eval(self._code, _SCOPE, p)
+        return None if formulas is None else _Point(*formulas, p)
 
     def describe(self) -> dict:
         """Registry metadata, used verbatim in machine-readable reports."""
@@ -656,26 +651,22 @@ def family_registry() -> dict[str, CongruenceFamily]:
     return {family.key: family for family in builtin_families()}
 
 
-def default_grid(family: CongruenceFamily, config: RunConfig) -> list[dict[str, int]]:
-    """The grid of parameter points a run scans for one family: the product
-    of its axes 0..cap, in order, keeping the points in the family's domain.
-    With ``primes_only`` a prime-scan family keeps prime t only.
-    ``check_family`` treats an out-of-domain point as a caller error.
+def default_grid(family: CongruenceFamily, config: RunConfig) -> list[_Point]:
+    """The points a run scans for one family: the product of its axes
+    0..cap, in order, each candidate evaluated once by ``family.point`` and
+    kept when it is in the family's domain.  With ``primes_only`` a
+    prime-scan family keeps prime t only.  Each point carries its formulas
+    and its parameters, which is all ``run_families`` and ``check_family``
+    read.
     """
-    return [params for params, _ in _grid_points(family, config)]
-
-
-def _grid_points(family: CongruenceFamily, config: RunConfig) -> list[tuple[dict, _Point]]:
-    """``default_grid``'s points, each with its formulas from ``family.point``."""
     axes = []
     for name in family.params:
         values = _axis(family, name, config)
         if name == "t" and config.primes_only and "prime-scan" in family.tags:
             values = filter(_is_prime, values)
         axes.append(values)
-    candidates = (dict(zip(family.params, values)) for values in product(*axes))
-    pairs = ((params, family.point(params)) for params in candidates)
-    return [(params, point) for params, point in pairs if point is not None]
+    points = (family.point(dict(zip(family.params, values))) for values in product(*axes))
+    return [point for point in points if point is not None]
 
 
 def _axis(family: CongruenceFamily, name: str, config: RunConfig) -> range:
@@ -689,18 +680,20 @@ def _axis(family: CongruenceFamily, name: str, config: RunConfig) -> range:
 
 def check_family(
     family: CongruenceFamily,
-    grid: Iterable[Mapping[str, int]],
+    points: Iterable[_Point | None],
     n_max: int,
     *,
     provider: SeriesProvider | None = None,
     exact_check: bool = False,
 ) -> FamilyReport:
-    """Scan a parameter grid, asserting the expected residue for n = 0..n_max.
+    """Scan grid points, asserting the expected residue for n = 0..n_max.
 
-    The coefficients at A*n+B are the provider's ``values`` on that
-    progression, read straight off the GF, so progressions with B >= A need
-    no special casing.  A point's formulas come from ``family.point``, and a
-    point outside the domain raises ``ValueError``.  A point passes when its
+    Each point is what ``family.point`` returned, as ``default_grid`` lists
+    them: its progression A n + B, modulus, tuple size and parameters are
+    read off it, and a None (a point outside the domain) raises
+    ``ValueError``.  The coefficients at A*n+B are the provider's ``values``
+    on that progression, read straight off the GF, so progressions with
+    B >= A need no special casing.  A point passes when its
     list of residues equals the expected list, and only a failing point is
     walked for its mismatches.  At most ``WITNESS_CAP``
     witnesses are kept; every failure is counted.  With ``exact_check`` every
@@ -713,14 +706,11 @@ def check_family(
     failures = 0
     witnesses: list[Witness] = []
     zeros = [0] * (n_max + 1)
-    for params in grid:
-        point = family.point(params)
+    for index, point in enumerate(points):
         if point is None:
-            raise ValueError(
-                f"parameters {dict(params)} are outside the domain of {family.key}"
-            )
+            raise ValueError(f"grid point {index} is outside the domain of {family.key}")
         params_tried += 1
-        step, offset, modulus, gf_param = point
+        step, offset, modulus, gf_param, params = point
         order = point.order(n_max)
         values = provider.values(family.kind, gf_param, modulus, order, step, offset, n_max + 1)
         if len(values) <= n_max:
@@ -773,10 +763,11 @@ def run_families(
     """Check many families against their default grids, sharing one provider.
 
     A run whose grids would try more than ``MAX_GRID_POINTS`` points is
-    refused with ``BudgetError`` before any grid is built.  Every order the
-    grids need is planned next, from the formulas the grids evaluated, and a
-    run whose order would exceed ``MAX_WORKING_ORDER`` is refused before any
-    series is built.  Buckets are pre-sized to the largest order any
+    refused with ``BudgetError`` before any grid is built.  Each family's
+    ``default_grid`` is then built once, and that one list of points is
+    read twice: first to plan every order the run needs, refusing an order
+    over ``MAX_WORKING_ORDER`` before any series is built, then by
+    ``check_family`` to scan.  Buckets are pre-sized to the largest order any
     selected family needs, so interleaved families reuse built buckets
     instead of rebuilding.  They are reserved in descending modulus, so a
     modulus that divides one built before it, at an order at least its own,
@@ -789,10 +780,10 @@ def run_families(
     if points > MAX_GRID_POINTS:
         raise BudgetError(f"grid of {points} points exceeds budget {MAX_GRID_POINTS}")
     provider = provider or SeriesProvider()
-    grids = [_grid_points(family, config) for family in families]
+    grids = [default_grid(family, config) for family in families]
     needed: dict[tuple[str, int], int] = {}
     for family, grid in zip(families, grids):
-        for _, point in grid:
+        for point in grid:
             order = point.order(config.n_max)
             if order > MAX_WORKING_ORDER:
                 raise BudgetError(
@@ -805,7 +796,7 @@ def run_families(
     for (kind, modulus), order in sorted(needed.items(), reverse=True):
         provider.reserve(kind, modulus, order)
     return [
-        check_family(family, [params for params, _ in grid], config.n_max, provider=provider)
+        check_family(family, grid, config.n_max, provider=provider)
         for family, grid in zip(families, grids)
     ]
 

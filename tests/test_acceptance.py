@@ -119,7 +119,8 @@ def test_criterion_3_all_tuple_sizes(provider):
     bad = []
     coeffs = 0
     for key in EXTENDED_KEYS:
-        rep = check_family(registry[key], grid, 200, provider=provider)
+        family = registry[key]
+        rep = check_family(family, [family.point(p) for p in grid], 200, provider=provider)
         coeffs += rep.coeffs_checked
         if not rep.ok or rep.params_tried != 64:
             bad.append(key)
@@ -135,7 +136,7 @@ def test_criterion_4_odd_part_eight_progression(provider):
     registry = family_registry()
     family = registry["opt-8n+7-mod-2^{i+4}"]
     grid = [{"i": i, "r": r} for i in (1, 2, 3) for r in (1, 3, 5, 7, 9, 11, 13, 15)]
-    rep = check_family(family, grid, 100, provider=provider)
+    rep = check_family(family, [family.point(p) for p in grid], 100, provider=provider)
     report(
         4,
         "odd-part tuples at 8n+7 mod 2^(i+4), i <= 3, odd r <= 15",
@@ -153,7 +154,7 @@ def test_criterion_5_odd_part_three_progressions(provider):
     for key in ODD_PART_THEOREM_KEYS:
         family = registry[key]
         grid = default_grid(family, config)
-        max_modulus = max(max_modulus, max(family.point(p).modulus for p in grid))
+        max_modulus = max(max_modulus, max(point.modulus for point in grid))
         rep = check_family(family, grid, 100, provider=provider)
         points += rep.params_tried
         if not rep.ok:

@@ -714,6 +714,8 @@ def test_verify_grid_budget_counts_axis_products(monkeypatch, capsys):
     code, _ = run_cli(["verify", "pbar-n-mod2", "--t-max", "9", "--n-max", "5"])
     assert code == 0
     _refuse_work(monkeypatch)
+    with pytest.raises(AssertionError, match="work ran"):  # the guard is on the run's path
+        run_cli(["verify", "pbar-n-mod2", "--t-max", "9", "--n-max", "5"])
     code, text = run_cli(["verify", "pbar-n-mod2", "--t-max", "10", "--n-max", "5"])
     assert code == 2 and text == ""
     assert capsys.readouterr().err == "error: grid of 11 points exceeds budget 10\n"
@@ -731,12 +733,18 @@ def test_default_and_bench_grids_are_within_the_grid_budget(monkeypatch):
     # every family on the default grid (the bench scan) tries 2,649 axis points
     assert 2649 <= congruences.MAX_GRID_POINTS
     monkeypatch.setattr(congruences, "MAX_GRID_POINTS", 2649)
-    monkeypatch.setattr(congruences, "default_grid", lambda family, config: [])
+    built = []
+    monkeypatch.setattr(
+        congruences, "default_grid", lambda family, config: built.append(family) or []
+    )
     families = congruences.builtin_families()
     assert congruences.run_families(families, congruences.RunConfig()) is not None
+    assert built == list(families)  # the run reached the stand-in grid builder
+    built.clear()
     monkeypatch.setattr(congruences, "MAX_GRID_POINTS", 2648)
     with pytest.raises(congruences.BudgetError, match="grid of 2649 points"):
         congruences.run_families(families, congruences.RunConfig())
+    assert built == []
 
 
 def test_step_parameter_budget_edges(monkeypatch, capsys):

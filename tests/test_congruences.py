@@ -83,9 +83,12 @@ def test_registry_is_complete_and_stable():
 def test_registry_pinned_keys():
     registry = family_registry()
     f = registry["pbar-8n+7-mod32"]
-    assert f.point({"t": 0}) == congruences._Point(step=8, offset=7, modulus=32, size=0)
+    assert f.point({"t": 0}) == congruences._Point(
+        step=8, offset=7, modulus=32, size=0, params={"t": 0}
+    )
     g = registry["opt-3n+2-mod-3^{i+1}2^{j+2}"]
-    assert g.point({"i": 1, "j": 1, "k": 1}) == congruences._Point(3, 2, modulus=72, size=6)
+    point = {"i": 1, "j": 1, "k": 1}
+    assert g.point(point) == congruences._Point(3, 2, modulus=72, size=6, params=point)
     assert g.point({"i": 1, "j": 1, "k": 3}) is None
 
 
@@ -111,7 +114,7 @@ def test_check_family_mod_32_progression():
 def test_triangular_residue_family():
     registry = family_registry()
     family = registry["pbar-2^{2a+3}n+2^{2a}-mod4-tri"]
-    report = check_family(family, [{"t": 1, "a": 0}], 12)
+    report = check_family(family, [family.point({"t": 1, "a": 0})], 12)
     assert report.ok
     # spot-check the residues directly against the oracle
     counts = count_overpartition_tuples(1, 8 * 12 + 1)
@@ -123,7 +126,7 @@ def test_triangular_residue_family():
 def test_odd_tuple_family_low_point():
     registry = family_registry()
     family = registry["opt-3n+1-mod-3^i2^{j+1}"]
-    report = check_family(family, [{"i": 1, "j": 1, "k": 1}], 0)
+    report = check_family(family, [family.point({"i": 1, "j": 1, "k": 1})], 0)
     assert report.ok  # the n = 0 value is 12, divisible by 12
 
 
@@ -142,7 +145,7 @@ def test_failing_family_produces_witnesses():
     registry = family_registry()
     base = registry["pbar-8n+7-mod32"]
     wrong = family_variant(base, key="pbar-wrong", modulus_text="128")
-    report = check_family(wrong, [{"t": 1}], 10)
+    report = check_family(wrong, [wrong.point({"t": 1})], 10)
     assert not report.ok
     assert report.failures > 0
     assert report.witnesses, "fail requires at least one witness"
@@ -153,7 +156,7 @@ def test_failing_family_produces_witnesses():
 def test_conjecture_families_report_but_never_block():
     registry = family_registry()
     family = registry["opt-8n+4-mod-2^{2i+4}"]
-    report = check_family(family, [{"i": 1, "r": 1}], 5)
+    report = check_family(family, [family.point({"i": 1, "r": 1})], 5)
     assert report.verdict == "conjecture-fail"
     assert not report.blocking
     w = report.witnesses[0]
@@ -165,7 +168,8 @@ def test_open_conjectures_hold_on_other_progressions():
     registry = family_registry()
     grid = [{"i": i, "r": r} for i in (1, 2) for r in (1, 3)]
     for key in ("opt-8n+2-mod-2^{2i+1}", "opt-8n+6-mod-2^{2i+3}"):
-        report = check_family(registry[key], grid, 30)
+        family = registry[key]
+        report = check_family(family, [family.point(p) for p in grid], 30)
         assert report.verdict == "conjecture-pass", key
 
 
@@ -174,7 +178,7 @@ def test_wide_multiplier_reading_passes_numerically():
     config = RunConfig(i_max=2, n_max=25)
     for key in ("opt-3n+2-mod-3^{i+1}2-l1", "opt-3n+1-mod-3^i2-l1"):
         family = registry[key]
-        grid = [p for p in default_grid(family, config) if p["l"] == 1]
+        grid = [p for p in default_grid(family, config) if p.params["l"] == 1]
         assert grid, "wide reading must include l = 1"
         report = check_family(family, grid, config.n_max)
         assert report.verdict == "conjecture-pass", key
@@ -185,7 +189,7 @@ def test_domain_constraints_restrict_grid():
     family = registry["pbar-4n+3-mod16"]
     config = RunConfig(t_max=11, n_max=4)
     grid = default_grid(family, config)
-    assert [p["t"] for p in grid] == [0, 2, 3, 4, 6, 7, 8, 10, 11]
+    assert [p.params["t"] for p in grid] == [0, 2, 3, 4, 6, 7, 8, 10, 11]
     report = check_family(family, grid, config.n_max)
     assert report.ok
     assert report.params_tried == 9
@@ -193,14 +197,14 @@ def test_domain_constraints_restrict_grid():
 
 def test_check_family_rejects_out_of_domain_points():
     family = family_registry()["pbar-4n+3-mod16"]
-    with pytest.raises(ValueError):
-        check_family(family, [{"t": 5}], 4)
+    with pytest.raises(ValueError, match="grid point 0 is outside the domain of pbar-4n"):
+        check_family(family, [family.point({"t": 5})], 4)
 
 
 def test_run_families_evaluates_each_point_once(monkeypatch):
     # The grid evaluates the point expression at every candidate on the
-    # axes, and run_families plans the orders from those formulas; only
-    # check_family evaluates it again, at each point it scans.
+    # axes, and run_families plans the orders and check_family scans from
+    # the points it keeps, evaluating nothing again.
     config = RunConfig(n_max=5, t_max=6, alpha_max=1, i_max=2, j_max=1)
     families = builtin_families()
     evaluated = []
@@ -219,21 +223,23 @@ def test_run_families_evaluates_each_point_once(monkeypatch):
         )
         for family in families
     )
-    points = sum(report.params_tried for report in reports)
-    assert len(evaluated) == candidates + points
-    # a point handed straight to check_family is still checked against the domain
+    assert len(evaluated) == candidates
+    # check_family reads the points it is handed, and a None among them
+    # (a point outside the domain) is still an error
     family = next(family for family in families if family.key == "pbar-4n+3-mod16")
+    points = [family.point({"t": t}) for t in (2, 2, 7, 5)]
     evaluated.clear()
-    check_family(family, [{"t": 2}, {"t": 2}, {"t": 7}], 5)
-    assert len(evaluated) == 3  # one evaluation per point handed in
-    with pytest.raises(ValueError, match="outside the domain"):
-        check_family(family, [{"t": 2}, {"t": 5}], 5)
+    check_family(family, points[:3], 5)
+    assert evaluated == []
+    with pytest.raises(ValueError, match="grid point 3 is outside the domain"):
+        check_family(family, points, 5)
 
 
-def test_default_run_evaluates_4482_points(monkeypatch):
-    # All 27 families on the default grid: 2,649 candidates, of which 1,833
-    # are in their domains and scanned (6,315 evaluations when the orders
-    # were planned from a third pass).
+def test_default_run_evaluates_2649_points(monkeypatch):
+    # All 27 families on the default grid: 2,649 candidates, each evaluated
+    # once, of which 1,833 are in their domains and scanned (4,482
+    # evaluations when check_family evaluated its points again, and 6,315
+    # when the orders were planned from a third pass).
     calls = []
     point = CongruenceFamily.point
 
@@ -246,7 +252,7 @@ def test_default_run_evaluates_4482_points(monkeypatch):
     reports = run_families(families, RunConfig())
     assert len(families) == 27
     assert sum(report.params_tried for report in reports) == 1833
-    assert len(calls) == 4482
+    assert len(calls) == 2649
 
 
 def test_mod_two_families_mean_the_gf_is_one():
@@ -262,9 +268,9 @@ def test_primes_only_filters_prime_scan_families():
     registry = family_registry()
     config = RunConfig(t_max=12, primes_only=True)
     grid = default_grid(registry["pbar-8n+7-mod32"], config)
-    assert [p["t"] for p in grid] == [2, 3, 5, 7, 11]
+    assert [p.params["t"] for p in grid] == [2, 3, 5, 7, 11]
     grid = default_grid(registry["pbar-16n+14-mod16"], config)
-    assert [p["t"] for p in grid] == list(range(13))  # not a prime-scan family
+    assert [p.params["t"] for p in grid] == list(range(13))  # not a prime-scan family
 
 
 STEPPED_SIZES = {
@@ -387,7 +393,7 @@ def test_default_grid_is_each_axis_as_the_paper_states_it(config):
         }
         want = [dict(zip(family.params, point))
                 for point in itertools.product(*(axes[name] for name in family.params))]
-        assert default_grid(family, config) == want, family.key
+        assert [point.params for point in default_grid(family, config)] == want, family.key
 
 
 def test_a_parameter_with_no_grid_axis_is_an_error():
@@ -403,8 +409,8 @@ def _power_of_2_moduli(*configs):
         modulus
         for config in configs
         for family in builtin_families()
-        for params in default_grid(family, config)
-        if (modulus := family.point(params).modulus) & (modulus - 1) == 0
+        for point in default_grid(family, config)
+        if (modulus := point.modulus) & (modulus - 1) == 0
     })
 
 
@@ -896,7 +902,7 @@ def _walk_family(family, grid, n_max, provider, witness_cap):
     """The scan as a plain loop over n: the reference check_family must match."""
     failures, coeffs, witnesses = 0, 0, []
     for params in grid:
-        step, offset, modulus, size = family.point(params)
+        step, offset, modulus, size, _ = family.point(params)
         order = step * n_max + offset + 1
         series = provider.gf(family.kind, size, modulus, order)
         for n in range(n_max + 1):
@@ -935,7 +941,7 @@ def test_check_family_matches_per_coefficient_walk(name, witness_cap, monkeypatc
     monkeypatch.setattr(congruences, "WITNESS_CAP", witness_cap)
     family, grid = _wrong_families()[name]
     provider = SeriesProvider()
-    report = check_family(family, grid, 30, provider=provider)
+    report = check_family(family, [family.point(p) for p in grid], 30, provider=provider)
     expected = _walk_family(family, grid, 30, provider, witness_cap)
     got = (report.params_tried, report.coeffs_checked, report.failures, report.witnesses)
     assert got == expected
@@ -965,15 +971,18 @@ class _CorruptProvider(SeriesProvider):
 
 def test_exact_check_refuses_a_wrong_modular_coefficient():
     family = family_registry()["pbar-8n+7-mod32"]
+    points = [family.point({"t": 3})]
     disagreement = r"modular/exact disagreement in pbar-8n\+7-mod32 at params=\{'t': 3\}, n=2$"
     with pytest.raises(RuntimeError, match=disagreement):
-        check_family(family, [{"t": 3}], 5, provider=_CorruptProvider(8 * 2 + 7), exact_check=True)
+        check_family(family, points, 5, provider=_CorruptProvider(8 * 2 + 7), exact_check=True)
     # Without the gate the same corruption is only a failed coefficient.
-    report = check_family(family, [{"t": 3}], 5, provider=_CorruptProvider(8 * 2 + 7))
+    report = check_family(family, points, 5, provider=_CorruptProvider(8 * 2 + 7))
     assert [w.n for w in report.witnesses] == [2]
 
 
 def test_scan_of_a_short_series_is_an_error():
     family = family_registry()["pbar-8n+7-mod32"]
     with pytest.raises(IndexError, match=r"q\^3 is beyond truncation order 3"):
-        check_family(family, [{"t": 3}], 5, provider=_CorruptProvider(8 * 3, shorten=True))
+        check_family(
+            family, [family.point({"t": 3})], 5, provider=_CorruptProvider(8 * 3, shorten=True)
+        )

@@ -103,9 +103,9 @@ FAMILIES = builtin_families()
 
 
 def reference(family, p):
-    """The point the reference formulas give at p, or None outside the domain."""
+    """The point the reference formulas give at p, with p, or None outside the domain."""
     size, progression, modulus, domain = REFERENCE[family.key]
-    return _Point(*progression(p), modulus(p), size(p)) if domain(p) else None
+    return _Point(*progression(p), modulus(p), size(p), p) if domain(p) else None
 
 
 def wide_grid(family):
@@ -121,8 +121,8 @@ def test_reference_covers_the_registry():
 def test_texts_agree_with_reference_on_the_default_grid(family):
     grid = default_grid(family, RunConfig())
     assert grid
-    for p in grid:
-        assert family.point(p) == reference(family, p), p
+    for point in grid:
+        assert point == reference(family, point.params), point
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.key)
@@ -150,7 +150,9 @@ def in_domain(family, values):
 
 
 def test_well_formed_texts_evaluate():
-    assert family_from_texts().point({"i": 2}) == _Point(step=8, offset=7, modulus=64, size=2)
+    assert family_from_texts().point({"i": 2}) == _Point(
+        step=8, offset=7, modulus=64, size=2, params={"i": 2}
+    )
     family = family_from_texts(
         domain="i >= 1, i odd, 3 does not divide i, i != 5, gcd(i, 6) = 1, i % 12 in {1, 11}"
     )
@@ -160,6 +162,9 @@ def test_well_formed_texts_evaluate():
     assert family_from_texts(progression="n+1").point({"i": 3})[:2] == (1, 1)
     family = family_from_texts(progression="2^(2i+2) n + 3*2^(2i)")
     assert family.point({"i": 1})[:2] == (16, 12)
+    # a comment in a text ends inside its own brackets
+    family = family_from_texts(modulus="2^(i+4) # the 2-adic part")
+    assert family.point({"i": 2}).modulus == 64 and family.point({"i": 0}) is None
 
 
 @pytest.mark.parametrize(
@@ -182,6 +187,13 @@ def test_well_formed_texts_evaluate():
         {"domain": "i is even"},
         {"domain": "i >= 1, i < 9"},
         {"domain": "i >= 1,, i odd"},
+        # texts that would leave their brackets in the compiled source
+        {"modulus": "2) + (i"},
+        {"modulus": "i)(i"},
+        {"modulus": "()"},
+        {"modulus": "(i"},
+        {"modulus": "+i"},
+        {"modulus": "i (2)"},
     ],
 )
 def test_malformed_text_is_rejected(texts):

@@ -45,7 +45,11 @@
 * A congruence family's formulas are one compiled point expression:
   ``congruences.py`` calls ``compile`` once, in ``_point_code``, and
   ``eval`` once, in ``CongruenceFamily.point``, so no per-formula
-  evaluator sits beside it.
+  evaluator sits beside it.  The expression is compiled from source text:
+  ``congruences.py`` calls nothing from ``ast`` but ``parse`` and ``walk``,
+  so it builds no node and fixes no locations.  Only ``default_grid``
+  calls ``.point(``, so each grid candidate is evaluated once and every
+  other reader takes the point it returned.
 * Recipes have one evaluator: ``expr.evaluate`` is the only function in
   ``overq`` that dispatches on recipe node types (``isinstance`` or
   ``type`` against a recipe class, or a class pattern of ``match``).  The
@@ -366,8 +370,9 @@ def test_only_the_slot_helpers_read_the_byte_order():
         ), kernel.name
 
 
-def _builtin_calls(path, builtin):
-    """The enclosing class and function names of each call of ``builtin`` in ``path``."""
+def _builtin_calls(path, builtin, field="id"):
+    """The enclosing class and function names of each call of ``builtin`` in
+    ``path``; with ``field="attr"``, of each call of a method of that name."""
     found = []
 
     def visit(node, where):
@@ -375,7 +380,7 @@ def _builtin_calls(path, builtin):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, where + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == builtin:
+            if isinstance(child, ast.Call) and getattr(child.func, field, None) == builtin:
                 found.append(where)
             visit(child, where)
 
@@ -387,6 +392,24 @@ def test_family_formulas_compile_into_one_point_expression():
     path = SOURCE / "congruences.py"
     assert _builtin_calls(path, "compile") == [("_point_code",)]
     assert _builtin_calls(path, "eval") == [("CongruenceFamily", "point")]
+
+
+def test_family_formulas_are_compiled_from_source_text():
+    tree = ast.parse((SOURCE / "congruences.py").read_text())
+    used = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and getattr(node.func.value, "id", None) == "ast"
+    }
+    assert used == {"parse", "walk"}
+
+
+def test_only_the_grid_builder_evaluates_family_points():
+    calls = {path.name: _builtin_calls(path, "point", "attr") for path in SOURCE.glob("*.py")}
+    assert {name: where for name, where in calls.items() if where} == {
+        "congruences.py": [("default_grid",)]
+    }
 
 
 def _recipe_classes():
