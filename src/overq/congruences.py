@@ -23,7 +23,7 @@ import re
 import threading
 from functools import lru_cache, partial
 from itertools import accumulate, count, product, takewhile
-from types import CodeType
+from types import CodeType, MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .series import EXACT, Series, Zmod, _ladder, _pack_slots, _slot_residues, mismatches, one
@@ -1051,8 +1051,11 @@ def builtin_steps() -> tuple[DissectionStep, ...]:
     return tuple(sorted(steps, key=lambda s: s.key))
 
 
-def step_registry() -> dict[str, DissectionStep]:
-    return {step.key: step for step in builtin_steps()}
+@lru_cache(maxsize=None)
+def step_registry() -> Mapping[str, DissectionStep]:
+    """The steps by key, built once per process and read-only.  Each step is
+    still equal only to itself: ``builtin_steps`` makes new ones per call."""
+    return MappingProxyType({step.key: step for step in builtin_steps()})
 
 
 def verify_dissection_step(

@@ -15,7 +15,10 @@ so each product runs at the order its factors need: f4^-4 f8^10 f16^-4 to
 order 2000 multiplies at order 500.  Every power of f_1 is stepped to by
 the one power ladder, ``series._ladder``, over a memo of the powers of g,
 g = f_1 or 1/f_1, kept per (ring, order), so scattered exponents pay the
-inverse once and each builds on the largest power made before it.  The exact
+inverse once and each builds on the largest power made before it.  A new
+memo starts from the powers of a stored one at an order as high over a
+ring that maps onto its own, truncated and reduced, so near orders and
+moduli that divide each other share the inverse and the powers.  The exact
 identity checks never ask for a negative power: they multiply both sides by
 an eta quotient D that clears every negative exponent, merged into each
 leaf's quotient (``theta_component`` takes D as ``unit``).
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from functools import lru_cache, reduce
 from operator import mul
 from typing import Iterator, Sequence
@@ -163,11 +167,53 @@ def euler_product(scale: int, ring: Ring, order: int) -> Series:
     return Series(ring, coeffs)
 
 
-@lru_cache(maxsize=64)
+# The f_1 memos by (ring, order, negative), least recently used first, and
+# the lock that makes each lookup, seeding and eviction one step.
+_F1_MEMOS: dict[tuple[Ring, int, bool], dict[int, Series]] = {}
+_F1_MEMO_LIMIT = 64
+_F1_LOCK = threading.Lock()
+
+
 def _f1_powers(ring: Ring, order: int, negative: bool) -> dict[int, Series]:
     """The memo of powers of g to the order, g = 1/f_1 if negative else f_1,
-    that ``_f1_power`` steps over; it starts as {1: g}.  The 64 most recent
-    are kept: ``identities`` and ``replay`` ask for 38 and 35."""
+    that ``_f1_power`` steps over.  The 64 most recently used are kept:
+    ``identities`` and ``replay`` ask for 38 and 35."""
+    key = (ring, order, negative)
+    with _F1_LOCK:
+        memo = _F1_MEMOS.pop(key, None)
+        if memo is None:
+            memo = _seed_f1_powers(ring, order, negative)
+            if len(_F1_MEMOS) >= _F1_MEMO_LIMIT:
+                del _F1_MEMOS[next(iter(_F1_MEMOS))]
+        _F1_MEMOS[key] = memo
+    return memo
+
+
+def _seed_f1_powers(ring: Ring, order: int, negative: bool) -> dict[int, Series]:
+    """A new memo: {1: g}, or every power of a stored memo that reaches it.
+
+    A donor has the same sign, an order at least ``order`` and a ring that
+    maps onto ``ring``: the same one, or Z/kmZ onto Z/mZ.  Its powers,
+    truncated (and reduced, over another ring), are powers of g here, since
+    both maps are ring maps.  The donor with the most powers is taken, at
+    the lowest order and modulus among equals, and is left as it was: the
+    new memo is a fresh dict, so ``series._ladder`` steps its misses at its
+    own order.
+    """
+    m = ring.modulus
+    donors = [
+        (-len(memo), stored_order, stored.modulus or 0, stored, memo)
+        for (stored, stored_order, sign), memo in _F1_MEMOS.items()
+        if sign == negative
+        and stored_order >= order
+        and (stored == ring or m is not None and stored.is_modular and stored.modulus % m == 0)
+    ]
+    if donors:
+        *_, stored, memo = min(donors, key=lambda donor: donor[:3])
+        powers = memo.copy().items()  # a ladder in another thread may add to it
+        if stored == ring:
+            return {e: power.truncate(order) for e, power in powers}
+        return {e: Series(ring, power.coeffs[:order]) for e, power in powers}
     f1 = euler_product(1, ring, order)
     return {1: f1.invert() if negative else f1}
 

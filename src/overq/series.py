@@ -8,10 +8,16 @@ or in Z/mZ with canonical representatives 0 <= c < m.
 
 Each ring multiplies by Kronecker substitution: both operands become one
 big integer, one coefficient per fixed-width slot, and a single integer
-product yields the convolution.  A square (``x * x``, as in the power
-ladder :func:`_ladder`) packs its operand once and multiplies the packed
-value by itself, which takes the squaring paths of CPython's integer
-product and libmpdec.
+product yields the convolution.  Each slot is just wide enough for a
+product coefficient, a sum of at most as many terms as the sparser operand
+has nonzero coefficients.  A square (``x * x``, as in the power ladder
+:func:`_ladder`) packs its operand once and multiplies the packed value by
+itself, which takes the squaring paths of CPython's integer product and
+libmpdec.  An operand with at most one nonzero per ``_SPARSE_SPACING``
+places of the order, such as f_1 or phi(-q^s), is multiplied by no
+big-integer product: the same integer is a sum of shifted copies of the
+other operand, packed, one group per coefficient value
+(:func:`_packed_product`).
 
 * Binary slots are packed and unpacked in C (``struct``, ``array``,
   ``bytes`` slicing and ``translate``) by :func:`_pack_slots` and
@@ -21,12 +27,12 @@ product and libmpdec.
   pack as two's complement slots with one borrow, and the product is read
   back with half the base added to each slot.
 * Z/mZ: :func:`_convolve_mod`, whose canonical residues fill unsigned
-  slots; or, for m <= 256 from order ``_DECIMAL_CUTOFF`` on, zero-padded
-  decimal digit fields multiplied by libmpdec (the C ``decimal`` module),
-  whose number-theoretic transform beats CPython's Karatsuba on long
-  operands.  :func:`_slot_residues` reduces the product's slots in C for
-  a power of 2 up to 2^16 (one or two low bytes each, by ``translate``),
-  and one by one for any other modulus.
+  slots; or, for m <= 256 from order ``_DECIMAL_CUTOFF`` on and no sparse
+  operand, zero-padded decimal digit fields multiplied by libmpdec (the C
+  ``decimal`` module), whose number-theoretic transform beats CPython's
+  Karatsuba on long operands.  :func:`_slot_residues` reduces the
+  product's slots in C for a power of 2 up to 2^16 (one or two low bytes
+  each, by ``translate``), and one by one for any other modulus.
 
 The double loop :func:`_convolve_schoolbook` is the reference only: every
 path is bit-identical to it, reduced mod m, and the randomized kernel tests
@@ -60,6 +66,10 @@ __all__ = ["Ring", "EXACT", "Zmod", "Series", "make_series", "mismatches", "one"
 
 # From this order on, Z/mZ products with m <= 256 are multiplied as decimals.
 _DECIMAL_CUTOFF = 3000
+
+# A product whose sparser operand has at most one nonzero coefficient per
+# this many places of the order is formed by shifted adds.
+_SPARSE_SPACING = 16
 
 
 class Ring:
@@ -243,29 +253,58 @@ def _slot_residues(data: bytes, width: int, n: int, m: int) -> Sequence[int]:
     return list(map(m.__rmod__, _slot_values(data, width, n)))
 
 
+def _sparser(a: Sequence[int], b: Sequence[int]) -> tuple[int, Sequence[int], Sequence[int]]:
+    """(nonzeros, sparse, dense): the sparser operand's count of nonzero
+    coefficients, that operand, and the other one.  A product coefficient
+    is a sum of at most ``nonzeros`` nonzero terms."""
+    na = len(a) - a.count(0)
+    nb = na if a is b else len(b) - b.count(0)
+    return (na, a, b) if na <= nb else (nb, b, a)
+
+
+def _packed_product(sparse: Sequence[int], dense: Sequence[int], width: int, shifted: bool) -> int:
+    """The integer product of the operands packed in ``width``-byte slots.
+
+    Either one big-integer multiply, which packs a square once, or, when
+    ``shifted``, a sum of copies of the packed dense operand shifted to the
+    nonzero slots of ``sparse``: one group of shifts per coefficient value,
+    multiplied by that value once (f_1 has only the values 1 and -1).
+    Both give the same integer, so the slots unpack as they would.
+    """
+    packed = _pack_slots(dense, width)
+    if not shifted:
+        return packed * (packed if sparse is dense else _pack_slots(sparse, width))
+    groups: dict[int, list[int]] = {}
+    for i in compress(count(), sparse):
+        groups.setdefault(sparse[i], []).append(8 * width * i)
+    return sum(value * sum(packed << shift for shift in shifts) for value, shifts in groups.items())
+
+
 def _convolve_packed(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     """Truncated Cauchy product of exact integers via Kronecker substitution.
 
     Both polynomials are evaluated at 2^(8*width) and multiplied as Python
     integers; the product's base-2^(8*width) digits are the convolution.
-    ``width`` is chosen so every product coefficient fits a signed digit,
-    and adding half the base to each digit makes the split borrow-free.  A
-    square (``a is b``) is packed once and multiplied by itself.
+    ``width`` is chosen so every product coefficient, a sum of as many
+    terms as the sparser operand has nonzeros, fits a signed digit, and
+    adding half the base to each digit makes the split borrow-free.  A
+    square (``a is b``) is packed once and multiplied by itself, and an
+    operand with at most n / ``_SPARSE_SPACING`` nonzeros is multiplied by
+    shifted adds.
     """
     square = a is b
     a = a[:n]
     b = a if square else b[:n]
-    abound = max(map(abs, a))
-    bbound = abound if square else max(map(abs, b))
-    if abound == 0 or bbound == 0:
+    nonzeros, sparse, dense = _sparser(a, b)
+    if not nonzeros:
         return [0] * n
-    cbound = min(len(a), len(b)) * abound * bbound
+    abound = max(map(abs, a))
+    cbound = nonzeros * abound * (abound if square else max(map(abs, b)))
     width = cbound.bit_length() // 8 + 1  # guarantees |c_k| < 2^(8*width - 1)
     half = 1 << (8 * width - 1)
     length = len(a) + len(b) - 1
     offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
-    packed = _pack_slots(a, width)
-    product = packed * (packed if square else _pack_slots(b, width))
+    product = _packed_product(sparse, dense, width, nonzeros * _SPARSE_SPACING <= n)
     data = (product + offset).to_bytes(length * width, "little")
     digits = _slot_values(data, width, min(n, length))
     return list(map(operator.sub, digits, repeat(half))) + [0] * (n - length)
@@ -283,22 +322,27 @@ def _decimal_slots(vals: Sequence[int], digits: int, ctx):
 def _convolve_mod(a: Sequence[int], b: Sequence[int], n: int, m: int) -> list[int]:
     """Truncated Cauchy product of residues in [0, m), reduced into [0, m).
 
-    A product coefficient is a sum of at most min(len(a), len(b), n) terms
-    below m^2, so it fits ``width`` unsigned bytes with no offset.  The slot
-    helpers alone decide the byte layout: slots wider than 8 bytes go byte
-    by byte there, and so does unpacking on a big-endian host.  A square
-    (``a is b``) is packed once and multiplied by itself, on the binary and
-    the decimal path alike.
+    A product coefficient is a sum of at most as many terms below m^2 as
+    the sparser operand has nonzeros, so it fits ``width`` unsigned bytes
+    with no offset.  The slot helpers alone decide the byte layout: slots
+    wider than 8 bytes go byte by byte there, and so does unpacking on a
+    big-endian host.  A square (``a is b``) is packed once and multiplied
+    by itself, on the binary and the decimal path alike.  An operand with
+    at most n / ``_SPARSE_SPACING`` nonzeros is multiplied by shifted adds
+    on the binary path, whatever the modulus and order.
     """
     square = a is b
     a = a[:n]
     b = a if square else b[:n]
-    cbound = min(len(a), len(b)) * (m - 1) ** 2
+    nonzeros, sparse, dense = _sparser(a, b)
+    if not nonzeros:
+        return [0] * n
+    cbound = nonzeros * (m - 1) ** 2
     width = (cbound.bit_length() + 7) // 8
-    ctx = _decimal_context() if m <= 256 and n >= _DECIMAL_CUTOFF else None
+    shifted = nonzeros * _SPARSE_SPACING <= n
+    ctx = _decimal_context() if m <= 256 and n >= _DECIMAL_CUTOFF and not shifted else None
     if ctx is None:
-        packed = _pack_slots(a, width)
-        product = packed * (packed if square else _pack_slots(b, width))
+        product = _packed_product(sparse, dense, width, shifted)
         data = product.to_bytes(max(n, len(a) + len(b)) * width, "little")
         return list(_slot_residues(data, width, n, m))
     digits = len(str(cbound))
@@ -518,7 +562,7 @@ def _ladder(memo: dict[int, Series], e: int) -> Series:
     power = memo.get(e)
     if power is not None:
         return power
-    p = max((p for p in memo if 1 < p < e), default=0)
+    p = max((p for p in tuple(memo) if 1 < p < e), default=0)  # another thread may add to memo
     d = e - p
     chain = []
     while d not in memo:

@@ -609,8 +609,8 @@ def test_scan_multiply_count_and_expansions_stay_pinned(monkeypatch):
     # 8n+7 share 1608 and opt mod 512 and 128 read the mod-1024 bucket.
     eta = sys.modules["overq.eta"]  # the package's eta function shadows the submodule
     series = sys.modules["overq.series"]
-    for memo in (euler_product, eta._f1_powers):
-        memo.cache_clear()
+    euler_product.cache_clear()
+    eta._F1_MEMOS.clear()
     calls = _expansions(monkeypatch)
     products, lengths = [], []
     product, convolve = Series.__mul__, series._convolve_mod
@@ -821,6 +821,22 @@ def test_step_registry_keys():
         "opt-2n+1-i1",
         "opt-4n+3-i1",
     ]
+
+
+def test_step_registry_is_built_once_per_process(monkeypatch):
+    # every point of a replay looks its step up in one registry, which
+    # nothing can change
+    built, steps = [], congruences.builtin_steps
+    monkeypatch.setattr(congruences, "builtin_steps", lambda: built.append(None) or steps())
+    step_registry.cache_clear()
+    for step in steps():
+        for point in step.default_params:
+            assert verify_dissection_step(step.key, dict(point), 40).ok, (step.key, point)
+    assert len(built) == 1
+    assert step_registry() is step_registry()
+    assert list(step_registry()) == [step.key for step in steps()]
+    with pytest.raises(TypeError):
+        step_registry()["G16"] = None
 
 
 def test_all_steps_pass_at_default_parameters():

@@ -215,7 +215,7 @@ def test_unknown_kind_is_named_when_a_step_is_built(monkeypatch):
         domain=lambda p: True,
         default_params=((("t", 2),),),
     )
-    monkeypatch.setattr(congruences, "builtin_steps", lambda: (bogus,))
+    monkeypatch.setattr(congruences, "step_registry", lambda: {"BOGUS": bogus})
     report = congruences.verify_dissection_step("BOGUS", {"t": 2}, 6)
     assert not report.ok and report.error == "unknown generating function kind 'bogus'"
 
@@ -225,8 +225,8 @@ def test_gf_leaves_are_cleared_in_an_exact_case(monkeypatch):
     inverted = []
     invert = Series.invert
     monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
-    for memo in (ETA.euler_product, ETA._f1_powers):
-        memo.cache_clear()
+    ETA.euler_product.cache_clear()
+    ETA._F1_MEMOS.clear()
     cases = [
         IdentityCase("OPT2", gf_series("opt", 2), eta_series("f1^-4 * f2^6 * f4^-2")),
         IdentityCase(
@@ -299,8 +299,8 @@ def test_exact_checks_run_no_power_recurrence(monkeypatch):
     inverted = []
     invert = Series.invert
     monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
-    for memo in (ETA.euler_product, ETA._f1_powers):
-        memo.cache_clear()
+    ETA.euler_product.cache_clear()
+    ETA._F1_MEMOS.clear()
     exact = [case for case in builtin_identities() if case.modulus is None]
     assert {case.key for case in exact} >= {"D1", "D1SQ", "D3", "D4"}
     for case in exact:
@@ -314,8 +314,8 @@ def test_a_cleared_sum_multiplies_by_its_untaken_factors_once(monkeypatch):
     # are added first and multiplied by f1^3 once.  With cold memos the check
     # at order 2000 makes 3 full-order products: 2 expand f1^3 and 1
     # multiplies the sum (5 when each summand was multiplied by f1^3).
-    for memo in (ETA.euler_product, ETA._f1_powers):
-        memo.cache_clear()
+    ETA.euler_product.cache_clear()
+    ETA._F1_MEMOS.clear()
     orders = []
     product = Series.__mul__
 
@@ -340,8 +340,8 @@ def test_summands_keep_the_unit_factors_they_take(monkeypatch):
     for ring, order in ((EXACT, 60), (Zmod(9), 40)):
         want = evaluate(recipe, ring, order) * evaluate(eta_series(str(unit)), ring, order)
         assert ring in inverted  # the plain sum expands f1^-3
-        for memo in (ETA.euler_product, ETA._f1_powers):
-            memo.cache_clear()
+        ETA.euler_product.cache_clear()
+        ETA._F1_MEMOS.clear()
         inverted.clear()
         assert evaluate(recipe, ring, order, unit) == want, ring
         assert inverted == [], ring
@@ -363,23 +363,39 @@ def test_congruence_checks_keep_the_empty_unit(monkeypatch):
     assert len(units) > 2 * 11 and set(units) == {EtaQuotient()}
 
 
-def test_replay_modular_convolutions_are_pinned():
-    # a fresh interpreter, so no memo is warm: replay --order 500 makes 1,022
-    # modular convolutions; a GF leaf is an eta leaf, so at t = 1 it reuses the
-    # f_1 powers the other tuple sizes built
+def _cold_convolutions(argv):
+    """The exit code and the ``_convolve_mod`` and ``_convolve_packed`` calls
+    of one command run in a fresh interpreter, so no memo is warm."""
     script = (
         "import io, overq.series as s, overq.cli as cli\n"
-        "real, n = s._convolve_mod, [0]\n"
-        "def count(*args):\n"
-        "    n[0] += 1\n"
-        "    return real(*args)\n"
-        "s._convolve_mod = count\n"
-        "code = cli.main(['replay', '--order', '500', '--format', 'json'], out=io.StringIO())\n"
-        "print(code, n[0])\n"
+        "n = {}\n"
+        "def counted(name):\n"
+        "    real = getattr(s, name)\n"
+        "    def count(*args):\n"
+        "        n[name] = n.get(name, 0) + 1\n"
+        "        return real(*args)\n"
+        "    setattr(s, name, count)\n"
+        "counted('_convolve_mod'), counted('_convolve_packed')\n"
+        f"code = cli.main({argv!r} + ['--format', 'json'], out=io.StringIO())\n"
+        "print(code, n.get('_convolve_mod', 0), n.get('_convolve_packed', 0))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.stderr == ""
-    assert done.stdout.split() == ["0", "1022"]
+    return done.stdout.split()
+
+
+def test_replay_modular_convolutions_are_pinned():
+    # replay --order 500 makes 729 modular convolutions (1,022 when each f_1
+    # memo started from f_1 alone) and no exact one; a GF leaf is an eta leaf,
+    # so at t = 1 it reuses the f_1 powers the other tuple sizes built
+    assert _cold_convolutions(["replay", "--order", "500"]) == ["0", "729", "0"]
+
+
+def test_identities_convolutions_are_pinned():
+    # identities --order 2000 makes 134 modular and 41 exact convolutions
+    # (212 and 53 when each f_1 memo started from f_1 alone): each B1
+    # right-hand side starts from its left-hand side's memo
+    assert _cold_convolutions(["identities", "--order", "2000"]) == ["0", "134", "41"]

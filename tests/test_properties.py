@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import textwrap
+import threading
 from array import array
 
 import pytest
@@ -333,9 +334,10 @@ def _sparse_signed(rng, span, length, nonzeros=12):
     return vals
 
 
-# At n = 33 a square of coefficients up to 2^25 needs 8-byte slots, and up to
-# 2^29 9-byte slots, which ``_pack_slots`` hands to ``_pack``.
-_EXACT_SPANS = (1, 9, 10**6, 2**25, 2**29)
+# Slots are sized from the nonzero count, at most 40 here.  At n = 33 a square
+# of coefficients up to 2^25 needs 8-byte slots, and up to 2^29 9-byte slots,
+# which ``_pack_slots`` hands to ``_pack``; the spans between fill 3 to 5 bytes.
+_EXACT_SPANS = (1, 9, 300, 5000, 10**5, 10**6, 2**25, 2**29)
 
 
 def _check_exact_squares():
@@ -434,6 +436,111 @@ def test_a_square_packs_its_operand_once(ring, order, packer, monkeypatch):
     for got, a, b in ((square, x, x), (product, x, y)):
         expected = _convolve_schoolbook(a.coeffs, b.coeffs, order)
         assert got.coeffs == tuple(map(ring.canon, expected))
+
+
+# --- shifted adds for a sparse operand -----------------------------------------
+
+_SPACING = series_module._SPARSE_SPACING
+
+
+def _pick(rng, ring):
+    """A random nonzero-prone coefficient: 1 and -1 (as f_1 has) and others,
+    wide ones on the exact ring so that slots pass 8 bytes."""
+    m = ring.modulus
+    if m is None:
+        return rng.choice([1, -1, 9, -(2**40), rng.randint(-(10**6), 10**6)])
+    return rng.choice([1, m - 1, rng.randrange(m)])
+
+
+def _spaced(rng, ring, length, nonzeros):
+    """A list of ``length`` coefficients with ``nonzeros`` of them picked."""
+    vals = [0] * length
+    for i in rng.sample(range(length), nonzeros):
+        vals[i] = _pick(rng, ring) or 1
+    return vals
+
+
+def _sparse_shapes(rng, ring, n):
+    """(a, b, shifted) at order n: operand pairs, and whether their product
+    is formed by shifted adds (None where no product is formed)."""
+    t = n // _SPACING  # the most nonzeros of a sparse operand at this order
+    dense = [_pick(rng, ring) for _ in range(n + 5)]
+    sparse = _spaced(rng, ring, n, t)
+    shapes = [
+        (sparse, dense[:n], True),
+        (dense[:n], sparse, True),  # the sparse operand on the right
+        (sparse, _spaced(rng, ring, n, t // 2 + 1), True),  # both sparse
+        (sparse, sparse, True),  # a square
+        (_spaced(rng, ring, n, t + 1), dense[:n], False),
+        (dense[:n], _spaced(rng, ring, n, t + 1), False),
+        (sparse + [_pick(rng, ring) or 1] * 7, dense, True),  # n below each length
+        ([0] * n, dense[:n], None),
+        (dense[:n], [0] * (n + 3), None),
+    ]
+    if t > 1:
+        shapes.append((_spaced(rng, ring, n, t - 1), dense[:n], True))
+    return shapes
+
+
+def _check_sparse_products(rings, orders, monkeypatch):
+    """Every shape of ``_sparse_shapes`` against the schoolbook on each ring
+    and order, and the path each product took."""
+    product, paths = series_module._packed_product, []
+
+    def recorded(sparse, dense, width, shifted):
+        paths.append(shifted)
+        return product(sparse, dense, width, shifted)
+
+    monkeypatch.setattr(series_module, "_packed_product", recorded)
+    for ring in rings:
+        m = ring.modulus
+        rng = random.Random(str(ring))
+        for n in orders:
+            for a, b, shifted in _sparse_shapes(rng, ring, n):
+                a, b = tuple(a), (a if b is a else tuple(b))
+                # the product commutes, and the schoolbook skips the zeros of its first operand
+                x, y = (a, b) if a.count(0) >= b.count(0) else (b, a)
+                expected = _convolve_schoolbook(x, y, n)
+                paths.clear()
+                if m is None:
+                    got = _convolve_packed(a, b, n)
+                else:
+                    got = _convolve_mod(a, b, n, m)
+                    expected = [c % m for c in expected]
+                assert got == expected, (ring, n, len(a), len(b), shifted)
+                if shifted is None:  # an all-zero operand forms no product
+                    assert paths == [], (ring, n)
+                elif shifted or not (m and m <= 256 and n >= _DECIMAL_CUTOFF):
+                    assert paths == [shifted], (ring, n, shifted)
+                else:  # just too dense for shifted adds: the decimal path
+                    assert paths in ([], [False]), (ring, n)
+
+
+@pytest.mark.parametrize("host", ["as is", "big-endian"])
+def test_sparse_products_match_schoolbook(host, monkeypatch):
+    if host == "big-endian":
+        monkeypatch.setattr(sys, "byteorder", "big")
+    _check_sparse_products(RING_POOL, (16, 17, 47, 200, 1000), monkeypatch)
+
+
+def test_sparse_products_bypass_the_decimal_path(monkeypatch):
+    # from the decimal cutoff on, m <= 256 still takes shifted adds when an
+    # operand is sparse, and the decimal multiply when it is just too dense
+    small = [ring for ring in RING_POOL if ring.is_modular and ring.modulus <= 256]
+    _check_sparse_products(small, (_DECIMAL_CUTOFF,), monkeypatch)
+
+
+_GROUPS = "groups.items()"
+
+
+def test_a_dropped_value_group_fails_the_sparse_check(monkeypatch):
+    source = textwrap.dedent(inspect.getsource(series_module._packed_product))
+    assert source.count(_GROUPS) == 1
+    namespace = dict(vars(series_module))
+    exec(source.replace(_GROUPS, "list(groups.items())[1:]"), namespace)
+    monkeypatch.setattr(series_module, "_packed_product", namespace["_packed_product"])
+    with pytest.raises(AssertionError):
+        _check_sparse_products(RING_POOL, (200,), monkeypatch)
 
 
 def test_newton_inverse_above_decimal_cutoff(decimal_available):
@@ -547,12 +654,12 @@ def test_eta_expansion_does_not_depend_on_the_memo():
     )]
     orders = [200, 37, 200, 1, 64, 37, 5, 200, 64]
     for ring in (Zmod(32), EXACT):
-        _f1_powers.cache_clear()
+        ETA._F1_MEMOS.clear()
         warm = [expand_eta_quotient(q, ring, n) for n in orders for q in quotients]
         cold = []
         for n in orders:
             for q in quotients:
-                _f1_powers.cache_clear()
+                ETA._F1_MEMOS.clear()
                 euler_product.cache_clear()
                 cold.append(expand_eta_quotient(q, ring, n))
         assert warm == cold, ring
@@ -589,16 +696,131 @@ def test_f1_power_ladder_matches_binary_power():
         for exponent in [0, 1, -1, 600, -600] + rng.sample(range(-600, 601), 7)
     ]
     rng.shuffle(requests)
-    _f1_powers.cache_clear()
-    after_eviction = 0
+    ETA._F1_MEMOS.clear()
+    full, made = 0, []
     for ring, order, exponent in requests:
-        after_eviction += _f1_powers.cache_info().misses > _f1_powers.cache_info().maxsize
+        full += len(ETA._F1_MEMOS) == ETA._F1_MEMO_LIMIT  # a miss now evicts
+        key = (ring, order, exponent < 0)
+        if exponent and key not in ETA._F1_MEMOS:
+            made.append(key)
         assert _f1_power(ring, order, exponent) == _reference_f1_power(ring, order, exponent), (
             ring, order, exponent,
         )
-    assert after_eviction > len(requests) // 2
-    memos = {(ring, order, exponent < 0) for ring, order, exponent in requests if exponent}
-    assert _f1_powers.cache_info().misses > len(memos)  # some memo was dropped and rebuilt
+        assert len(ETA._F1_MEMOS) <= ETA._F1_MEMO_LIMIT
+    assert full > len(requests) // 2
+    assert len(made) > len(set(made))  # some memo was dropped and rebuilt
+
+
+# (donor, ring): each ring and each ring whose modulus divides its modulus
+_DIVISOR_PAIRS = [
+    (donor, ring)
+    for donor in RING_POOL
+    for ring in RING_POOL
+    if donor == ring or donor.is_modular and ring.is_modular and donor.modulus % ring.modulus == 0
+]
+
+
+@pytest.mark.parametrize("donor, ring", _DIVISOR_PAIRS, ids=str)
+def test_a_seeded_f1_memo_equals_a_cold_one(donor, ring):
+    # A new memo starts from every power of a stored one of the same sign at
+    # an order as high and a multiple modulus: at an equal order (another
+    # ring) and a lower one, each power is the cold power, and the memo steps
+    # new powers at its own order and ring.
+    for negative in (False, True):
+        sign = -1 if negative else 1
+        for order in (60, 37) if donor != ring else (37,):
+            ETA._F1_MEMOS.clear()
+            for e in (5, 12, 40):
+                _f1_power(donor, 60, sign * e)
+            stored = ETA._F1_MEMOS[donor, 60, negative]
+            seeded = _f1_powers(ring, order, negative)
+            assert seeded.keys() == stored.keys(), (order, negative)
+            for e, power in seeded.items():
+                assert power == _reference_f1_power(ring, order, sign * e), (order, sign * e)
+            for e in (7, 41, 90):
+                want = _reference_f1_power(ring, order, sign * e)
+                assert _f1_power(ring, order, sign * e) == want, (order, sign * e)
+
+
+def _check_a_seeded_memo_leaves_its_donor():
+    """Seed a mod-32 and a mod-8 memo at a lower order from two candidate
+    donors, step new powers over each, and require the donor, the one with
+    more powers, to be as it was."""
+    for ring in (Zmod(32), Zmod(8)):
+        ETA._F1_MEMOS.clear()
+        for e in (3, 10):
+            _f1_power(Zmod(32), 80, e)
+        _f1_power(Zmod(1024), 80, 6)
+        donor = ETA._F1_MEMOS[Zmod(32), 80, False]
+        before = dict(donor)
+        assert len(before) > len(ETA._F1_MEMOS[Zmod(1024), 80, False])
+        assert _f1_powers(ring, 50, False).keys() == before.keys(), ring
+        for e in (7, 25, 61):
+            assert _f1_power(ring, 50, e) == _reference_f1_power(ring, 50, e), (ring, e)
+        assert donor == before, ring
+
+
+# The two seeding lines, by the ring they seed: the donor's own, or another.
+_SEEDS = {
+    "truncated": "return {e: power.truncate(order) for e, power in powers}",
+    "reduced": "return {e: Series(ring, power.coeffs[:order]) for e, power in powers}",
+}
+
+
+@pytest.mark.parametrize("mutant", ["none", *_SEEDS])
+def test_a_seeded_f1_memo_leaves_its_donor_unchanged(mutant, monkeypatch):
+    if mutant == "none":
+        _check_a_seeded_memo_leaves_its_donor()
+        return
+    # the mutant seeds the memo by overwriting the donor's powers in place
+    seed = _SEEDS[mutant]
+    source = textwrap.dedent(inspect.getsource(ETA._seed_f1_powers))
+    assert source.count(seed) == 1
+    indent = next(line for line in source.splitlines() if seed in line).split("return")[0]
+    aliased = f"memo.update({seed.removeprefix('return ')})\n{indent}return memo"
+    namespace = dict(vars(ETA))
+    exec(source.replace(seed, aliased), namespace)
+    monkeypatch.setattr(ETA, "_seed_f1_powers", namespace["_seed_f1_powers"])
+    with pytest.raises(AssertionError):
+        _check_a_seeded_memo_leaves_its_donor()
+    ETA._F1_MEMOS.clear()  # the mutant has overwritten a stored memo
+
+
+def test_f1_memos_are_shared_safely_between_threads():
+    # More threads than cores step, seed and read the same memos at a short
+    # switch interval; a ladder or a seeding that iterated a memo another
+    # thread was adding to raised "dictionary changed size during iteration".
+    rings, orders = [Zmod(1024), Zmod(32), Zmod(8), Zmod(9), EXACT], [60, 41, 30]
+    requests = [
+        [(rng.choice(rings), rng.choice(orders), rng.randint(-150, 150)) for _ in range(40)]
+        for rng in map(random.Random, range(6))
+    ]
+    got, errors = {}, []
+
+    def worker(asked):
+        try:
+            for request in asked:
+                got[request] = _f1_power(*request)
+        except Exception as exc:  # reported below, with the thread's request
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(8):
+            ETA._F1_MEMOS.clear()
+            threads = [threading.Thread(target=worker, args=(asked,)) for asked in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert len(ETA._F1_MEMOS) <= ETA._F1_MEMO_LIMIT
+    for request, power in got.items():
+        assert power == _reference_f1_power(*request), request
 
 
 # --- exact negative powers of f1, from the ladder's Newton inverse ----------
@@ -629,7 +851,7 @@ def test_f1_power_recurrence_runs_only_on_exact_negative_powers(monkeypatch):
     inverted = []
     invert = Series.invert
     monkeypatch.setattr(Series, "invert", lambda s: inverted.append(s.ring) or invert(s))
-    _f1_powers.cache_clear()
+    ETA._F1_MEMOS.clear()
     for ring in RING_POOL:
         for exponent in exponents:
             assert _f1_power(ring, 40, exponent) == want[ring, exponent], (
